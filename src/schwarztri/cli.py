@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -159,6 +160,11 @@ def exponent_values(max_den: int) -> list[Fraction]:
     return sorted(values)
 
 
+def _check_max_den(max_den: int) -> None:
+    if max_den < 2:
+        raise UsageError("--max-den must be at least 2")
+
+
 def sweep_records(
     max_den: int,
     tol: float = 1e-6,
@@ -170,8 +176,7 @@ def sweep_records(
     Both sides are permutation invariant, so unordered triples cover the full
     ordered sweep; the records come out in canonical ascending order.
     """
-    if max_den < 2:
-        raise UsageError("--max-den must be at least 2")
+    _check_max_den(max_den)
     values = exponent_values(max_den)
     records = []
     agreements = disagreements = inconclusive = 0
@@ -310,22 +315,27 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     start = time.perf_counter()
+    # validate before opening --out, so that a usage error leaves no file
+    _check_max_den(args.max_den)
     sink = None
     if args.out:
         try:
             sink = open(args.out, "w", encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write --out path: {exc}") from exc
-    records, summary = sweep_records(args.max_den, tol=args.tol, taylor_order=args.taylor_order)
-    lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    if sink is not None:
-        with sink:
+    try:
+        records, summary = sweep_records(args.max_den, tol=args.tol, taylor_order=args.taylor_order)
+        lines = [json.dumps(rec, sort_keys=True) for rec in records]
+        if sink is not None:
             sink.write("\n".join(lines) + "\n")
-        summary["out_path"] = args.out
-    else:
-        for line in lines:
-            print(line)
-        summary["out_path"] = None
+            summary["out_path"] = args.out
+        else:
+            for line in lines:
+                print(line)
+            summary["out_path"] = None
+    finally:
+        if sink is not None:
+            sink.close()
     elapsed = int(1000 * (time.perf_counter() - start))
     _emit(
         CommandResult(
@@ -390,10 +400,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is exact fractions and may start with '-'
+_FRACTION_OPTIONS = ("--inv-angles", "--base")
+_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+
+
+def _attach_fraction_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--inv-angles -3/2,...`` as ``--inv-angles=-3/2,...``.
+
+    argparse reads a separate value with a leading minus as an option unless
+    it is a plain number, and ``-3/2,-2,5/2`` is not.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FRACTION_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_fraction_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

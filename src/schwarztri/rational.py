@@ -7,10 +7,26 @@ operation is pure, so objects can be shared freely between workers.
 
 Canonical form: a ``RatFunc`` always stores a gcd-reduced pair with a monic
 denominator, which makes equality structural.
+
+Arithmetic runs over Z.  A ``RatFunc`` holds c * N/D with N and D primitive
+integer polynomials of positive leading coefficient and c one rational
+content; its ``num`` and ``den`` are turned into ``Poly`` values (Fractions)
+only when read.  Reduction clears denominators once, takes the gcd from
+modular images (``_int_gcd_poly``) and divides exactly over Z; products are
+single big-integer multiplications (Kronecker substitution).  Where the
+reduced form is known in advance no gcd is taken at all: a composition of
+reduced functions is reduced, a product or quotient cancels crosswise, and
+the Schwarzian of N/D with W = N'D - ND' is
+
+    S(N/D) = (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
+
+whose reduced denominator is sqf(W)^2, so it is reduced by one exact division.
+Reference: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and 8.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +35,8 @@ from typing import Iterable, Sequence, Union
 ExactRational = Fraction
 
 ScalarLike = Union[int, Fraction, str]
+
+_ZERO = Fraction(0)
 
 
 def as_fraction(value: ScalarLike) -> Fraction:
@@ -30,6 +48,9 @@ def as_fraction(value: ScalarLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
+
+
+# -- integer polynomial kernels (ascending coefficient lists) ------------------
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
@@ -64,12 +85,18 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _prime_stream():
-    n = (1 << 31) - 1
-    while True:
+@functools.lru_cache(maxsize=1)
+def _primes() -> tuple[int, ...]:
+    """The 32 largest primes below 2^30, in descending order.  A residue
+    below 2^30 is one digit of a CPython int, which keeps the arithmetic of
+    the modular gcd on the interpreter's fast paths."""
+    out = []
+    n = (1 << 30) - 1
+    while len(out) < 32:
         if _is_probable_prime(n):
-            yield n
+            out.append(n)
         n -= 2
+    return tuple(out)
 
 
 def _strip(a: list[int]) -> list[int]:
@@ -78,28 +105,101 @@ def _strip(a: list[int]) -> list[int]:
     return a
 
 
+def _width(bound: int) -> int:
+    """Digit width k for Kronecker substitution: a multiple of 8 with
+    bound < 2^(k-1)."""
+    return (bound.bit_length() // 8 + 1) * 8
+
+
+def _ones(k: int, length: int) -> int:
+    """sum of 2^(k*i) for i < length."""
+    return int.from_bytes((b"\x01" + bytes(k // 8 - 1)) * length, "little")
+
+
+def _pack(a: Sequence[int], k: int) -> int:
+    """a evaluated at 2^k, for k from _width and every |a_i| < 2^(k-1): each
+    coefficient is biased by 2^(k-1) into one k-bit digit, and the bias is
+    taken off the whole integer at once."""
+    half = 1 << (k - 1)
+    kb = k // 8
+    digits = b"".join([(c + half).to_bytes(kb, "little") for c in a])
+    return int.from_bytes(digits, "little") - (_ones(k, len(a)) << (k - 1))
+
+
+def _unpack(x: int, k: int, length: int) -> list[int]:
+    """The polynomial of the given length that _pack sends to x; exact when
+    every coefficient is below 2^(k-1) in absolute value."""
+    half = 1 << (k - 1)
+    kb = k // 8
+    digits = (x + (_ones(k, length) << (k - 1))).to_bytes(kb * length, "little")
+    return _strip([int.from_bytes(digits[i : i + kb], "little") - half for i in range(0, kb * length, kb)])
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product by Kronecker substitution: one big-integer multiplication."""
+    if not a or not b:
+        return []
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        s = a[0]
+        return [s * c for c in b]
+    k = _width(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))
+    return _unpack(_pack(a, k) * _pack(b, k), k, len(a) + len(b) - 1)
+
+
+def _int_pow(a: Sequence[int], n: int) -> list[int]:
+    result = [1]
+    base = list(a)
+    while n:
+        if n & 1:
+            result = _int_mul(result, base)
+        n >>= 1
+        if n:
+            base = _int_mul(base, base)
+    return result
+
+
+def _int_lincomb(terms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
+    """sum of k * p over the (k, p) pairs."""
+    out: list[int] = []
+    for k, p in terms:
+        if not k:
+            continue
+        if len(out) < len(p):
+            out.extend([0] * (len(p) - len(out)))
+        for i, c in enumerate(p):
+            out[i] += k * c
+    return _strip(out)
+
+
+def _int_deriv(a: Sequence[int]) -> list[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
 def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Monic gcd of two integer polynomials reduced mod p (ascending coeffs)."""
     a = _strip([c % p for c in a])
     b = _strip([c % p for c in b])
     while b:
-        inv = pow(b[-1], p - 2, p)
-        nb = len(b)
-        while len(a) >= nb:
-            f = a[-1] * inv % p
+        inv = pow(b[-1], -1, p)
+        nb = len(b) - 1
+        low = b[:nb]
+        while len(a) > nb:
+            f = a.pop() * inv % p
             if f:
                 off = len(a) - nb
-                for i in range(nb - 1):
-                    a[off + i] = (a[off + i] - f * b[i]) % p
-            a.pop()
+                a[off:] = [(x - f * y) % p for x, y in zip(a[off:], low)]
             _strip(a)
         a, b = b, a
-    inv = pow(a[-1], p - 2, p)
+    inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
 def _int_exact_div(a: Sequence[int], c: Sequence[int]) -> list[int] | None:
     """Exact quotient of integer polynomials, or None when division fails."""
+    if not a:
+        return []
     r = list(a)
     lc = c[-1]
     nq = len(a) - len(c) + 1
@@ -118,18 +218,25 @@ def _int_exact_div(a: Sequence[int], c: Sequence[int]) -> list[int] | None:
     return q if not any(r) else None
 
 
+def _int_quo(a: Sequence[int], c: Sequence[int]) -> list[int]:
+    """Quotient of a division known to be exact."""
+    q = _int_exact_div(a, c)
+    if q is None:
+        raise ArithmeticError("polynomial division expected to be exact has a remainder")
+    return q
+
+
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
     """Gcd of primitive integer polynomials by modular images (CRT-lifted,
     verified by exact trial division)."""
-    a = [c // _int_content(a) for c in a]
-    b = [c // _int_content(b) for c in b]
+    ca, cb = _int_content(a), _int_content(b)
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
     if len(a) < len(b):
         a, b = b, a
     gl = math.gcd(a[-1], b[-1])
-    primes = _prime_stream()
     acc = None  # (coeffs, modulus, degree)
-    for _ in range(32):
-        p = next(primes)
+    for p in _primes():
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
         gp = _gcd_mod(a, b, p)
@@ -143,7 +250,7 @@ def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
             continue  # unlucky prime
         else:
             cur, mod, _deg = acc
-            minv = pow(mod, p - 2, p)
+            minv = pow(mod, -1, p)
             combined = []
             for x, y in zip(cur, gp):
                 t = (y - x) * minv % p
@@ -178,6 +285,19 @@ def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
         if len(a) < len(b):
             a, b = b, a
     return a
+
+
+def _cancel(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """a/g and b/g for g = gcd(a, b); a and b primitive with positive leading
+    coefficients, and so are the quotients."""
+    if len(a) < 2 or len(b) < 2:
+        return a, b
+    g = _int_gcd_poly(a, b)
+    if len(g) < 2:
+        return a, b
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return _int_quo(a, g), _int_quo(b, g)
 
 
 class Poly:
@@ -250,20 +370,10 @@ class Poly:
             k = as_fraction(other)
             return Poly([c * k for c in self.coeffs])
         other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        # convolve over Z after clearing denominators; much faster than
-        # Fraction arithmetic for the large products of the Schwarzian chain
         da, a = _clear_denominators(self.coeffs)
         db, b = _clear_denominators(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
         d = da * db
-        return Poly([Fraction(c, d) for c in out])
+        return _poly_of([Fraction(c, d) for c in _int_mul(a, b)])
 
     __rmul__ = __mul__
 
@@ -312,8 +422,8 @@ class Poly:
             return self.monic()
         if self.degree == 0 or other.degree == 0:
             return Poly([1])
-        a = _to_int_coeffs(self.coeffs)
-        b = _to_int_coeffs(other.coeffs)
+        a = _clear_denominators(self.coeffs)[1]
+        b = _clear_denominators(other.coeffs)[1]
         g = _int_gcd_poly(a, b)
         return Poly(g).monic()
 
@@ -355,6 +465,13 @@ class Poly:
         return f"Poly({_poly_str(self)})"
 
 
+def _poly_of(coeffs: list[Fraction]) -> Poly:
+    """A Poly from Fractions whose last entry is nonzero (or from no entries)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", tuple(coeffs))
+    return p
+
+
 def _numeric(c: Fraction, like):
     if isinstance(like, complex):
         return complex(c)
@@ -374,10 +491,6 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     for c in coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _to_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    return _clear_denominators(coeffs)[1]
 
 
 def _poly_str(p: Poly, var: str = "y") -> str:
@@ -407,27 +520,21 @@ def _poly_str(p: Poly, var: str = "y") -> str:
 class RatFunc:
     """Reduced rational function num/den over Q with monic denominator."""
 
-    __slots__ = ("num", "den")
+    # (_n, _d, _c): the value is _c * _n/_d with _n, _d coprime primitive
+    # integer tuples of positive leading coefficient; zero is ((), (1,), 0).
+    # _num and _den cache the Poly views.
+    __slots__ = ("_n", "_d", "_c", "_num", "_den")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
         den = Poly([1]) if den is None else _as_poly(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", Poly())
-            object.__setattr__(self, "den", Poly([1]))
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
-        lc = den.leading
-        if lc != 1:
-            num = num * (1 / lc)
-            den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        qn, n = _clear_denominators(num.coeffs)
+        qd, d = _clear_denominators(den.coeffs)
+        n, d, c = _canonical(n, d, Fraction(qd, qn))
+        n, d = _cancel(n, d)
+        _init(self, n, d, c)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -445,24 +552,40 @@ class RatFunc:
     # -- structure -----------------------------------------------------------
 
     @property
+    def num(self) -> Poly:
+        """Reduced numerator, scaled to go with the monic denominator."""
+        if self._num is None:
+            c = self._c / self._d[-1]
+            object.__setattr__(self, "_num", _poly_of([c * x for x in self._n]))
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        """Reduced monic denominator."""
+        if self._den is None:
+            lc = self._d[-1]
+            object.__setattr__(self, "_den", _poly_of([Fraction(x, lc) for x in self._d]))
+        return self._den
+
+    @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._n
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return len(self._n) <= 1 and len(self._d) == 1
 
     @property
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant rational function")
-        return Fraction(0) if self.is_zero else self.num.coeffs[0]
+        return self._c
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            return self == RatFunc.constant(other)
+            other = _as_ratfunc(other)
+        if isinstance(other, RatFunc):
+            return self._c == other._c and self._n == other._n and self._d == other._d
         return NotImplemented
 
     def __hash__(self):
@@ -474,13 +597,34 @@ class RatFunc:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "RatFunc":
+        # Henrici: with g = gcd(D1, D2), only a factor of g can cancel from
+        # N1 (D2/g) + N2 (D1/g) over D1 D2/g
         other = _as_ratfunc(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        c1, c2 = self._c, other._c
+        d1, d2 = self._d, other._d
+        g = [1]
+        e1, e2 = d1, d2
+        if len(d1) > 1 and len(d2) > 1:
+            g = _int_gcd_poly(d1, d2)
+            if len(g) > 1:
+                e1, e2 = _int_quo(d1, g), _int_quo(d2, g)
+        t = _int_lincomb(
+            (
+                (c1.numerator * c2.denominator, _int_mul(self._n, e2)),
+                (c2.numerator * c1.denominator, _int_mul(other._n, e1)),
+            )
+        )
+        den = _int_mul(d1, e2)
+        if len(g) > 1 and len(t) > 1:
+            h = _int_gcd_poly(t, g)
+            if len(h) > 1:
+                t, den = _int_quo(t, h), _int_quo(den, h)
+        return _ratfunc(*_canonical(t, den, Fraction(1, c1.denominator * c2.denominator)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(self._n, self._d, -self._c)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_as_ratfunc(other))
@@ -490,7 +634,9 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        n1, d2 = _cancel(self._n, other._d)
+        n2, d1 = _cancel(other._n, self._d)
+        return _ratfunc(_int_mul(n1, n2), _int_mul(d1, d2), self._c * other._c)
 
     __rmul__ = __mul__
 
@@ -498,7 +644,9 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        n1, n2 = _cancel(self._n, other._n)
+        d2, d1 = _cancel(other._d, self._d)
+        return _ratfunc(_int_mul(n1, d2), _int_mul(d1, n2), self._c / other._c)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _as_ratfunc(other) / self
@@ -507,21 +655,21 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num**n, self.den**n)
+            return _ratfunc(_int_pow(self._d, -n), _int_pow(self._n, -n), 1 / self._c ** (-n))
+        return _ratfunc(_int_pow(self._n, n), _int_pow(self._d, n), self._c**n)
 
     def derivative(self) -> "RatFunc":
         """Exact quotient-rule derivative, reduced."""
-        n, d = self.num, self.den
-        num = n.derivative() * d - n * d.derivative()
-        if d.degree == 0:
-            return RatFunc(num, d)
-        # the true denominator is d^2 / gcd(d, d'); dividing it out up front
-        # keeps the final reduction on a (usually coprime) pair
-        e = d.gcd(d.derivative())
-        if e.degree > 0:
-            return RatFunc(num // e, d * (d // e))
-        return RatFunc(num, d * d)
+        n, d = self._n, self._d
+        num = _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
+        if len(d) == 1:
+            return _ratfunc(*_canonical(num, d, self._c))
+        # a pole of order k becomes one of order k + 1, so the reduced
+        # denominator is d^2 / gcd(d, d') and no further gcd is needed
+        e = _int_gcd_poly(d, _int_deriv(d)) if len(d) > 2 else [1]
+        if len(e) > 1:
+            return _ratfunc(*_canonical(_int_quo(num, e), _int_mul(d, _int_quo(d, e)), self._c))
+        return _ratfunc(*_canonical(num, _int_mul(d, d), self._c))
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """Exact composition self(inner).
@@ -530,13 +678,30 @@ class RatFunc:
         pole of ``self``.
         """
         inner = _as_ratfunc(inner)
-        a, b = inner.num, inner.den
-        d = max(self.num.degree, self.den.degree, 0)
-        num = _substitute_homogeneous(self.num, a, b, d)
-        den = _substitute_homogeneous(self.den, a, b, d)
-        if den.is_zero:
+        c = inner._c
+        a = [c.numerator * x for x in inner._n]
+        b = [c.denominator * x for x in inner._d]
+        # sum_i n_i a^i b^(deg-i) over the same for d, by Horner on the
+        # packed integers; the binary forms of a reduced n/d share no root,
+        # and neither do a and b, so the quotient is already reduced
+        n, d = self._n, self._d
+        deg = max(len(n), len(d), 1) - 1
+        size = deg * (max(len(a), len(b), 1) - 1) + 1
+        grow = max(sum(map(abs, a)), sum(map(abs, b)), 1)
+        k = _width(max(max(sum(map(abs, n)), sum(map(abs, d))) * grow**deg, grow))
+        pa, pb = _pack(a, k), _pack(b, k)
+        bpows = [1]
+        for _ in range(deg):
+            bpows.append(bpows[-1] * pb)
+        hn = hd = 0
+        for i in range(deg, -1, -1):
+            hn = hn * pa + (n[i] * bpows[deg - i] if i < len(n) else 0)
+            hd = hd * pa + (d[i] * bpows[deg - i] if i < len(d) else 0)
+        num = _unpack(hn, k, size)
+        den = _unpack(hd, k, size)
+        if not den:
             raise ZeroDivisionError("composition lands identically on a pole")
-        return RatFunc(num, den)
+        return _ratfunc(*_canonical(num, den, self._c))
 
     def __call__(self, x):
         """Evaluate at an exact or floating point; exact poles raise."""
@@ -556,7 +721,7 @@ class RatFunc:
         """Vanishing order at infinity (negative for a pole at infinity)."""
         if self.is_zero:
             raise ValueError("zero function has no order at infinity")
-        return self.den.degree - self.num.degree
+        return len(self._d) - len(self._n)
 
     # -- serialization ---------------------------------------------------------
 
@@ -584,28 +749,52 @@ class RatFunc:
         return f"RatFunc(({_poly_str(self.num)}) / ({_poly_str(self.den)}))"
 
 
+def _canonical(n: Sequence[int], d: Sequence[int], c: Fraction):
+    """c * n/d rewritten with n and d primitive of positive leading
+    coefficient; no common factor is removed."""
+    if not n or not c:
+        return (), (1,), _ZERO
+    k = _int_content(n)
+    if n[-1] < 0:
+        k = -k
+    m = _int_content(d)
+    if d[-1] < 0:
+        m = -m
+    if k != 1:
+        n = [x // k for x in n]
+    if m != 1:
+        d = [x // m for x in d]
+        c = c * Fraction(k, m)
+    elif k != 1:
+        c = c * k
+    return n, d, c
+
+
+def _init(f: RatFunc, n: Sequence[int], d: Sequence[int], c: Fraction) -> None:
+    if not n or not c:
+        n, d, c = (), (1,), _ZERO
+    object.__setattr__(f, "_n", tuple(n))
+    object.__setattr__(f, "_d", tuple(d))
+    object.__setattr__(f, "_c", c)
+    object.__setattr__(f, "_num", None)
+    object.__setattr__(f, "_den", None)
+
+
+def _ratfunc(n: Sequence[int], d: Sequence[int], c: Fraction) -> RatFunc:
+    """A RatFunc from a triple already in canonical form."""
+    f = object.__new__(RatFunc)
+    _init(f, n, d, c)
+    return f
+
+
 def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction, Poly)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return _ratfunc((1,), (1,), Fraction(x))
+    if isinstance(x, Poly):
         return RatFunc(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational function")
-
-
-def _substitute_homogeneous(p: Poly, a: Poly, b: Poly, d: int) -> Poly:
-    """sum_i p_i a^i b^(d-i), the numerator of p(a/b) over b^d."""
-    out = Poly()
-    apow = Poly([1])
-    bpows = [Poly([1])]
-    for _ in range(d):
-        bpows.append(bpows[-1] * b)
-    for i in range(d + 1):
-        c = p.coeffs[i] if i < len(p.coeffs) else Fraction(0)
-        if c != 0:
-            out = out + apow * bpows[d - i] * c
-        if i < d:
-            apow = apow * a
-    return out
 
 
 @dataclass(frozen=True)
@@ -662,13 +851,31 @@ def schwarzian(f: RatFunc) -> RatFunc:
 
     Vanishes exactly on Mobius maps; constant input raises.
     """
-    fp = f.derivative()
-    if fp.is_zero:
+    n, d = f._n, f._d
+    w = _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
+    if not w:
         raise ValueError("Schwarzian of a constant function")
-    fpp = fp.derivative()
-    fppp = fpp.derivative()
-    ratio = fpp / fp
-    return fppp / fp - Fraction(3, 2) * ratio * ratio
+    w1 = _int_deriv(w)
+    w2 = _int_deriv(w1)
+    d1 = _int_deriv(d)
+    d2 = _int_deriv(d1)
+    # (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
+    num = _int_lincomb(
+        (
+            (1, _int_mul(d, _int_lincomb(((2, _int_mul(w2, w)), (-3, _int_mul(w1, w1)))))),
+            (4, _int_mul(w, _int_lincomb(((1, _int_mul(w1, d1)), (-1, _int_mul(d2, w)))))),
+        )
+    )
+    # S has a double pole at every root of W and no other pole (f is
+    # reduced), so its reduced denominator is s^2 with s = W/gcd(W, W') and
+    # the numerator divides exactly by gcd(W, W')^2 D
+    h = _int_gcd_poly(w, w1) if len(w1) > 1 else [1]
+    if len(h) > 1:
+        s = _int_quo(w, h)
+        cut = _int_mul(_int_mul(h, h), d)
+    else:
+        s, cut = w, d
+    return _ratfunc(*_canonical(_int_quo(num, cut), _int_mul(s, s), Fraction(1, 2)))
 
 
 def schwarz_pullback(r: RatFunc, phi: RatFunc) -> RatFunc:
@@ -680,7 +887,7 @@ def schwarz_pullback(r: RatFunc, phi: RatFunc) -> RatFunc:
     dphi = phi.derivative()
     if dphi.is_zero:
         raise ValueError("pullback along a constant map")
-    return r.compose(phi) * dphi * dphi + schwarzian(phi)
+    return r.compose(phi) * dphi**2 + schwarzian(phi)
 
 
 def mobius_apply(m: MobiusMap, f: RatFunc) -> RatFunc:

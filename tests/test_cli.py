@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -172,6 +173,12 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--max-den", "1")
         assert code == 2
 
+    def test_usage_error_leaves_no_out_file(self, capsys, tmp_path):
+        out_path = tmp_path / "f.ndjson"
+        code, _, err = run(capsys, "sweep", "--max-den", "1", "--out", str(out_path))
+        assert code == 2 and "--max-den" in err
+        assert not out_path.exists()
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sweep", "--max-den", "2", "--out", str(tmp_path / "no" / "way.ndjson")
@@ -180,3 +187,35 @@ class TestSweep:
 
     def test_usage_error_without_args(self, capsys):
         assert main([]) == 2
+
+
+class TestNegativeFractionValues:
+    """A value with a leading minus is accepted as a separate argument and
+    gives the same output as the ``--option=value`` form."""
+
+    @pytest.mark.parametrize(
+        "separate, attached",
+        [
+            (
+                ("classify-equation", "--inv-angles", "-3/2,-2,5/2"),
+                ("classify-equation", "--inv-angles=-3/2,-2,5/2"),
+            ),
+            (
+                ("verify", "principal", "--inv-angles", "-3/2,-2,5/2"),
+                ("verify", "principal", "--inv-angles=-3/2,-2,5/2"),
+            ),
+            (
+                ("verify", "pullback", "--inv-angles", "-3/2,-2,5/2", "--phi", "y^2", "--base", "-1/2"),
+                ("verify", "pullback", "--inv-angles=-3/2,-2,5/2", "--phi", "y^2", "--base=-1/2"),
+            ),
+        ],
+    )
+    def test_separate_and_attached_forms_agree(self, capsys, separate, attached):
+        code1, out1, err1 = run(capsys, *separate)
+        code2, out2, _ = run(capsys, *attached)
+        assert code1 == code2 == 0, err1
+
+        def strip_elapsed(text):
+            return re.sub(r'"elapsed_ms": [0-9]+', '"elapsed_ms": 0', text)
+
+        assert strip_elapsed(out1) == strip_elapsed(out2)

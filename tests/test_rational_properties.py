@@ -1,5 +1,7 @@
 """Property tests for the exact Schwarzian laws."""
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings, strategies as st
 
 from schwarztri.rational import (
@@ -40,6 +42,24 @@ def mobius_maps(draw):
     return MobiusMap(a, b, c, d)
 
 
+fracs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def unreduced_ratfuncs(draw):
+    """Non-constant N/D with Fraction coefficients, a leading denominator
+    coefficient that is negative or not 1, and a linear factor shared by N
+    and D before reduction."""
+    num = Poly(draw(st.lists(fracs, min_size=1, max_size=4)))
+    lead = draw(st.sampled_from([Fraction(-3, 2), Fraction(-1), Fraction(2, 3), Fraction(3)]))
+    den = Poly(draw(st.lists(fracs, max_size=3)) + [lead])
+    shared = Poly([draw(fracs), draw(st.sampled_from([Fraction(1, 2), Fraction(-1), Fraction(2)]))])
+    assume(not num.is_zero)
+    f = RatFunc(num * shared, den * shared)
+    assume(not f.is_constant)
+    return f
+
+
 Y = RatFunc.variable()
 
 
@@ -50,6 +70,17 @@ def test_cocycle_law(f, g):
     lhs = schwarzian(compose(f, g))
     rhs = compose(schwarzian(f), g) * dg * dg + schwarzian(g)
     assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(unreduced_ratfuncs())
+def test_schwarzian_matches_definition(f):
+    """The closed form equals the chain f'''/f' - (3/2)(f''/f')^2."""
+    fp = f.derivative()
+    fpp = fp.derivative()
+    fppp = fpp.derivative()
+    ratio = fpp / fp
+    assert schwarzian(f) == fppp / fp - Fraction(3, 2) * ratio * ratio
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,3 +114,27 @@ def test_results_are_reduced_and_monic(f, g):
 @given(ratfuncs(nonconstant=True), mobius_maps())
 def test_composition_with_mobius_matches_apply(f, m):
     assert compose(m.as_ratfunc(), f) == mobius_apply(m, f)
+
+
+wide = st.one_of(st.integers(min_value=-(2**70), max_value=2**70), fracs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(wide, max_size=8), st.lists(wide, max_size=8))
+def test_poly_product_matches_schoolbook(a, b):
+    """The packed-integer product equals the coefficient convolution."""
+    expected = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            expected[i + j] += x * y
+    assert Poly(a) * Poly(b) == Poly(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ratfuncs(), ratfuncs(nonconstant=True), fracs)
+def test_compose_matches_pointwise_evaluation(f, g, x):
+    try:
+        expected = f(g(x))
+    except ZeroDivisionError:
+        assume(False)
+    assert compose(f, g)(x) == expected
