@@ -165,11 +165,7 @@ def _check_max_den(max_den: int) -> None:
         raise UsageError("--max-den must be at least 2")
 
 
-def sweep_records(
-    max_den: int,
-    tol: float = 1e-6,
-    taylor_order: int = 36,
-) -> tuple[list[dict], dict]:
+def sweep_records(max_den: int, taylor_order: int = 36) -> tuple[list[dict], dict]:
     """Compare the exact classifier with the monodromy oracle on every
     unordered reduced exponent triple with denominators <= max_den.
 
@@ -186,7 +182,7 @@ def sweep_records(
         witness = verdict.witness.to_record() if verdict.witness else None
         rep = monodromy(params, taylor_order=taylor_order)
         try:
-            oracle = classify_projective(rep, tol=tol)
+            oracle = classify_projective(rep)
             oracle_record = oracle.to_record()
             oracle_integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
             agree: Optional[bool] = oracle_integrable == (not verdict.strongly_minimal)
@@ -324,7 +320,7 @@ def _cmd_sweep(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --out path: {exc}") from exc
     try:
-        records, summary = sweep_records(args.max_den, tol=args.tol, taylor_order=args.taylor_order)
+        records, summary = sweep_records(args.max_den, taylor_order=args.taylor_order)
         lines = [json.dumps(rec, sort_keys=True) for rec in records]
         if sink is not None:
             sink.write("\n".join(lines) + "\n")
@@ -340,7 +336,7 @@ def _cmd_sweep(args) -> int:
     _emit(
         CommandResult(
             command="sweep",
-            inputs={"max_den": args.max_den, "tol": args.tol},
+            inputs={"max_den": args.max_den},
             result=summary,
             elapsed_ms=elapsed,
         )
@@ -393,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-den", type=int, required=True, help="denominator bound (>= 2)")
     p.add_argument("--out", default=None, help="path for newline-delimited per-triple records")
-    p.add_argument("--tol", type=float, default=1e-6, help="oracle tolerance (default 1e-6)")
     p.add_argument("--taylor-order", type=int, default=36, help="continuation series order")
     p.set_defaults(func=_cmd_sweep)
 

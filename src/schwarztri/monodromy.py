@@ -14,13 +14,26 @@ Continuation is by adaptive Taylor stepping: at each step center the equation
 coefficient is expanded to high order and the step length is a fixed fraction
 of the distance to the nearest pole, which keeps the local series well inside
 its convergence disk.  Results are deterministic for fixed inputs.
+
+The classification uses the SL2 trace coordinates of the loop matrices a0,
+a1 scaled to unit determinant (Goldman, arXiv:0901.1404): x = tr a0,
+y = tr a1, z = tr a0 a1 and kappa = x^2 + y^2 + z^2 - xyz - 2 = tr [a0, a1].
+In this order: kappa = 2 is reducible (finite cyclic if a0 and a1 commute
+and have finite orders, else triangularizable); two of x, y, z zero is
+imprimitive (finite of order 2q if the third trace is 2cos(pi p/q), else
+dihedral); x, y, z, xy - z and kappa all in T5 = {2cos(pi k/n) : n <= 5} is
+finite primitive, of order 60, 24 or 12 (Beukers & Heckman, Invent. Math.
+95, 1989); anything else is dense.  "=" and "in" hold within a tolerance
+that is a fixed multiple of the estimated error of the loop matrices, and
+group orders above 120 count as infinite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,7 +166,9 @@ def continue_solution(
 @dataclass(frozen=True, eq=False)
 class MonodromyRep:
     """Loop matrices around 0 and 1 in the fundamental-solution basis at the
-    base point, with unit determinant up to ``estimated_error``."""
+    base point.  ``estimated_error`` is the largest of the determinant defects
+    |det M - 1| and the trace-law defects, the distance of tr M from
+    +-2cos(pi e) at 0, 1 and infinity."""
 
     m0: np.ndarray
     m1: np.ndarray
@@ -191,41 +206,51 @@ def monodromy(
     loop1 = loop1 or LoopSpec(center=1 + 0j)
     m0 = continue_solution(r, loop0.polyline(), taylor_order, step_factor)
     m1 = continue_solution(r, loop1.polyline(), taylor_order, step_factor)
-    err = max(
-        abs(np.linalg.det(m0) - 1.0),
-        abs(np.linalg.det(m1) - 1.0),
-        1e-13,
-    )
     e = exponent_differences(params)
+    defects = [abs(np.linalg.det(m) - 1.0) for m in (m0, m1)]
+    for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):
+        t, c = np.trace(m), 2 * math.cos(math.pi * x)
+        defects.append(min(abs(t - c), abs(t + c)))
     resonant = any(x.denominator == 1 for x in e.as_tuple())
-    return MonodromyRep(m0=m0, m1=m1, estimated_error=float(err), resonant_warning=resonant)
+    return MonodromyRep(m0, m1, float(max(defects)), resonant_warning=resonant)
 
 
 # -- projective classification ------------------------------------------------
 
+# tolerance = _TOL_FACTOR * estimated error, at least _TOL_FLOOR: x, y, z are
+# off by at most the estimated error, so with |x|, |y|, |z| <= 2 kappa is off
+# by at most 24 times it
+_TOL_FACTOR = 100.0
+_TOL_FLOOR = 1e-9
+_MAX_ORDER = 120
+# half the smallest gap (1.16e-5) between the traces 2cos(pi p/q) with
+# q <= _MAX_ORDER: above it these orders are not told apart
+_TOL_MAX = 5e-6
+# T5, each trace with the projective order n of the SL2 elements that have it
+_T5 = tuple((2 * math.cos(math.pi * a), a.denominator)
+            for a in {Fraction(k, n) for n in range(1, 6) for k in range(n + 1)})
+
 
 class InconclusiveError(RuntimeError):
-    """Raised when the caps are exhausted without either a finite closure or a
-    positive density certificate."""
+    """Raised when the estimated error of the loop matrices is too large for
+    the tolerance to separate the loci of the classification."""
 
 
 @dataclass(frozen=True)
 class ProjectiveClass:
-    """Projective type of the group generated by the two loop matrices."""
+    """Projective type of the group generated by the two loop matrices.
+
+    ``margin`` is the smallest distance by which a test of the rule missed
+    its locus, so how far the traces sit from another verdict; None when no
+    test missed."""
 
     kind: str  # finite | dihedral | triangularizable | dense
     order: Optional[int]
     tolerance_used: float
-    max_order_cap: int = 120
-    max_word_length_cap: int = 20
+    margin: Optional[float]
 
     def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "order": self.order,
-            "tolerance_used": self.tolerance_used,
-            "caps": {"max_order": self.max_order_cap, "max_word_length": self.max_word_length_cap},
-        }
+        return asdict(self)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -233,176 +258,60 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / cmath.sqrt(det)
 
 
-def _inv(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+def _norm(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m)))
 
 
-def _proj_dist(a: np.ndarray, b: np.ndarray) -> float:
-    return min(float(np.max(np.abs(a - b))), float(np.max(np.abs(a + b))))
+def _order(a: np.ndarray, cap: int) -> tuple[int, float]:
+    """The projective order q <= ``cap`` nearest to that of the
+    unit-determinant ``a``, and the distance of ``a`` from having order q."""
+    t = np.trace(a)
+    theta = math.acos(min(max(t.real / 2, -1.0), 1.0)) / math.pi
+    angle = Fraction(theta).limit_denominator(cap)
+    dist = abs(t - 2 * math.cos(math.pi * angle))
+    if angle.denominator == 1:
+        # of trace +-2 only the scalars have finite order, not the parabolics
+        dist = max(dist, _norm(a - t / 2 * _IDENTITY) / _norm(a))
+    return angle.denominator, dist
 
 
-def _proj_dist_many(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    d1 = np.max(np.abs(stack - m), axis=(1, 2))
-    d2 = np.max(np.abs(stack + m), axis=(1, 2))
-    return np.minimum(d1, d2)
-
-
-def _is_scalar(m: np.ndarray, tol: float) -> bool:
-    return _proj_dist(m, _IDENTITY) <= tol
-
-
-def _eigvec_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    _, vecs = np.linalg.eig(m)
-    return vecs[:, 0], vecs[:, 1]
-
-
-def _parallel(u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    cross = u[0] * v[1] - u[1] * v[0]
-    scale = max(float(np.linalg.norm(u) * np.linalg.norm(v)), 1e-300)
-    return abs(cross) <= tol * scale
-
-
-def _maps_line_to(m: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    return _parallel(m @ u, v, tol)
-
-
-def _preserves_pair(m: np.ndarray, pair, tol: float) -> bool:
-    u, v = pair
-    fixes = _maps_line_to(m, u, u, tol) and _maps_line_to(m, v, v, tol)
-    swaps = _maps_line_to(m, u, v, tol) and _maps_line_to(m, v, u, tol)
-    return fixes or swaps
-
-
-def _min_consistent_denominator(x: float, budget: float) -> int:
-    """Smallest q such that some p/q lies within ``budget`` of x, by walking
-    the continued-fraction convergents of x."""
-    p0, q0, p1, q1 = 1, 0, math.floor(x), 1
-    a = x
-    for _ in range(64):
-        if abs(x - p1 / q1) <= budget:
-            return q1
-        frac = a - math.floor(a)
-        if frac < 1e-15:
-            break
-        a = 1.0 / frac
-        ai = math.floor(a)
-        p0, p1 = p1, ai * p1 + p0
-        q0, q1 = q1, ai * q1 + q0
-    return q1
-
-
-# An elliptic element of finite projective order n has eigenvalue-ratio
-# argument pi*p/n; the loop matrices are accurate to ~1e-12, so a computed
-# angle that no fraction with denominator <= _MAX_TORSION_DENOMINATOR matches
-# to within _ANGLE_BUDGET certifies an irrational rotation (infinite order).
-_ANGLE_BUDGET = 1e-11
-_MAX_TORSION_DENOMINATOR = 10_000
-
-
-def _infinite_order_certificate(m: np.ndarray, tol: float) -> bool:
-    """Certify that a unit-determinant matrix has infinite projective order."""
-    tr = m[0, 0] + m[1, 1]
-    if abs(tr) > 2 + 1e-8:
-        return True
-    vals = np.linalg.eigvals(m)
-    if abs(vals[1]) < 1e-12:
-        return False
-    ratio = vals[0] / vals[1]
-    if abs(abs(ratio) - 1.0) > 1e-8:
-        return True
-    angle = cmath.phase(ratio) / math.pi  # rational iff finite order
-    return _min_consistent_denominator(angle, _ANGLE_BUDGET) > _MAX_TORSION_DENOMINATOR
-
-
-def classify_projective(
-    rep: MonodromyRep,
-    tol: float = 1e-6,
-    max_order: int = 120,
-    max_word_length: int = 20,
-) -> ProjectiveClass:
-    """Classify the projectivized group generated by the loop matrices.
-
-    A breadth-first closure that stabilizes within the caps gives Finite(n);
-    otherwise a shared eigenvector gives Triangularizable, an invariant
-    unordered pair of lines gives Dihedral, and a positive density certificate
-    (irreducible, no invariant pair, an element of infinite projective order)
-    gives Dense.  Exhausted caps without a certificate raise
-    ``InconclusiveError`` rather than guessing.
-    """
+def classify_projective(rep: MonodromyRep) -> ProjectiveClass:
+    """Classify the projectivized group generated by the loop matrices by the
+    trace rule of the module docstring.  Raises ``InconclusiveError`` when
+    the tolerance from ``rep.estimated_error`` cannot separate the loci."""
+    tol = max(_TOL_FACTOR * rep.estimated_error, _TOL_FLOOR)
+    if tol > _TOL_MAX:
+        raise InconclusiveError(
+            f"tolerance {tol:.2e} from estimated error {rep.estimated_error:.2e} "
+            f"exceeds {_TOL_MAX:.0e}, beyond which the loci are not separated"
+        )
     a0 = _normalize(rep.m0.astype(complex))
     a1 = _normalize(rep.m1.astype(complex))
-    gens = [a0, a1, _inv(a0), _inv(a1)]
+    mats = (a0, a1, a0 @ a1)
+    x, y, z = (np.trace(m) for m in mats)
+    kappa = x * x + y * y + z * z - x * y * z - 2
+    missed: list[float] = []
 
-    buf = np.zeros((max_order + 8 * len(gens) + 1, 2, 2), dtype=complex)
-    buf[0] = _IDENTITY
-    count = 1
-    frontier = range(0, 1)
-    closed = False
-    for _ in range(max_word_length):
-        start_new = count
-        for fi in frontier:
-            f = buf[fi]
-            for g in gens:
-                h = g @ f
-                if np.min(_proj_dist_many(buf[:count], h)) <= tol:
-                    continue
-                if count >= len(buf):
-                    break
-                buf[count] = h
-                count += 1
-        if count == start_new:
-            closed = True
-            break
-        frontier = range(start_new, count)
-        if count > max_order:
-            break
+    def holds(dist: float) -> bool:
+        if dist > tol:
+            missed.append(float(dist))
+        return dist <= tol
 
-    if closed and count <= max_order:
-        return ProjectiveClass(kind="finite", order=count, tolerance_used=tol,
-                               max_order_cap=max_order, max_word_length_cap=max_word_length)
-    elems = buf[:count]
+    def result(kind: str, order: Optional[int] = None) -> ProjectiveClass:
+        return ProjectiveClass(kind, order, tol, min(missed, default=None))
 
-    scalar0 = _is_scalar(a0, tol)
-    scalar1 = _is_scalar(a1, tol)
-    product = a0 @ a1
-
-    # shared eigenvector (checked against both generators and their product)
-    shared = False
-    if scalar0 or scalar1:
-        shared = True  # the group is generated by a single non-scalar element
-    else:
-        vecs0 = _eigvec_pair(a0)
-        vecs1 = _eigvec_pair(a1)
-        for u in vecs0:
-            for v in vecs1:
-                if _parallel(u, v, tol) and _maps_line_to(product, u, u, tol):
-                    shared = True
-                    break
-            if shared:
-                break
-    if shared:
-        return ProjectiveClass(kind="triangularizable", order=None, tolerance_used=tol,
-                               max_order_cap=max_order, max_word_length_cap=max_word_length)
-
-    # invariant unordered pair of lines
-    candidates = []
-    for m in (a0, a1, product):
-        if not _is_scalar(m, tol):
-            candidates.append(_eigvec_pair(m))
-    for pair in candidates:
-        if all(_preserves_pair(m, pair, tol) for m in (a0, a1, product)):
-            return ProjectiveClass(kind="dihedral", order=None, tolerance_used=tol,
-                                   max_order_cap=max_order, max_word_length_cap=max_word_length)
-
-    # density certificate: an element of infinite projective order
-    commutator = a0 @ a1 @ _inv(a0) @ _inv(a1)
-    extra = [commutator, product, a0 @ _inv(a1), a0 @ product, a1 @ product]
-    for m in extra + list(elems):
-        if _infinite_order_certificate(np.asarray(m), tol):
-            return ProjectiveClass(kind="dense", order=None, tolerance_used=tol,
-                                   max_order_cap=max_order, max_word_length_cap=max_word_length)
-
-    raise InconclusiveError(
-        f"group closure exceeded caps (order {max_order}, word length {max_word_length}) "
-        "without a density certificate"
-    )
+    if holds(abs(kappa - 2)):
+        (q0, d0), (q1, d1) = (_order(a, _MAX_ORDER) for a in (a0, a1))
+        commutator = _norm(a0 @ a1 - a1 @ a0) / (_norm(a0) * _norm(a1))
+        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_ORDER:
+            return result("finite", math.lcm(q0, q1))
+        return result("triangularizable")
+    if holds(sorted(map(abs, (x, y, z)))[1]):
+        # the two matrices of trace 0 are involutions: dihedral of twice the
+        # order q of the third
+        q, dist = _order(max(mats, key=lambda m: abs(np.trace(m))), _MAX_ORDER // 2)
+        return result("finite", 2 * q) if holds(dist) else result("dihedral")
+    nearest = [min((abs(t - v), n) for v, n in _T5) for t in (x, y, z, x * y - z, kappa)]
+    if holds(max(nearest)[0]):
+        return result("finite", {5: 60, 4: 24}.get(max(n for _, n in nearest[:4]), 12))
+    return result("dense")

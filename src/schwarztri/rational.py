@@ -339,7 +339,13 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its scalar, so it hashes as that scalar
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
+
+    def __reduce__(self):
+        return _poly_of, (self.coeffs,)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -589,7 +595,11 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant equals its scalar, so it hashes as that scalar
+        return hash(self._c) if self.is_constant else hash((self._c, self._n, self._d))
+
+    def __reduce__(self):
+        return _ratfunc, (self._n, self._d, self._c)
 
     def __bool__(self) -> bool:
         return not self.is_zero

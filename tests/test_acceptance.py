@@ -14,7 +14,7 @@ import numpy as np
 from schwarztri.cli import sweep_records
 from schwarztri.groups import ARITHMETIC_SIGNATURES, INF, Geometry, Signature, geometry, is_maximal
 from schwarztri.minimality import Verdict, classify
-from schwarztri.monodromy import LoopSpec, monodromy
+from schwarztri.monodromy import InconclusiveError, LoopSpec, classify_projective, monodromy
 from schwarztri.rational import (
     Poly,
     RatFunc,
@@ -224,4 +224,62 @@ def test_criterion_8_wronskian_constancy():
     _report(
         "criterion 8 (Wronskian constancy)",
         "25 exact rational pairs + 25 floating pairs, unit Wronskian",
+    )
+
+
+def _possible_finite_order(order: int, local: list[int]) -> bool:
+    """Whether a finite subgroup of PSL2(C) of this order is generated by
+    a0, a1 with a0, a1 and a0 a1 of the projective orders ``local``: cyclic
+    of order their lcm (in an abelian group each of the three orders divides
+    the lcm of the other two), dihedral of order 2n from orders (2, 2, n), or
+    tetrahedral (12), octahedral (24) or icosahedral (60)."""
+    q = sorted(local)
+    cyclic = all(math.lcm(*q[:i], *q[i + 1 :]) % q[i] == 0 for i in range(3))
+    polyhedral = {12: {2, 3}, 24: {2, 3, 4}, 60: {2, 3, 5}}.get(order, set())
+    return (
+        (cyclic and order == math.lcm(*q))
+        or (q[:2] == [2, 2] and order == 2 * q[2])
+        or set(q) <= polyhedral
+    )
+
+
+def test_criterion_9_shifted_exponent_agreement():
+    """Exact classifier vs monodromy oracle on 400 seeded triples of
+    integer-shifted and negative exponent differences p/q, q in 2..5,
+    |p/q| <= 6, non-integer: no disagreements, nothing inconclusive, and
+    every finite order is that of a finite subgroup of PSL2(C) generated by
+    elements of the local orders q."""
+    rng = random.Random(9)
+
+    def exponent():
+        q = rng.randint(2, 5)
+        while True:
+            p = rng.randint(-6 * q, 6 * q)
+            if math.gcd(p, q) == 1:
+                return F(p, q)
+
+    disagreements, inconclusive, impossible = [], [], []
+    kinds = {}
+    for _ in range(400):
+        t0, t1, t2 = exponent(), exponent(), exponent()
+        # exponent differences at 0, 1 and infinity, placed as the sweep places them
+        params = AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+        try:
+            oracle = classify_projective(monodromy(params))
+        except InconclusiveError:
+            inconclusive.append((t0, t1, t2))
+            continue
+        kinds[oracle.kind] = kinds.get(oracle.kind, 0) + 1
+        integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
+        if integrable == classify(params).strongly_minimal:
+            disagreements.append((t0, t1, t2, oracle.kind))
+        local = [t.denominator for t in (t0, t1, t2)]
+        if oracle.kind == "finite" and not _possible_finite_order(oracle.order, local):
+            impossible.append((t0, t1, t2, oracle.order))
+    assert not disagreements, disagreements[:5]
+    assert not inconclusive, inconclusive[:5]
+    assert not impossible, impossible[:5]
+    _report(
+        "criterion 9 (oracle agreement, shifted and negative exponents)",
+        f"400 cases, all agree; kinds {dict(sorted(kinds.items()))}",
     )

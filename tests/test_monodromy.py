@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -159,14 +160,40 @@ class TestClassifyProjective:
         assert classify_projective(rep).kind == "triangularizable"
 
     def test_finite_order_cap_respected(self):
-        rep = monodromy(params("1/2", "1/3", "1/5"))
-        cls = classify_projective(rep, max_order=120)
-        assert cls.order is not None and cls.order <= 120
+        # a dihedral group of order 2q is finite up to the cap of 120 only
+        swap = [[0, 1], [-1, 0]]
+        for q, expected in ((60, ("finite", 120)), (61, ("dihedral", None))):
+            a = cmath.exp(1j * math.pi / q)
+            cls = classify_projective(_rep([[a, 0], [0, 1 / a]], swap))
+            assert (cls.kind, cls.order) == expected
 
     def test_inconclusive_raises_not_misreports(self):
-        # starving the caps on a genuinely finite group must raise rather
-        # than report dense: every icosahedral element has finite order, so
-        # no density certificate can exist
+        # an icosahedral rep whose estimated error is too large to separate
+        # the loci must raise rather than report dense
         rep = monodromy(params("1/2", "1/3", "1/5"))
-        with pytest.raises(InconclusiveError):
-            classify_projective(rep, max_order=5, max_word_length=2)
+        assert classify_projective(replace(rep, estimated_error=4e-8)).order == 60
+        for err in (1e-7, 1e-3):
+            with pytest.raises(InconclusiveError):
+                classify_projective(replace(rep, estimated_error=err))
+
+    def test_finite_dihedral_pair(self):
+        a = cmath.exp(1j * math.pi / 5)
+        cls = classify_projective(_rep([[a, 0], [0, 1 / a]], [[0, 1], [-1, 0]]))
+        assert cls.kind == "finite" and cls.order == 10
+
+    def test_parabolic_is_not_finite(self):
+        cls = classify_projective(_rep([[1, 1], [0, 1]], np.eye(2)))
+        assert cls.kind == "triangularizable"
+
+    def test_shifted_icosahedral_regression(self):
+        # exponent differences 1/2 at 0, 13/3 at 1 and 1/5 at infinity: the
+        # loop matrices have entries above 5e3, and the group is icosahedral
+        rep = monodromy(params("1/5", "1/2", "13/3"))
+        cls = classify_projective(rep)
+        assert cls.kind == "finite" and cls.order == 60
+
+    def test_record_reports_tolerance_and_margin(self):
+        cls = classify_projective(monodromy(params("1/2", "1/3", "1/7")))
+        rec = cls.to_record()
+        assert set(rec) == {"kind", "order", "tolerance_used", "margin"}
+        assert rec["margin"] > 1000 * rec["tolerance_used"]

@@ -1,5 +1,6 @@
 """Unit tests for the exact rational-function algebra."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -209,6 +210,25 @@ class TestStructure:
         ]
         for f in cases:
             assert RatFunc.from_text(f.to_text()) == f
+
+    def test_pickle_round_trip(self):
+        cases = [
+            RatFunc.constant(0),
+            RatFunc.constant(F(-7, 3)),
+            (Y * Y + 1) / (2 * Y - 3),
+            Poly([]),
+            Poly([F(1, 2), 0, -3]),
+        ]
+        for f in cases:
+            g = pickle.loads(pickle.dumps(f))
+            assert type(g) is type(f) and g == f and hash(g) == hash(f)
+        g = pickle.loads(pickle.dumps(cases[2]))
+        assert g.derivative() == cases[2].derivative() and g.num == cases[2].num
+
+    @pytest.mark.parametrize("c", [0, 3, F(-2, 3)])
+    def test_constants_hash_as_their_scalar(self, c):
+        assert len({RatFunc.constant(c), c}) == 1
+        assert len({Poly([c]), c}) == 1
 
     def test_from_text_missing_separator(self):
         with pytest.raises(ValueError):
