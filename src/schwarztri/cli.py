@@ -56,6 +56,11 @@ class UsageError(ValueError):
 # -- rational expression parser for --phi -------------------------------------
 
 
+# deepest parenthesis nesting accepted in --phi: each level costs the
+# recursive-descent parser four stack frames
+_MAX_NESTING = 100
+
+
 class _ExprParser:
     """Recursive-descent parser for one-variable rational expressions:
     integers, y, + - * / ^ and parentheses; ^ takes integer exponents."""
@@ -63,6 +68,7 @@ class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str):
         raise UsageError(f"phi expression, position {self.pos}: {message}")
@@ -114,11 +120,15 @@ class _ExprParser:
     def atom(self) -> RatFunc:
         c = self.peek()
         if c == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {_MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if c == "y":
             self.pos += 1
@@ -165,7 +175,7 @@ def _check_max_den(max_den: int) -> None:
         raise UsageError("--max-den must be at least 2")
 
 
-def sweep_records(max_den: int, taylor_order: int = 36) -> tuple[list[dict], dict]:
+def sweep_records(max_den: int) -> tuple[list[dict], dict]:
     """Compare the exact classifier with the monodromy oracle on every
     unordered reduced exponent triple with denominators <= max_den.
 
@@ -180,7 +190,7 @@ def sweep_records(max_den: int, taylor_order: int = 36) -> tuple[list[dict], dic
         params = AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
         verdict = classify(params)
         witness = verdict.witness.to_record() if verdict.witness else None
-        rep = monodromy(params, taylor_order=taylor_order)
+        rep = monodromy(params)
         try:
             oracle = classify_projective(rep)
             oracle_record = oracle.to_record()
@@ -320,7 +330,7 @@ def _cmd_sweep(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write --out path: {exc}") from exc
     try:
-        records, summary = sweep_records(args.max_den, taylor_order=args.taylor_order)
+        records, summary = sweep_records(args.max_den)
         lines = [json.dumps(rec, sort_keys=True) for rec in records]
         if sink is not None:
             sink.write("\n".join(lines) + "\n")
@@ -389,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-den", type=int, required=True, help="denominator bound (>= 2)")
     p.add_argument("--out", default=None, help="path for newline-delimited per-triple records")
-    p.add_argument("--taylor-order", type=int, default=36, help="continuation series order")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -10,9 +10,10 @@ projective group generated by the two loop matrices:
 which cross-checks the exact classifier (the Zariski closure of the monodromy
 group of a Fuchsian equation is its differential Galois group).
 
-Continuation is by adaptive Taylor stepping: at each step center the equation
-coefficient is expanded to high order and the step length is a fixed fraction
-of the distance to the nearest pole, which keeps the local series well inside
+Continuation is by adaptive Taylor stepping with the series solver of
+``series``: at each step center ``series_solve_linear`` expands the
+fundamental pair to a fixed order, and the step length is a fixed fraction of
+the distance to the nearest pole, which keeps the local series well inside
 its convergence disk.  Results are deterministic for fixed inputs.
 
 The classification uses the SL2 trace coordinates of the loop matrices a0,
@@ -39,9 +40,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import RatFunc
+from .series import poles, series_solve_linear
 from .triangle import AngleParams, build_r, exponent_differences
 
 _IDENTITY = np.eye(2, dtype=complex)
+
+# continuation: the Taylor order of the equation coefficient at each step
+# center, the step as a fraction of the distance to the nearest pole, and the
+# smallest step and pole distance before the path counts as hitting a pole
+_TAYLOR_ORDER = 36
+_STEP_FACTOR = 0.35
+_MIN_STEP = 1e-12
+_POLE_CLEARANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,64 +87,26 @@ class LoopSpec:
         return [base] + circle + [base]
 
 
-def _shift_inplace(a: np.ndarray, z: complex) -> np.ndarray:
-    n = len(a)
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            a[j] += z * a[j + 1]
-    return a
+def _taylor_step(r: RatFunc, z: complex, h: complex) -> np.ndarray:
+    """Transfer matrix of the fundamental pair across one step from ``z``:
+    the values and derivatives at ``z + h`` of the series pair with initial
+    data (1, 0) and (0, 1) at ``z``."""
+    pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
+    w = z + h
+    return np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
 
 
-def _taylor_step(
-    num: np.ndarray, den: np.ndarray, z: complex, h: complex, order: int
-) -> np.ndarray:
-    """Transfer matrix of the fundamental pair across one step from ``z``."""
-    ns = _shift_inplace(num.copy(), z)
-    ds = _shift_inplace(den.copy(), z)
-    q = np.zeros(order + 1, dtype=complex)
-    nn = np.zeros(order + 1, dtype=complex)
-    dd = np.zeros(order + 1, dtype=complex)
-    nn[: min(len(ns), order + 1)] = ns[: order + 1]
-    dd[: min(len(ds), order + 1)] = ds[: order + 1]
-    d0 = dd[0]
-    for k in range(order + 1):
-        acc = nn[k]
-        if k:
-            acc -= np.dot(dd[1 : k + 1], q[k - 1 :: -1])
-        q[k] = acc / d0
-    q *= 0.5  # coefficient of psi in psi'' = -(R/2) psi
-
-    c = np.zeros((order + 3, 2), dtype=complex)
-    c[0, 0] = 1.0
-    c[1, 1] = 1.0
-    for k in range(order + 1):
-        conv = q[: k + 1] @ c[k::-1][: k + 1]
-        c[k + 2] = -conv / ((k + 1) * (k + 2))
-    powers = h ** np.arange(order + 3)
-    val = powers @ c
-    der = (np.arange(1, order + 3) * powers[:-1]) @ c[1:]
-    return np.array([[val[0], val[1]], [der[0], der[1]]], dtype=complex)
-
-
-def continue_solution(
-    r: RatFunc,
-    path: Sequence[complex],
-    taylor_order: int = 36,
-    step_factor: float = 0.35,
-    min_step: float = 1e-12,
-    pole_clearance: float = 1e-6,
-) -> np.ndarray:
+def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
     """Transport the fundamental pair along a polyline; returns the matrix
     expressing the continued pair in the starting basis.
 
-    Raises when the path runs into a pole (step-size underflow).
+    Each step solves the equation by series at the step center
+    (``series_solve_linear``) and advances by ``_STEP_FACTOR`` times the
+    distance to the nearest pole of ``r``, at most 1/2.  Raises when the
+    path comes within ``_POLE_CLEARANCE`` of a pole or the step size falls
+    below ``_MIN_STEP``.
     """
-    num = np.array([complex(c) for c in r.num.coeffs] or [0j], dtype=complex)
-    den = np.array([complex(c) for c in r.den.coeffs], dtype=complex)
-    if r.den.degree >= 1:
-        pole_list = np.roots(den[::-1])
-    else:
-        pole_list = np.array([], dtype=complex)
+    pole_list = poles(r)
     transfer = _IDENTITY.copy()
     for a, b in zip(path, path[1:]):
         a, b = complex(a), complex(b)
@@ -146,19 +118,15 @@ def continue_solution(
         s = 0.0
         while s < length:
             z = a + direction * s
-            if len(pole_list):
-                dist = float(np.min(np.abs(pole_list - z)))
-            else:
-                dist = math.inf
-            if dist < pole_clearance:
-                raise RuntimeError(f"path passes within {pole_clearance} of a pole near {z}")
-            cap = min(dist * step_factor, 0.5)
-            h = min(length - s, cap)
-            if h < min_step:
+            dist = min((abs(p - z) for p in pole_list), default=math.inf)
+            if dist < _POLE_CLEARANCE:
+                raise RuntimeError(f"path passes within {_POLE_CLEARANCE} of a pole near {z}")
+            h = min(length - s, dist * _STEP_FACTOR, 0.5)
+            if h < _MIN_STEP:
                 raise RuntimeError(
                     f"step size underflow at {z}: path passes too close to a pole"
                 )
-            transfer = _taylor_step(num, den, z, direction * h, taylor_order) @ transfer
+            transfer = _taylor_step(r, z, direction * h) @ transfer
             s += h
     return transfer
 
@@ -191,8 +159,6 @@ def monodromy(
     params: AngleParams,
     loop0: Optional[LoopSpec] = None,
     loop1: Optional[LoopSpec] = None,
-    taylor_order: int = 36,
-    step_factor: float = 0.35,
 ) -> MonodromyRep:
     """Monodromy matrices of the linearized triangle equation around 0 and 1.
 
@@ -204,8 +170,8 @@ def monodromy(
     r = build_r(params)
     loop0 = loop0 or LoopSpec(center=0j)
     loop1 = loop1 or LoopSpec(center=1 + 0j)
-    m0 = continue_solution(r, loop0.polyline(), taylor_order, step_factor)
-    m1 = continue_solution(r, loop1.polyline(), taylor_order, step_factor)
+    m0 = continue_solution(r, loop0.polyline())
+    m1 = continue_solution(r, loop1.polyline())
     e = exponent_differences(params)
     defects = [abs(np.linalg.det(m) - 1.0) for m in (m0, m1)]
     for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):

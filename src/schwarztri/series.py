@@ -151,9 +151,6 @@ class PowerSeries:
             acc = acc * dx + c
         return acc
 
-    def as_complex(self) -> "PowerSeries":
-        return PowerSeries(complex(self.base_point), [complex(c) for c in self.coefficients])
-
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coefficients[:4])
         tail = ", ..." if len(self.coefficients) > 4 else ""
@@ -190,11 +187,11 @@ def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
         raise ZeroDivisionError(f"base point {base} is a pole")
     zero = conv(0)
     ns = ns + [zero] * (order + 1 - len(ns))
-    ds = ds + [zero] * (order + 1 - len(ds))
     out = [zero] * (order + 1)
     for k in range(order + 1):
         acc = ns[k]
-        for j in range(1, k + 1):
+        # out * ds = ns: only the terms up to the denominator's degree
+        for j in range(1, min(k, len(ds) - 1) + 1):
             acc -= ds[j] * out[k - j]
         out[k] = acc / ds[0]
     return out

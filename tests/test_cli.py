@@ -34,6 +34,13 @@ class TestPhiParser:
         y = RatFunc.variable()
         assert parse_phi("-y + 3") == 3 - y
 
+    def test_nesting_limit(self):
+        from schwarztri.cli import UsageError
+
+        assert parse_phi("(" * 100 + "y" + ")" * 100) == RatFunc.variable()
+        with pytest.raises(UsageError, match="nest"):
+            parse_phi("(" * 101 + "y" + ")" * 101)
+
     def test_error_position(self):
         from schwarztri.cli import UsageError
 
@@ -137,6 +144,13 @@ class TestVerify:
         )
         assert code == 1
         assert last_json(out)["result"]["passed"] is False
+
+    def test_deeply_nested_phi_is_usage_error(self, capsys):
+        nested = "(" * 400 + "y" + ")" * 400
+        code, _, err = run(
+            capsys, "verify", "pullback", "--inv-angles", "0,0,0", "--phi", nested,
+        )
+        assert code == 2 and "nest" in err and "Traceback" not in err
 
     def test_pullback_requires_phi(self, capsys):
         code, _, err = run(capsys, "verify", "pullback", "--inv-angles", "0,0,0")

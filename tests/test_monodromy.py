@@ -46,19 +46,22 @@ class TestContinuation:
         assert np.max(np.abs(m - np.eye(2))) < 1e-10
 
     def test_segment_transport_matches_series(self):
-        # transport along a pole-free segment equals direct series evaluation
+        # transport along a pole-free segment equals direct series evaluation;
+        # 0.5 -> 0.6 is one step, 0.5 -> 0.7 two, so there the product of the
+        # transfer matrices is compared
         r = build_r(params("1/2", "1/3", "1/7"))
         from schwarztri.series import series_solve_linear
 
-        m = continue_solution(r, [0.5 + 0j, 0.6 + 0j])
         psi1, psi2 = series_solve_linear(r, 0.5 + 0j, 40)
-        expected = np.array(
-            [
-                [psi1(0.6), psi2(0.6)],
-                [psi1.derivative()(0.6), psi2.derivative()(0.6)],
-            ]
-        )
-        assert np.max(np.abs(m - expected)) < 1e-11
+        for end in (0.6, 0.7):
+            m = continue_solution(r, [0.5 + 0j, end + 0j])
+            expected = np.array(
+                [
+                    [psi1(end), psi2(end)],
+                    [psi1.derivative()(end), psi2.derivative()(end)],
+                ]
+            )
+            assert np.max(np.abs(m - expected)) < 1e-11
 
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))

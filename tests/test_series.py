@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -45,6 +46,32 @@ class TestTaylor:
     def test_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
             taylor_coefficients(1 / Y, F(0), 4)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_base_times_denominator(self, seed):
+        # at an exact base b, the series of N/D times D(b + x) is N(b + x)
+        # exactly through the order, for denominators of degree 2 to 6
+        rng = random.Random(seed)
+
+        def shifted(p, b):  # coefficients of p(b + x)
+            return [sum(c * comb(i, k) * b ** (i - k) for i, c in enumerate(p) if i >= k)
+                    for k in range(len(p))]
+
+        def rand_coeffs(n):
+            return [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+
+        for deg in range(2, 7):
+            num = rand_coeffs(rng.randint(1, 5))
+            den = rand_coeffs(deg) + [F(rng.randint(1, 5))]
+            base = F(rng.randint(-6, 6), rng.randint(1, 5))
+            while shifted(den, base)[0] == 0:
+                base += 1
+            order = deg + rng.randint(1, 6)
+            cs = taylor_coefficients(RatFunc(Poly(num), Poly(den)), base, order)
+            ns, ds = shifted(num, base), shifted(den, base)
+            for k in range(order + 1):
+                product = sum(ds[j] * cs[k - j] for j in range(min(k, deg) + 1))
+                assert product == (ns[k] if k < len(ns) else 0)
 
     def test_matches_evaluation(self):
         f = (Y * Y - 2) / (Y + 3)
