@@ -34,7 +34,6 @@ from .monodromy import (
     monodromy,
 )
 from .rational import (
-    ExactRational,
     MobiusMap,
     Poly,
     RatFunc,

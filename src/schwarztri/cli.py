@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Four commands, each emitting one JSON document on stdout (sweeps additionally
-stream newline-delimited records):
+Four commands, each emitting one JSON document on stdout (sweeps first write
+newline-delimited records):
 
     classify-equation --inv-angles 1/2,1/3,1/7 | generic
     classify-group    --sig 2,3,inf
@@ -9,19 +9,19 @@ stream newline-delimited records):
     sweep  --max-den 6 [--out results.ndjson]
 
 Exit codes: 0 pass/success, 1 verification failure or sweep disagreement,
-2 usage or parse error.  Output is deterministic for fixed flags apart from
-the elapsed_ms field.
+2 usage or parse error, or an input too large for floating point.  Output is
+deterministic for fixed flags apart from the elapsed_ms field.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -31,22 +31,6 @@ from .monodromy import InconclusiveError, classify_projective, monodromy
 from .rational import RatFunc
 from .series import residual_principal, residual_riccati, verify_pullback
 from .triangle import AngleParams, build_r
-
-
-@dataclass(frozen=True)
-class CommandResult:
-    command: str
-    inputs: dict
-    result: dict
-    elapsed_ms: int
-
-    def to_record(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 class UsageError(ValueError):
@@ -224,31 +208,18 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
 
 
 # -- commands -------------------------------------------------------------------
+#
+# Each command returns (inputs, result, exit code); main times it and prints
+# the document.
 
 
-def _emit(result: CommandResult) -> None:
-    print(json.dumps(result.to_record(), sort_keys=True))
-
-
-def _cmd_classify_equation(args) -> int:
+def _cmd_classify_equation(args) -> tuple[dict, dict, int]:
     params = AngleParams.parse(args.inv_angles)
-    start = time.perf_counter()
-    verdict = classify(params)
-    elapsed = int(1000 * (time.perf_counter() - start))
-    _emit(
-        CommandResult(
-            command="classify-equation",
-            inputs={"inv_angles": args.inv_angles},
-            result=verdict.to_record(),
-            elapsed_ms=elapsed,
-        )
-    )
-    return 0
+    return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0
 
 
-def _cmd_classify_group(args) -> int:
+def _cmd_classify_group(args) -> tuple[dict, dict, int]:
     sig = Signature.parse(args.sig)
-    start = time.perf_counter()
     geo = geometry(sig)
     if geo is Geometry.HYPERBOLIC:
         payload = group_report(sig).to_record()
@@ -264,26 +235,16 @@ def _cmd_classify_group(args) -> int:
             "note": "non-hyperbolic signature: group-theoretic fields not applicable",
         }
     payload["signature"] = sig.as_text()
-    elapsed = int(1000 * (time.perf_counter() - start))
-    _emit(
-        CommandResult(
-            command="classify-group",
-            inputs={"sig": args.sig},
-            result=payload,
-            elapsed_ms=elapsed,
-        )
-    )
-    return 0
+    return {"sig": args.sig}, payload, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     params = AngleParams.parse(args.inv_angles)
     if params.is_generic:
         raise UsageError("verification needs exact parameter values, not 'generic'")
     r = build_r(params)
     base = Fraction(args.base)
     phi = None
-    start = time.perf_counter()
     if args.kind == "principal":
         report = residual_principal(r, base, args.order)
     elif args.kind == "riccati":
@@ -293,34 +254,26 @@ def _cmd_verify(args) -> int:
             raise UsageError("verify pullback requires --phi")
         phi = parse_phi(args.phi)
         report = verify_pullback(r, phi, base, args.order)
-    elapsed = int(1000 * (time.perf_counter() - start))
     passed = report.max_abs_residual < args.tol
-    _emit(
-        CommandResult(
-            command="verify",
-            inputs={
-                "kind": args.kind,
-                "inv_angles": args.inv_angles,
-                "phi": args.phi,
-                "order": args.order,
-                "base": args.base,
-                "tol": args.tol,
-            },
-            result={
-                "equation": r.to_text(),
-                "phi": phi.to_text() if phi is not None else None,
-                "report": report.to_record(),
-                "tolerance": args.tol,
-                "passed": passed,
-            },
-            elapsed_ms=elapsed,
-        )
-    )
-    return 0 if passed else 1
+    inputs = {
+        "kind": args.kind,
+        "inv_angles": args.inv_angles,
+        "phi": args.phi,
+        "order": args.order,
+        "base": args.base,
+        "tol": args.tol,
+    }
+    result = {
+        "equation": r.to_text(),
+        "phi": phi.to_text() if phi is not None else None,
+        "report": report.to_record(),
+        "tolerance": args.tol,
+        "passed": passed,
+    }
+    return inputs, result, 0 if passed else 1
 
 
-def _cmd_sweep(args) -> int:
-    start = time.perf_counter()
+def _cmd_sweep(args) -> tuple[dict, dict, int]:
     # validate before opening --out, so that a usage error leaves no file
     _check_max_den(args.max_den)
     sink = None
@@ -331,30 +284,21 @@ def _cmd_sweep(args) -> int:
             raise UsageError(f"cannot write --out path: {exc}") from exc
     try:
         records, summary = sweep_records(args.max_den)
-        lines = [json.dumps(rec, sort_keys=True) for rec in records]
-        if sink is not None:
-            sink.write("\n".join(lines) + "\n")
-            summary["out_path"] = args.out
-        else:
-            for line in lines:
-                print(line)
-            summary["out_path"] = None
+        # sys.stdout is read here, not at import, so that a redirect applies
+        out = sink if sink is not None else sys.stdout
+        for rec in records:
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
     finally:
         if sink is not None:
             sink.close()
-    elapsed = int(1000 * (time.perf_counter() - start))
-    _emit(
-        CommandResult(
-            command="sweep",
-            inputs={"max_den": args.max_den},
-            result=summary,
-            elapsed_ms=elapsed,
-        )
-    )
-    return 0 if summary["disagreements"] == 0 else 1
+    summary["out_path"] = args.out or None
+    return {"max_den": args.max_den}, summary, 0 if summary["disagreements"] == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="schwarztri",
         description="Exact integrability classification and numerical verification "
@@ -425,20 +369,28 @@ def _attach_fraction_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_attach_fraction_values(argv))
+        args = build_parser().parse_args(_attach_fraction_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    except UsageError as exc:
+        inputs, result, code = args.func(args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        # UsageError is a ValueError; OverflowError is an input too large
+        # for floating point
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    elapsed_ms = int(1000 * (time.perf_counter() - start))
+    document = {
+        "command": args.command,
+        "inputs": inputs,
+        "result": result,
+        "elapsed_ms": elapsed_ms,
+    }
+    print(json.dumps(document, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -53,6 +53,9 @@ _STEP_FACTOR = 0.35
 _MIN_STEP = 1e-12
 _POLE_CLEARANCE = 1e-6
 
+# polyline nodes on a loop circle, before the closing node
+_LOOP_STEPS = 16
+
 
 @dataclass(frozen=True)
 class LoopSpec:
@@ -65,13 +68,10 @@ class LoopSpec:
     center: complex
     base_point: complex = 0.5 + 0j
     radius: float = 0.25
-    steps: int = 16
 
     def __post_init__(self):
         if not 0 < self.radius < 0.5:
             raise ValueError("loop radius must lie in (0, 1/2) to avoid the other singularity")
-        if self.steps < 8:
-            raise ValueError("a loop needs at least 8 polyline nodes")
         if abs(complex(self.base_point) - complex(self.center)) <= self.radius:
             raise ValueError("base point must lie outside the loop circle")
 
@@ -81,8 +81,8 @@ class LoopSpec:
         u = (base - center) / abs(base - center)
         theta0 = cmath.phase(u)
         circle = [
-            center + self.radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / self.steps))
-            for k in range(self.steps + 1)
+            center + self.radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
+            for k in range(_LOOP_STEPS + 1)
         ]
         return [base] + circle + [base]
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-ExactRational = Fraction
-
 ScalarLike = Union[int, Fraction, str]
 
 _ZERO = Fraction(0)
@@ -580,12 +578,6 @@ class RatFunc:
     @property
     def is_constant(self) -> bool:
         return len(self._n) <= 1 and len(self._d) == 1
-
-    @property
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant rational function")
-        return self._c
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -224,9 +224,14 @@ def default_disk_radius(f: RatFunc, base: BasePoint) -> float:
     return d / 4.0
 
 
-def _sample_ring(center: complex, radius: float, count: int) -> tuple[complex, ...]:
+# residual checks sample the equation at this many evenly spaced ring points
+_SAMPLE_POINTS = 16
+
+
+def _sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
     return tuple(
-        center + radius * cmath.exp(2j * cmath.pi * k / count) for k in range(count)
+        center + radius * cmath.exp(2j * cmath.pi * k / _SAMPLE_POINTS)
+        for k in range(_SAMPLE_POINTS)
     )
 
 
@@ -363,14 +368,13 @@ def residual_principal(
     base: BasePoint,
     order: int,
     radius: float | None = None,
-    points: int = 16,
 ) -> ResidualReport:
     """Residual |S(t) - r| of the principal equation for the series Schwarz map."""
     b = complex(base)
     t = schwarz_map(r, b, order)
     s = series_schwarzian(t)
     rad = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(b, rad, points)
+    pts = _sample_ring(b, rad)
     worst = max(abs(s(p) - r(p)) for p in pts)
     return ResidualReport(pts, worst, order)
 
@@ -380,7 +384,6 @@ def residual_riccati(
     base: BasePoint,
     order: int,
     radius: float | None = None,
-    points: int = 16,
 ) -> ResidualReport:
     """Residual |u' + u^2 + r/2| for the logarithmic derivative u = psi1'/psi1."""
     if order < 5:
@@ -390,7 +393,7 @@ def residual_riccati(
     u = psi1.derivative() / psi1.truncate(order - 1)
     du = u.derivative()
     rad = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(b, rad, points)
+    pts = _sample_ring(b, rad)
     worst = max(abs(du(p) + u(p) ** 2 + 0.5 * r(p)) for p in pts)
     return ResidualReport(pts, worst, order)
 
@@ -414,7 +417,6 @@ def residual_inverse(
     base: BasePoint,
     order: int,
     radius: float | None = None,
-    points: int = 16,
 ) -> ResidualReport:
     """Residual of the third-order equation S(J) + (J')^2 r(J) = 0 for the
     inverted Schwarz map J near t = 0."""
@@ -422,7 +424,7 @@ def residual_inverse(
     t = schwarz_map(r, b, order)
     j = series_invert(t)
     rad_y = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(0j, rad_y / 4.0, points)
+    pts = _sample_ring(0j, rad_y / 4.0)
     worst = _third_order_residual(j, r, pts)
     return ResidualReport(pts, worst, order)
 
@@ -433,7 +435,6 @@ def verify_pullback(
     base: BasePoint,
     order: int,
     radius: float | None = None,
-    points: int = 16,
 ) -> ResidualReport:
     """Solve the pulled-back equation, push the solution through phi, and
     report the residual of the original equation.
@@ -453,6 +454,6 @@ def verify_pullback(
     phi_series = ratfunc_series(phi, b, order)
     j1 = series_compose(phi_series, j2)
     rad_y = radius if radius is not None else default_disk_radius(r_phi, b)
-    pts = _sample_ring(0j, rad_y / 4.0, points)
+    pts = _sample_ring(0j, rad_y / 4.0)
     worst = _third_order_residual(j1, r, pts)
     return ResidualReport(pts, worst, order)

@@ -154,15 +154,11 @@ def build_r(params: AngleParams) -> RatFunc:
     each of order at most 2.
     """
     ea, eb, eg = _require_exact(params)
-    a2, b2, g2 = ea * ea, eb * eb, eg * eg
-    y2 = Poly([0, 0, 1])
-    ym1_sq = Poly([1, -2, 1])
-    y_ym1 = Poly([0, -1, 1])
-    half = Fraction(1, 2)
-    term0 = RatFunc(Poly([half * (1 - b2)]), y2)
-    term1 = RatFunc(Poly([half * (1 - g2)]), ym1_sq)
-    term_mix = RatFunc(Poly([half * (b2 + g2 - a2 - 1)]), y_ym1)
-    return term0 + term1 + term_mix
+    c0, c1 = 1 - eb * eb, 1 - eg * eg
+    c_mix = eb * eb + eg * eg - ea * ea - 1
+    # over the common denominator 2 y^2 (y-1)^2 the numerator is
+    # c0 (y-1)^2 + c1 y^2 + c_mix y (y-1)
+    return RatFunc(Poly([c0, -2 * c0 - c_mix, c0 + c1 + c_mix]), Poly([0, 0, 2, -4, 2]))
 
 
 def exponent_differences(params: AngleParams) -> ExponentTriple:

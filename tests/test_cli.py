@@ -160,6 +160,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "principal", "--inv-angles", "generic")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base", "1e400"),
+            ("verify", "principal", "--inv-angles", "1e200,1/3,1/7"),
+        ],
+    )
+    def test_float_overflow_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSweep:
     def test_min_denominator(self, capsys, tmp_path):
@@ -233,3 +245,35 @@ class TestNegativeFractionValues:
             return re.sub(r'"elapsed_ms": [0-9]+', '"elapsed_ms": 0', text)
 
         assert strip_elapsed(out1) == strip_elapsed(out2)
+
+
+class TestOneCommandPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify-equation", "--inv-angles", "1/2,1/3,1/7"),
+            ("classify-group", "--sig", "2,3,inf"),
+            ("verify", "riccati", "--inv-angles", "0,0,0"),
+            ("sweep", "--max-den", "2"),
+        ],
+    )
+    def test_document_keys(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        doc = last_json(out)
+        assert code == 0
+        assert set(doc) == {"command", "inputs", "result", "elapsed_ms"}
+        assert doc["command"] == argv[0]
+
+    def test_reused_parser_leaks_nothing(self, capsys, tmp_path):
+        run(capsys, "verify", "pullback", "--inv-angles", "0,0,0", "--phi", "y^2")
+        code, out, _ = run(capsys, "verify", "principal", "--inv-angles", "0,0,0")
+        assert code == 0 and last_json(out)["inputs"]["phi"] is None
+
+        out_path = tmp_path / "f.ndjson"
+        code, _, _ = run(capsys, "sweep", "--max-den", "2", "--out", str(out_path))
+        assert code == 0 and len(out_path.read_text().splitlines()) == 1
+        code, out, _ = run(capsys, "sweep", "--max-den", "2")
+        lines = out.strip().splitlines()
+        assert code == 0 and len(lines) == 2
+        assert json.loads(lines[0])["triple"] == ["1/2", "1/2", "1/2"]
+        assert last_json(out)["result"]["out_path"] is None

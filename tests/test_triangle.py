@@ -54,14 +54,27 @@ class TestAngleParams:
 
 class TestBuildR:
     def test_cusp_parameters(self):
-        r = build_r(params(0, 0, 0))
-        half = F(1, 2)
-        expected = (
-            RatFunc(Poly([half]), Poly([0, 0, 1]))
-            + RatFunc(Poly([half]), Poly([1, -2, 1]))
-            - RatFunc(Poly([half]), Poly([0, -1, 1]))
-        )
-        assert r == expected
+        """The closed form equals the three-term sum, with the same reduced
+        text, on the cusp triple, degenerate triples and seeded triples."""
+
+        def three_terms(a, b, g):
+            half = F(1, 2)
+            return (
+                RatFunc(Poly([half * (1 - b * b)]), Poly([0, 0, 1]))
+                + RatFunc(Poly([half * (1 - g * g)]), Poly([1, -2, 1]))
+                + RatFunc(Poly([half * (b * b + g * g - a * a - 1)]), Poly([0, -1, 1]))
+            )
+
+        rng = random.Random(5)
+        triples = [(0, 0, 0), (1, 1, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0)] + [
+            tuple(F(rng.randint(-14, 14), rng.randint(1, 7)) for _ in range(3))
+            for _ in range(300)
+        ]
+        for triple in triples:
+            r = build_r(params(*triple))
+            expected = three_terms(*(F(v) for v in triple))
+            assert r == expected, triple
+            assert r.to_text() == expected.to_text(), triple
 
     def test_value_at_two(self):
         assert build_r(params(0, 0, 0))(F(2)) == F(3, 8)
