@@ -19,6 +19,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import re
 import sys
 import time
@@ -239,6 +240,8 @@ def _cmd_classify_group(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise UsageError(f"--tol must be a finite positive number, not {args.tol}")
     params = AngleParams.parse(args.inv_angles)
     if params.is_generic:
         raise UsageError("verification needs exact parameter values, not 'generic'")

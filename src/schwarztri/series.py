@@ -10,6 +10,12 @@ Coefficient arithmetic is generic: an exact rational base point with an exact
 rational equation produces Fraction coefficients, a floating base produces
 complex ones.  Residual reports always evaluate in complex arithmetic.
 
+The linear solver clears the denominator of R = N/D and runs the recurrence
+of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
+Hoeven, TCS 210, 1999): deg N + deg D + 1 terms a coefficient, so
+O(order * deg) operations, where a convolution with the Taylor series of R
+takes O(order^2).
+
 Note on the Schwarz map convention: with the fundamental pair normalized to
 (psi1, psi1') = (1, 0) and (psi2, psi2') = (0, 1) at the base point, the
 classical quotient psi1/psi2 has a pole there, so the map is built as
@@ -170,6 +176,22 @@ def _shift_coeffs(coeffs: list, base) -> list:
     return a
 
 
+def _shifted(f: RatFunc, base) -> tuple[list, list]:
+    """Coefficients of N(base + x) and D(base + x) for f = N/D, Fractions for
+    an exact base, else complex.  Raises ZeroDivisionError when ``base`` is a
+    pole."""
+    if _is_exact(base):
+        num, den = f.num.coeffs, f.den.coeffs
+    else:
+        # by the integer ratio, which is much faster than complex(Fraction)
+        num = [complex(c.numerator / c.denominator) for c in f.num.coeffs]
+        den = [complex(c.numerator / c.denominator) for c in f.den.coeffs]
+    ns, ds = _shift_coeffs(num, base), _shift_coeffs(den, base)
+    if ds[0] == 0:
+        raise ZeroDivisionError(f"base point {base} is a pole")
+    return ns, ds
+
+
 def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
     """Taylor coefficients of ``f`` at ``base`` through the given order.
 
@@ -177,15 +199,8 @@ def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
     Raises ZeroDivisionError when ``base`` is a pole.
     """
     base = _coerce_base(base)
-    exact = _is_exact(base)
-    conv = (lambda c: c) if exact else complex
-    num = [conv(c) for c in f.num.coeffs] or [conv(0)]
-    den = [conv(c) for c in f.den.coeffs]
-    ns = _shift_coeffs(num, base)
-    ds = _shift_coeffs(den, base)
-    if ds[0] == 0:
-        raise ZeroDivisionError(f"base point {base} is a pole")
-    zero = conv(0)
+    ns, ds = _shifted(f, base)
+    zero = ds[0] * 0
     ns = ns + [zero] * (order + 1 - len(ns))
     out = [zero] * (order + 1)
     for k in range(order + 1):
@@ -244,31 +259,48 @@ def series_solve_linear(
     """The fundamental series pair of psi'' + (1/2) r psi = 0 at an ordinary
     point, with initial data (1, 0) and (0, 1).
 
-    The pair has unit Wronskian through the truncation order (no first-order
-    term in the equation).
+    With r = N/D, the coefficients come from the recurrence of the cleared
+    equation 2 D(b + x) psi'' + N(b + x) psi = 0: writing D(b + x) = sum d_i x^i,
+    N(b + x) = sum n_i x^i and e_j = j (j - 1) c_j for the coefficients of
+    psi'', the x^k coefficient gives
+
+        2 d_0 e_{k+2} = -(2 sum_{i>=1} d_i e_{k+2-i} + sum_i n_i c_{k-i}),
+
+    deg D + deg N + 1 terms a coefficient, so O(order * (deg N + deg D)) in
+    all, with no Taylor expansion of r.  Exact bases give Fraction
+    coefficients, equal to those of the Taylor expansion; floating ones give
+    complex coefficients, with r's coefficients converted once a call.  The
+    pair has unit Wronskian through the truncation order (no first-order term
+    in the equation).
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     base = _coerce_base(base)
-    q = [c / 2 for c in taylor_coefficients(r, base, order)]
-    one = Fraction(1) if _is_exact(base) else complex(1)
-    zero = one * 0
-    c1 = [zero] * (order + 1)
-    c2 = [zero] * (order + 1)
-    c1[0] = one
-    c2[1] = one
-    for k in range(order - 1):
-        s1 = zero
-        s2 = zero
-        for j in range(k + 1):
-            qj = q[j]
-            if qj == 0:
-                continue
-            s1 += qj * c1[k - j]
-            s2 += qj * c2[k - j]
-        den = (k + 1) * (k + 2)
-        c1[k + 2] = -s1 / den
-        c2[k + 2] = -s2 / den
+    ns, ds = _shifted(r, base)
+    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
+    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
+    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
+    zero = ds[0] * 0
+    one = zero + 1
+    c1, c2 = [zero] * (order + 1), [zero] * (order + 1)
+    e1, e2 = [zero] * (order + 1), [zero] * (order + 1)
+    c1[0] = c2[1] = one
+    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
+    # since e_0 = e_1 = 0
+    for j in range(2, order + 1):
+        s1 = s2 = zero
+        for i, d in d_terms:
+            if i > j - 2:
+                break
+            s1 += d * e1[j - i]
+            s2 += d * e2[j - i]
+        for i, n in n_terms:
+            if i > j - 2:
+                break
+            s1 += n * c1[j - 2 - i]
+            s2 += n * c2[j - 2 - i]
+        e1[j], e2[j] = -s1, -s2
+        c1[j], c2[j] = -s1 / (j * (j - 1)), -s2 / (j * (j - 1))
     return PowerSeries(base, c1), PowerSeries(base, c2)
 
 

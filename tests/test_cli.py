@@ -160,6 +160,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "principal", "--inv-angles", "generic")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_positive(self, capsys, tol):
+        code, out, err = run(
+            capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7",
+            "--order", "4", "--tol", tol,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "--tol" in err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -12,11 +12,14 @@ from schwarztri.monodromy import (
     InconclusiveError,
     LoopSpec,
     MonodromyRep,
+    _TAYLOR_ORDER,
+    _taylor_step,
     classify_projective,
     continue_solution,
     monodromy,
 )
 from schwarztri.rational import RatFunc
+from schwarztri.series import series_solve_linear
 from schwarztri.triangle import AngleParams, build_r
 
 
@@ -50,8 +53,6 @@ class TestContinuation:
         # 0.5 -> 0.6 is one step, 0.5 -> 0.7 two, so there the product of the
         # transfer matrices is compared
         r = build_r(params("1/2", "1/3", "1/7"))
-        from schwarztri.series import series_solve_linear
-
         psi1, psi2 = series_solve_linear(r, 0.5 + 0j, 40)
         for end in (0.6, 0.7):
             m = continue_solution(r, [0.5 + 0j, end + 0j])
@@ -62,6 +63,19 @@ class TestContinuation:
                 ]
             )
             assert np.max(np.abs(m - expected)) < 1e-11
+
+    def test_taylor_step_matches_series_evaluation(self):
+        # the one-pass values and derivatives equal evaluating the series and
+        # their derivative series at z + h, and the transfer matrix is unimodular
+        r = build_r(params("1/2", "1/3", "1/7"))
+        steps = ((0.5, 0.1), (0.5, 0.125j), (0.25, -0.0875), (0.7 - 0.2j, 0.05 + 0.05j))
+        for z, h in steps:
+            m = _taylor_step(r, z, h)
+            pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
+            w = z + h
+            expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
+            assert np.max(np.abs(m - expected)) <= 1e-14 * np.max(np.abs(expected)), (z, h)
+            assert abs(np.linalg.det(m) - 1) < 1e-13, (z, h)
 
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))

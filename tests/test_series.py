@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from schwarztri.rational import MobiusMap, Poly, RatFunc
+from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
 from schwarztri.series import (
     PowerSeries,
     ratfunc_series,
@@ -96,6 +96,33 @@ class TestSeriesOps:
         assert (s * r).coefficients == (F(1), F(0), F(0), F(0))
 
 
+def convolution_solve_linear(r, base, order):
+    """Reference solver: the Taylor coefficients q of r/2, then
+    c_{k+2} = -sum_j q_j c_{k-j} / ((k+1)(k+2)), O(order^2)."""
+    q = [c / 2 for c in taylor_coefficients(r, base, order)]
+    one = F(1) if isinstance(base, F) else complex(1)
+    c1, c2 = [one * 0] * (order + 1), [one * 0] * (order + 1)
+    c1[0] = c2[1] = one
+    for k in range(order - 1):
+        s1 = sum((q[j] * c1[k - j] for j in range(k + 1)), one * 0)
+        s2 = sum((q[j] * c2[k - j] for j in range(k + 1)), one * 0)
+        c1[k + 2], c2[k + 2] = -s1 / ((k + 1) * (k + 2)), -s2 / ((k + 1) * (k + 2))
+    return PowerSeries(base, c1), PowerSeries(base, c2)
+
+
+def reference_equations(seed, count):
+    """r = 0, seeded build_r triples and their pullbacks along polynomial maps
+    of degree 2 to 4, whose denominators reach degree 12 and above."""
+    rng = random.Random(seed)
+    maps = (Y * Y, 3 * Y * Y - 2 * Y * Y * Y, 2 * Y * Y * Y - Y * Y * Y * Y)
+    out = [RatFunc.constant(0)]
+    for _ in range(count):
+        p = AngleParams(*(F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(3)))
+        r = build_r(p)
+        out += [r, schwarz_pullback(r, rng.choice(maps))]
+    return out
+
+
 class TestLinearSolver:
     def test_zero_potential(self):
         psi1, psi2 = series_solve_linear(RatFunc.constant(0), F(0), 5)
@@ -109,6 +136,31 @@ class TestLinearSolver:
     def test_order_too_small(self):
         with pytest.raises(ValueError):
             series_solve_linear(R_CUSP, F(1, 2), 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_convolution_solver(self, seed):
+        # the recurrence of the cleared equation gives the same series as the
+        # convolution with the Taylor coefficients of r: equal on exact bases,
+        # within 1e-12 relative a coefficient on floating ones
+        rng = random.Random(100 + seed)
+        degrees = set()
+        for r in reference_equations(seed, 6):
+            degrees.add(r.den.degree)
+            for order in range(2, 15):
+                base = F(rng.randint(1, 9), 10)
+                while r.den(base) == 0:
+                    base += F(1, 7)
+                assert series_solve_linear(r, base, order) == convolution_solve_linear(
+                    r, base, order
+                ), (r, base, order)
+            z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
+            new = series_solve_linear(r, z, 14)
+            old = convolution_solve_linear(r, z, 14)
+            for a, b in zip(new, old):
+                for x, y in zip(a.coefficients, b.coefficients):
+                    assert abs(x - y) <= 1e-12 * abs(y), (r, z)
+        # some denominators have degree above most of the orders
+        assert max(degrees) >= 12 and 0 in degrees
 
     def test_exact_wronskian(self):
         psi1, psi2 = series_solve_linear(R_HURWITZ, F(1, 2), 14)
