@@ -40,7 +40,6 @@ from .rational import (
     compose,
     derivative,
     mobius_apply,
-    ratfunc_arith,
     schwarz_pullback,
     schwarzian,
 )

@@ -290,7 +290,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, int]:
         # sys.stdout is read here, not at import, so that a redirect applies
         out = sink if sink is not None else sys.stdout
         for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
+            out.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     finally:
         if sink is not None:
             sink.close()
@@ -392,7 +392,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
         "elapsed_ms": elapsed_ms,
     }
-    print(json.dumps(document, sort_keys=True))
+    print(json.dumps(document, sort_keys=True, allow_nan=False))
     return code
 
 

@@ -11,22 +11,24 @@ denominator, which makes equality structural.
 Arithmetic runs over Z.  A ``RatFunc`` holds c * N/D with N and D primitive
 integer polynomials of positive leading coefficient and c one rational
 content; its ``num`` and ``den`` are turned into ``Poly`` values (Fractions)
-only when read.  Reduction clears denominators once, takes the gcd from
-modular images (``_int_gcd_poly``) and divides exactly over Z; products are
-single big-integer multiplications (Kronecker substitution).  Where the
-reduced form is known in advance no gcd is taken at all: a composition of
-reduced functions is reduced, a product or quotient cancels crosswise, and
-the Schwarzian of N/D with W = N'D - ND' is
+only when read.  Reduction clears denominators once, takes the gcd by the
+heuristic gcd (``_int_gcd_poly``: one integer gcd of the values at a large
+point, read back as a polynomial and checked by trial division, with the
+primitive pseudo-remainder sequence as its fallback) and divides exactly
+over Z; products are single big-integer multiplications (Kronecker
+substitution).  Where the reduced form is known in advance no gcd is taken
+at all: a composition of reduced functions is reduced, a product or
+quotient cancels crosswise, and the Schwarzian of N/D with W = N'D - ND' is
 
     S(N/D) = (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
 
 whose reduced denominator is sqf(W)^2, so it is reduced by one exact division.
-Reference: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and 8.
+References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
+8; Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989), for the heuristic gcd.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,41 +62,17 @@ def _int_content(coeffs: Sequence[int]) -> int:
     return g or 1
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a over its content, signed so that the leading coefficient is positive."""
+    k = _int_content(a)
+    return [c // (k if a[-1] > 0 else -k) for c in a]
 
 
-@functools.lru_cache(maxsize=1)
-def _primes() -> tuple[int, ...]:
-    """The 32 largest primes below 2^30, in descending order.  A residue
-    below 2^30 is one digit of a CPython int, which keeps the arithmetic of
-    the modular gcd on the interpreter's fast paths."""
-    out = []
-    n = (1 << 30) - 1
-    while len(out) < 32:
-        if _is_probable_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
+def _int_eval(a: Sequence[int], x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
 
 
 def _strip(a: list[int]) -> list[int]:
@@ -175,25 +153,6 @@ def _int_deriv(a: Sequence[int]) -> list[int]:
     return [i * a[i] for i in range(1, len(a))]
 
 
-def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Monic gcd of two integer polynomials reduced mod p (ascending coeffs)."""
-    a = _strip([c % p for c in a])
-    b = _strip([c % p for c in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        nb = len(b) - 1
-        low = b[:nb]
-        while len(a) > nb:
-            f = a.pop() * inv % p
-            if f:
-                off = len(a) - nb
-                a[off:] = [(x - f * y) % p for x, y in zip(a[off:], low)]
-            _strip(a)
-        a, b = b, a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _int_exact_div(a: Sequence[int], c: Sequence[int]) -> list[int] | None:
     """Exact quotient of integer polynomials, or None when division fails."""
     if not a:
@@ -225,43 +184,44 @@ def _int_quo(a: Sequence[int], c: Sequence[int]) -> list[int]:
 
 
 def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of primitive integer polynomials by modular images (CRT-lifted,
-    verified by exact trial division)."""
-    ca, cb = _int_content(a), _int_content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
+    """The gcd of two nonzero integer polynomials, primitive with a positive
+    leading coefficient, by the heuristic gcd (Char, Geddes & Gonnet, J.
+    Symbolic Comput. 7, 1989).
+
+    The balanced base-x digits of gcd(a(x), b(x)) are read as a polynomial;
+    for x > 2 min(|a|_inf, |b|_inf) + 1, its primitive part is gcd(a, b) as
+    soon as it divides both a and b.  Otherwise x grows and the evaluation is
+    repeated, and after six tries the PRS answers.  x is never a power of
+    two: at x = 2^j, a(x) = a_0 + a_1 x (mod x^2), so low coefficients with a
+    high power of 2 (denominators 2^k cleared) look like a factor y^2 at
+    every try.
+    """
+    a = _primitive(a)
+    b = _primitive(b)
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        h = math.gcd(_int_eval(a, x), _int_eval(b, x))
+        g = []
+        while h:
+            c = h % x
+            if 2 * c > x:
+                c -= x
+            g.append(c)
+            h = (h - c) // x
+        if len(g) == 1:
+            return [1]
+        g = _primitive(g)
+        if _int_exact_div(a, g) is not None and _int_exact_div(b, g) is not None:
+            return g
+        x = x * 73794 * math.isqrt(math.isqrt(x)) // 27011
+    return _primitive(_prs_gcd(a, b))
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of two nonzero primitive integer polynomials by the primitive
+    pseudo-remainder sequence; slow, but needs no luck."""
     if len(a) < len(b):
         a, b = b, a
-    gl = math.gcd(a[-1], b[-1])
-    acc = None  # (coeffs, modulus, degree)
-    for p in _primes():
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        gp = _gcd_mod(a, b, p)
-        if len(gp) == 1:
-            return [1]
-        scale = gl % p
-        gp = [c * scale % p for c in gp]
-        if acc is None or len(gp) < acc[2]:
-            acc = (gp, p, len(gp))
-        elif len(gp) > acc[2]:
-            continue  # unlucky prime
-        else:
-            cur, mod, _deg = acc
-            minv = pow(mod, -1, p)
-            combined = []
-            for x, y in zip(cur, gp):
-                t = (y - x) * minv % p
-                combined.append(x + mod * t)
-            acc = (combined, mod * p, len(gp))
-        coeffs, mod, _deg = acc
-        half = mod // 2
-        cand = [c - mod if c > half else c for c in coeffs]
-        cont = _int_content(cand)
-        cand = [c // cont for c in cand]
-        if _int_exact_div(a, cand) is not None and _int_exact_div(b, cand) is not None:
-            return cand
-    # fallback: primitive pseudo-remainder sequence (slow but always correct)
     while b:
         r = list(a)
         lb = b[-1]
@@ -293,8 +253,6 @@ def _cancel(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence
     g = _int_gcd_poly(a, b)
     if len(g) < 2:
         return a, b
-    if g[-1] < 0:
-        g = [-c for c in g]
     return _int_quo(a, g), _int_quo(b, g)
 
 
@@ -419,7 +377,7 @@ class Poly:
         return self.divmod(other)[0]
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd, computed from modular images over Z."""
+        """Monic gcd, computed over Z by the heuristic gcd."""
         if self.is_zero:
             return other.monic() if not other.is_zero else Poly()
         if other.is_zero:
@@ -819,25 +777,13 @@ class MobiusMap:
         return MobiusMap(1, 0, 0, 1)
 
     def as_ratfunc(self) -> RatFunc:
-        y = RatFunc.variable()
-        return mobius_apply(self, y)
+        return RatFunc(Poly([self.b, self.a]), Poly([self.d, self.c]))
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
 
 # -- module-level operation surface ----------------------------------------
-
-
-def ratfunc_arith(f: RatFunc, g: RatFunc, op: str) -> RatFunc:
-    """Exact field arithmetic; ``op`` is one of add, mul, div."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "div":
-        return f / g
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def derivative(f: RatFunc) -> RatFunc:
@@ -893,8 +839,6 @@ def schwarz_pullback(r: RatFunc, phi: RatFunc) -> RatFunc:
 
 
 def mobius_apply(m: MobiusMap, f: RatFunc) -> RatFunc:
-    """(a*f + b)/(c*f + d); raises when the denominator is identically zero."""
-    den = f * m.c + m.d
-    if den.is_zero:
-        raise ZeroDivisionError("Mobius image has identically zero denominator")
-    return (f * m.a + m.b) / den
+    """(a*f + b)/(c*f + d); raises ZeroDivisionError when f is a constant on
+    the pole of m."""
+    return m.as_ratfunc().compose(f)

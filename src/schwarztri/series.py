@@ -26,6 +26,7 @@ downstream (solutions of the principal equation form a single PSL2 orbit).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -224,19 +225,11 @@ def poles(f: RatFunc) -> list[complex]:
     return [complex(r) for r in np.roots(desc)]
 
 
-def distance_to_poles(f: RatFunc, point: complex) -> float:
-    ps = poles(f)
-    if not ps:
-        return float("inf")
-    return min(abs(complex(point) - p) for p in ps)
-
-
 def default_disk_radius(f: RatFunc, base: BasePoint) -> float:
-    """A quarter of the distance from the base point to the nearest pole."""
-    d = distance_to_poles(f, complex(base))
-    if d == float("inf"):
-        return 0.25
-    return d / 4.0
+    """A quarter of the distance from the base point to the nearest pole
+    (0.25 without poles)."""
+    b = complex(base)
+    return min((abs(b - p) for p in poles(f)), default=1.0) / 4.0
 
 
 # residual checks sample the equation at this many evenly spaced ring points
@@ -395,28 +388,30 @@ class ResidualReport:
         }
 
 
-def residual_principal(
-    r: RatFunc,
-    base: BasePoint,
-    order: int,
-    radius: float | None = None,
+def _report(
+    pts: tuple[complex, ...], residuals: Sequence[complex], order: int
 ) -> ResidualReport:
+    """The report of the residuals at the sample points.  A residual that is
+    not finite comes from series coefficients past the floating-point range,
+    and is an error rather than a measurement."""
+    values = [abs(v) for v in residuals]
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(
+            f"residual is not finite at order {order}: "
+            "the series coefficients overflow floating point"
+        )
+    return ResidualReport(pts, max(values), order)
+
+
+def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual |S(t) - r| of the principal equation for the series Schwarz map."""
     b = complex(base)
-    t = schwarz_map(r, b, order)
-    s = series_schwarzian(t)
-    rad = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(b, rad)
-    worst = max(abs(s(p) - r(p)) for p in pts)
-    return ResidualReport(pts, worst, order)
+    s = series_schwarzian(schwarz_map(r, b, order))
+    pts = _sample_ring(b, default_disk_radius(r, b))
+    return _report(pts, [s(p) - r(p) for p in pts], order)
 
 
-def residual_riccati(
-    r: RatFunc,
-    base: BasePoint,
-    order: int,
-    radius: float | None = None,
-) -> ResidualReport:
+def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual |u' + u^2 + r/2| for the logarithmic derivative u = psi1'/psi1."""
     if order < 5:
         raise ValueError("order must be at least 5 to form the Riccati residual")
@@ -424,50 +419,34 @@ def residual_riccati(
     psi1, _ = series_solve_linear(r, b, order)
     u = psi1.derivative() / psi1.truncate(order - 1)
     du = u.derivative()
-    rad = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(b, rad)
-    worst = max(abs(du(p) + u(p) ** 2 + 0.5 * r(p)) for p in pts)
-    return ResidualReport(pts, worst, order)
+    pts = _sample_ring(b, default_disk_radius(r, b))
+    return _report(pts, [du(p) + u(p) ** 2 + 0.5 * r(p) for p in pts], order)
 
 
-def _third_order_residual(j: PowerSeries, r: RatFunc, pts: Sequence[complex]) -> float:
+def _third_order_residuals(
+    j: PowerSeries, r: RatFunc, pts: Sequence[complex]
+) -> list[complex]:
     d1 = j.derivative()
     d2 = d1.derivative()
     d3 = d2.derivative()
-    worst = 0.0
+    out = []
     for p in pts:
         v1 = d1(p)
         ratio = d2(p) / v1
-        sval = d3(p) / v1 - 1.5 * ratio * ratio
-        res = abs(sval + v1 * v1 * r(j(p)))
-        worst = max(worst, res)
-    return worst
+        out.append(d3(p) / v1 - 1.5 * ratio * ratio + v1 * v1 * r(j(p)))
+    return out
 
 
-def residual_inverse(
-    r: RatFunc,
-    base: BasePoint,
-    order: int,
-    radius: float | None = None,
-) -> ResidualReport:
+def residual_inverse(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual of the third-order equation S(J) + (J')^2 r(J) = 0 for the
     inverted Schwarz map J near t = 0."""
     b = complex(base)
-    t = schwarz_map(r, b, order)
-    j = series_invert(t)
-    rad_y = radius if radius is not None else default_disk_radius(r, b)
-    pts = _sample_ring(0j, rad_y / 4.0)
-    worst = _third_order_residual(j, r, pts)
-    return ResidualReport(pts, worst, order)
+    j = series_invert(schwarz_map(r, b, order))
+    pts = _sample_ring(0j, default_disk_radius(r, b) / 4.0)
+    return _report(pts, _third_order_residuals(j, r, pts), order)
 
 
-def verify_pullback(
-    r: RatFunc,
-    phi: RatFunc,
-    base: BasePoint,
-    order: int,
-    radius: float | None = None,
-) -> ResidualReport:
+def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Solve the pulled-back equation, push the solution through phi, and
     report the residual of the original equation.
 
@@ -481,11 +460,7 @@ def verify_pullback(
     if abs(dphi(b)) < 1e-12:
         raise ValueError("phi is ramified at the base point; J1 is not invertible there")
     r_phi = schwarz_pullback(r, phi)
-    t2 = schwarz_map(r_phi, b, order)
-    j2 = series_invert(t2)
-    phi_series = ratfunc_series(phi, b, order)
-    j1 = series_compose(phi_series, j2)
-    rad_y = radius if radius is not None else default_disk_radius(r_phi, b)
-    pts = _sample_ring(0j, rad_y / 4.0)
-    worst = _third_order_residual(j1, r, pts)
-    return ResidualReport(pts, worst, order)
+    j2 = series_invert(schwarz_map(r_phi, b, order))
+    j1 = series_compose(ratfunc_series(phi, b, order), j2)
+    pts = _sample_ring(0j, default_disk_radius(r_phi, b) / 4.0)
+    return _report(pts, _third_order_residuals(j1, r, pts), order)

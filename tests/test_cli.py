@@ -174,6 +174,13 @@ class TestVerify:
         [
             ("verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base", "1e400"),
             ("verify", "principal", "--inv-angles", "1e200,1/3,1/7"),
+            # series coefficients past the float range make the residuals
+            # NaN, which must not read as a measurement or a pass
+            ("verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base", "1/1000", "--order", "120"),
+            (
+                "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", "y^2",
+                "--base", "1/1000", "--order", "120",
+            ),
         ],
     )
     def test_float_overflow_is_usage_error(self, capsys, argv):

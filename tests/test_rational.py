@@ -1,10 +1,12 @@
 """Unit tests for the exact rational-function algebra."""
 
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from schwarztri import rational
 from schwarztri.rational import (
     MobiusMap,
     Poly,
@@ -12,7 +14,6 @@ from schwarztri.rational import (
     compose,
     derivative,
     mobius_apply,
-    ratfunc_arith,
     schwarz_pullback,
     schwarzian,
 )
@@ -54,26 +55,92 @@ class TestPoly:
         assert abs(p(1j) - (1 + 2j - 3)) < 1e-15
 
 
+def _planted_pairs(count, seed):
+    """Integer polynomial pairs a = g u, b = g v with a planted common factor
+    g: factors of degree 0 to 8, coefficients of 1 to 200 bits with mixed
+    signs, and a factor y^k on both sides in about a third of the pairs."""
+    rng = random.Random(seed)
+
+    def factor():
+        bits = rng.randint(1, 200)
+        cs = [rng.choice((-1, 1)) * rng.getrandbits(bits) for _ in range(rng.randint(0, 8) + 1)]
+        cs[-1] = cs[-1] or 1
+        return cs
+
+    for _ in range(count):
+        g = factor()
+        a = rational._int_mul(g, factor())
+        b = rational._int_mul(g, factor())
+        if rng.random() < 0.3:
+            a = [0] * rng.randint(1, 4) + a
+            b = [0] * rng.randint(1, 4) + b
+        yield a, b
+
+
+def _count_points(monkeypatch):
+    """Record how many evaluation points each heuristic gcd call uses."""
+    calls = []
+    evaluate = rational._int_eval
+    monkeypatch.setattr(rational, "_int_eval", lambda a, x: calls.append(x) or evaluate(a, x))
+    return lambda: len(set(calls))
+
+
+class TestHeuristicGcd:
+    def test_matches_prs_on_planted_factors(self, monkeypatch):
+        prs = rational._prs_gcd
+        fallbacks = []
+        monkeypatch.setattr(rational, "_prs_gcd", lambda a, b: fallbacks.append((a, b)) or prs(a, b))
+        for a, b in _planted_pairs(300, seed=7):
+            g = rational._int_gcd_poly(a, b)
+            ref = prs(*([c // rational._int_content(p) for c in p] for p in (a, b)))
+            assert g == ref or g == [-c for c in ref]
+            assert g[-1] > 0 and rational._int_content(g) == 1
+        # the first points are large enough and not powers of two, so the
+        # PRS never has to answer on these pairs
+        assert not fallbacks
+
+    @pytest.mark.parametrize(
+        "a, b, gcd",
+        [
+            # the gcd's coefficients reach the input norm, so x must exceed
+            # twice that norm for its digits to read back
+            ([-999, 1000, 1], [-1998, 1001, 1002, 1], [-999, 1000, 1]),
+            # 2^80 divides the low coefficients (denominators cleared from
+            # powers of 2 give such integers): every x = 2^j up to 2^40 makes
+            # a(x) a multiple of x^2 = b(x), as if y^2 divided a
+            ([5 << 80, 3 << 80, 1], [0, 0, 1], [1]),
+        ],
+    )
+    def test_first_point_suffices(self, monkeypatch, a, b, gcd):
+        points = _count_points(monkeypatch)
+        assert rational._int_gcd_poly(a, b) == gcd
+        assert points() == 1
+
+    @pytest.mark.parametrize("a, b", [([1, 1], [31, 0, 1]), ([31, 0, 1], [1, 1])])
+    def test_retry_after_a_candidate_that_divides_one_side(self, monkeypatch, a, b):
+        # at x = 31, a(x) = 32 divides b(x) = 992, so the first candidate is
+        # y + 1, which divides y + 1 but not y^2 + 31
+        points = _count_points(monkeypatch)
+        assert rational._int_gcd_poly(a, b) == [1]
+        assert points() == 2
+
+
 class TestRatFuncArithmetic:
     def test_add_common_denominator(self):
         # 1/y + 1/(y-1) = (2y-1)/(y^2-y)
         f = 1 / Y
         g = 1 / (Y - 1)
         expected = RatFunc(Poly([-1, 2]), Poly([0, -1, 1]))
-        assert ratfunc_arith(f, g, "add") == expected
+        assert f + g == expected
 
     def test_mul_inverse_identity(self):
         f = Y * Y + 3
-        assert ratfunc_arith(f, 1 / f, "mul") == RatFunc.constant(1)
+        assert f * (1 / f) == RatFunc.constant(1)
 
     def test_division_by_zero_function(self):
         f = Y / (Y - 1)
         with pytest.raises(ZeroDivisionError):
-            ratfunc_arith(f, RatFunc.constant(0), "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            ratfunc_arith(Y, Y, "sub")
+            f / RatFunc.constant(0)
 
     def test_canonical_form(self):
         f = RatFunc(Poly([0, 2]), Poly([0, 0, 4]))  # 2y / 4y^2

@@ -189,14 +189,14 @@ class TestSchwarzMap:
         assert t.coefficients[1] == 1
 
     def test_principal_residual(self):
-        report = residual_principal(R_HURWITZ, F(1, 2), 40, radius=0.1)
+        report = residual_principal(R_HURWITZ, F(1, 2), 40)
         assert report.max_abs_residual < 1e-8
         assert report.truncation_order == 40
 
     def test_residual_decreases_with_order(self):
         floor = 1e-13
         residuals = [
-            residual_principal(R_HURWITZ, F(1, 2), n, radius=0.1).max_abs_residual
+            residual_principal(R_HURWITZ, F(1, 2), n).max_abs_residual
             for n in (8, 12, 16, 20, 24)
         ]
         for lo, hi in zip(residuals[1:], residuals):
@@ -292,7 +292,7 @@ class TestRiccati:
             residual_riccati(R_CUSP, F(1, 2), 3)
 
     def test_triangle_residual(self):
-        report = residual_riccati(R_HURWITZ, F(1, 2), 40, radius=0.1)
+        report = residual_riccati(R_HURWITZ, F(1, 2), 40)
         assert report.max_abs_residual < 1e-8
 
 
