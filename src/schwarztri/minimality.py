@@ -15,6 +15,9 @@ the verdict names:
 Condition 1 asks for one of the four signed sums of the exponent differences
 to be an odd integer; condition 2 sweeps a fixed 15-row table of fractional
 parts modulo integer shifts, some rows carrying an "even shift sum" clause.
+Each condition has one test, which both its search and its witness's
+``verify`` call; condition 2 searches only the rows whose residues mod 1 the
+values contain.
 
 Witnesses are reproducible: the sweep order is rows, then sign choices, then
 column permutations, and every returned witness re-verifies by substitution.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -59,6 +63,16 @@ _TABLE: tuple[tuple[tuple[Optional[Fraction], ...], bool], ...] = (
 assert all(not parity or None not in fracs for fracs, parity in _TABLE)
 
 
+def _residue(x: Fraction) -> tuple[int, int]:
+    # x mod 1 up to sign, as (min(p mod q, q - p mod q), q) for x = p/q
+    p, q = x.numerator, x.denominator
+    return (min(p % q, q - p % q), q)
+
+
+# the residues each row's fixed columns need, as a multiset
+_NEEDS = tuple(Counter(_residue(f) for f in fracs if f is not None) for fracs, _ in _TABLE)
+
+
 def _values_alpha_beta_gamma(e: ExponentTriple) -> tuple[Fraction, Fraction, Fraction]:
     # the inverse angle parameters, in (alpha, beta, gamma) order
     return (e.at_inf, e.at0, e.at1)
@@ -68,16 +82,17 @@ def _values_alpha_beta_gamma(e: ExponentTriple) -> tuple[Fraction, Fraction, Fra
 class Condition1Witness:
     """A signed sum of the inverse angle parameters that is an odd integer.
 
-    ``signs`` applies to (1/alpha, 1/beta, 1/gamma) in that order.
+    ``signs``, each +1 or -1, applies to (1/alpha, 1/beta, 1/gamma) in that order.
     """
 
     signs: tuple[int, int, int]
     value: int
 
     def verify(self, e: ExponentTriple) -> bool:
-        v = _values_alpha_beta_gamma(e)
-        total = sum(s * x for s, x in zip(self.signs, v))
-        return total == self.value and self.value % 2 != 0
+        if self.signs not in _SIGN_CHOICES:
+            return False
+        value = _odd_sum(_values_alpha_beta_gamma(e), self.signs)
+        return value is not None and value == self.value
 
     def to_record(self) -> dict:
         return {"kind": "condition1", "signs": list(self.signs), "value": self.value}
@@ -85,7 +100,7 @@ class Condition1Witness:
 
 @dataclass(frozen=True)
 class Condition2Witness:
-    """A table-row match: row index (1-based), one sign per parameter slot,
+    """A table-row match: row index (1 to 15), one sign (+1 or -1) per parameter slot,
     the permutation sending table column j to parameter slot permutation[j],
     the integer shifts per column (None for an arbitrary column), and whether
     the row's parity clause was in force."""
@@ -97,28 +112,13 @@ class Condition2Witness:
     parity_used: bool
 
     def verify(self, e: ExponentTriple) -> bool:
+        if not (1 <= self.row <= len(_TABLE) and self.signs in _SIGN_CHOICES):
+            return False
         fracs, parity = _TABLE[self.row - 1]
-        if parity != self.parity_used:
+        if parity != self.parity_used or self.permutation not in _PERMUTATIONS:
             return False
         v = _values_alpha_beta_gamma(e)
-        if sorted(self.permutation) != [0, 1, 2]:
-            return False
-        total = 0
-        for col, frac in enumerate(fracs):
-            slot = self.permutation[col]
-            shift = self.shifts[col]
-            if frac is None:
-                if shift is not None:
-                    return False
-                continue
-            if shift is None:
-                return False
-            if self.signs[slot] * v[slot] != frac + shift:
-                return False
-            total += shift
-        if parity and total % 2 != 0:
-            return False
-        return True
+        return _shifts(fracs, parity, v, self.signs, self.permutation) == self.shifts
 
     def to_record(self) -> dict:
         return {
@@ -164,74 +164,68 @@ class MinimalityVerdict:
         }
 
 
+def _odd_sum(v: tuple[Fraction, ...], signs: tuple[int, int, int]) -> Optional[int]:
+    # the signed sum of the values when it is an odd integer, else None
+    total = sum(s * x for s, x in zip(signs, v))
+    return total.numerator if total.denominator == 1 and total.numerator % 2 else None
+
+
 def check_condition1(e: ExponentTriple) -> Optional[Condition1Witness]:
     """First witness among the four signed sums (+++), (-++), (+-+), (++-)
     whose value is an odd integer; None when there is none."""
     v = _values_alpha_beta_gamma(e)
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
-        total = sum(s * x for s, x in zip(signs, v))
-        if total.denominator == 1 and total.numerator % 2 != 0:
-            return Condition1Witness(signs=signs, value=int(total))
+        value = _odd_sum(v, signs)
+        if value is not None:
+            return Condition1Witness(signs=signs, value=value)
     return None
 
 
-def _integer_shift(value: Fraction, frac: Fraction) -> Optional[int]:
-    # value - frac is an integer iff the reduced denominators agree
-    q = frac.denominator
-    if value.denominator != q:
+def _shifts(fracs: tuple, parity: bool, v: tuple, signs: tuple, perm: tuple) -> Optional[tuple]:
+    """The column test of condition 2, shared by the search and the verifier:
+    column j matches x = signs[perm[j]] * v[perm[j]] when x - fracs[j] is an
+    integer, its shift.  Returns the shifts (None for an arbitrary column),
+    or None when a column fails or the parity clause finds an odd sum."""
+    shifts: list[Optional[int]] = []
+    for frac, slot in zip(fracs, perm):
+        if frac is None:
+            shifts.append(None)
+            continue
+        # x - frac is an integer iff the reduced denominators agree and q | difference
+        x, q = v[slot], frac.denominator
+        if x.denominator != q:
+            return None
+        shift, rem = divmod(signs[slot] * x.numerator - frac.numerator, q)
+        if rem:
+            return None
+        shifts.append(shift)
+    if parity and sum(shifts) % 2:
         return None
-    num = value.numerator - frac.numerator
-    return num // q if num % q == 0 else None
+    return tuple(shifts)
 
 
 def check_condition2(e: ExponentTriple) -> Optional[Condition2Witness]:
     """Deterministic sweep of the 15 table rows, 8 sign choices and 6 column
-    permutations; returns the first match or None."""
+    permutations; returns the first match or None.
+
+    A row is searched only when the residues of the values (x mod 1 up to
+    sign, as a multiset) contain the residues of its fixed columns.  Every
+    table entry lies in (0, 1), so a row failing that test has no match under
+    any signs and permutation, and skipping it leaves the first match as the
+    full sweep finds it.
+    """
     v = _values_alpha_beta_gamma(e)
-    # feasible[(slot, sign)][col] = integer shift or None, per row
-    for row_index, (fracs, parity) in enumerate(_TABLE, start=1):
-        shift_of = {}
-        row_possible = True
-        for col, frac in enumerate(fracs):
-            if frac is None:
-                continue
-            col_possible = False
-            for slot in range(3):
-                for sign in (1, -1):
-                    s = _integer_shift(sign * v[slot], frac)
-                    shift_of[(col, slot, sign)] = s
-                    col_possible = col_possible or s is not None
-            if not col_possible:
-                row_possible = False
-                break
-        if not row_possible:
+    have = Counter(map(_residue, v))
+    for row, ((fracs, parity), need) in enumerate(zip(_TABLE, _NEEDS), start=1):
+        if not need <= have:
             continue
         for signs in _SIGN_CHOICES:
             for perm in _PERMUTATIONS:
-                shifts: list[Optional[int]] = [None, None, None]
-                total = 0
-                ok = True
-                for col, frac in enumerate(fracs):
-                    if frac is None:
-                        continue
-                    slot = perm[col]
-                    s = shift_of[(col, slot, signs[slot])]
-                    if s is None:
-                        ok = False
-                        break
-                    shifts[col] = s
-                    total += s
-                if not ok:
-                    continue
-                if parity and total % 2 != 0:
-                    continue
-                return Condition2Witness(
-                    row=row_index,
-                    signs=signs,
-                    permutation=perm,
-                    shifts=tuple(shifts),
-                    parity_used=parity,
-                )
+                shifts = _shifts(fracs, parity, v, signs, perm)
+                if shifts is not None:
+                    return Condition2Witness(
+                        row=row, signs=signs, permutation=perm, shifts=shifts, parity_used=parity
+                    )
     return None
 
 
