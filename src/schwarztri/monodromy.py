@@ -10,13 +10,16 @@ projective group generated by the two loop matrices:
 which cross-checks the exact classifier (the Zariski closure of the monodromy
 group of a Fuchsian equation is its differential Galois group).
 
-Continuation is by adaptive Taylor stepping with the series solver of
-``series``: at each step center ``series_solve_linear`` expands the
-fundamental pair to a fixed order by the recurrence of the cleared equation,
-in O(order * deg) operations, and one Horner pass a solution gives its value
-and derivative at the end of the step.  The step length is a fixed fraction
-of the distance to the nearest pole, which keeps the local series well inside
-its convergence disk.  Results are deterministic for fixed inputs.
+Continuation is by adaptive Taylor stepping in two phases.  The step plan
+comes first: the step length is a fixed fraction of the distance to the
+nearest pole, which keeps the local series well inside its convergence disk,
+so it depends only on the path and the poles, never on the solution, and
+every step center and step is known before any series is solved.  Then one
+batched solve: the recurrence of the cleared equation that
+``series_solve_linear`` runs (O(order * deg) operations a step) runs once on
+arrays over all step centers, and one Horner pass gives each value and
+derivative at the end of its step.  Results are deterministic for fixed
+inputs.
 
 The classification uses the SL2 trace coordinates of the loop matrices a0,
 a1 scaled to unit determinant (Goldman, arXiv:0901.1404): x = tr a0,
@@ -42,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import RatFunc
-from .series import poles, series_solve_linear
+from .series import _shifted, _solve_recurrence, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -91,33 +94,39 @@ class LoopSpec:
         return [base] + circle + [base]
 
 
-def _taylor_step(r: RatFunc, z: complex, h: complex) -> np.ndarray:
-    """Transfer matrix of the fundamental pair across one step from ``z``:
-    the values and derivatives at ``z + h`` of the series pair with initial
-    data (1, 0) and (0, 1) at ``z``, each value and derivative from one
-    Horner pass."""
-    columns = []
-    for s in series_solve_linear(r, z, _TAYLOR_ORDER + 2):
-        value = slope = 0j
-        for c in reversed(s.coefficients):
-            slope = slope * h + value
-            value = value * h + c
-        columns.append((value, slope))
-    return np.array(columns).T
+def _taylor_step(r: RatFunc, z, h) -> np.ndarray:
+    """Transfer matrices of the fundamental pair across steps from ``z`` to
+    ``z + h``: the values and derivatives at ``z + h`` of the series pair
+    with initial data (1, 0) and (0, 1) at ``z``.  Scalar ``z`` and ``h``
+    give one 2x2 matrix; arrays of shape (steps,) give a (steps, 2, 2) stack
+    from one run of the series recurrence over all step centers, each value
+    and derivative from one Horner pass in ``h``."""
+    # a trailing axis of length 2 runs the pair side by side; every operand
+    # gets the full shape, as broadcasting costs numpy more than the arithmetic
+    pair = np.zeros(2)
+    z = np.asarray(z, dtype=complex)[..., None] + pair
+    h = np.asarray(h, dtype=complex)[..., None] + pair
+    ns, ds = _shifted(r, z)
+    coefficients = _solve_recurrence(
+        ns, ds, _TAYLOR_ORDER + 2, z * 0 + [1, 0], z * 0 + [0, 1]
+    )
+    value = slope = 0j
+    for c in reversed(coefficients):
+        slope = slope * h + value
+        value = value * h + c
+    return np.stack([value, slope], axis=-2)
 
 
-def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
-    """Transport the fundamental pair along a polyline; returns the matrix
-    expressing the continued pair in the starting basis.
-
-    Each step solves the equation by series at the step center
-    (``series_solve_linear``) and advances by ``_STEP_FACTOR`` times the
-    distance to the nearest pole of ``r``, at most 1/2.  Raises when the
-    path comes within ``_POLE_CLEARANCE`` of a pole or the step size falls
-    below ``_MIN_STEP``.
-    """
+def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Step centers and steps along a polyline, in order.  Each step is
+    ``_STEP_FACTOR`` times the distance to the nearest pole of ``r``, at
+    most 1/2 and at most what is left of the segment; a step that would
+    leave less than ``_MIN_STEP`` runs to the segment's end node instead.
+    Raises when the path comes within ``_POLE_CLEARANCE`` of a pole or a
+    step falls below ``_MIN_STEP``."""
     pole_list = poles(r)
-    transfer = _IDENTITY.copy()
+    zs: list[complex] = []
+    hs: list[complex] = []
     for a, b in zip(path, path[1:]):
         a, b = complex(a), complex(b)
         seg = b - a
@@ -126,7 +135,7 @@ def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
             continue
         direction = seg / length
         s = 0.0
-        while s < length:
+        while True:
             z = a + direction * s
             dist = min((abs(p - z) for p in pole_list), default=math.inf)
             if dist < _POLE_CLEARANCE:
@@ -136,8 +145,33 @@ def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
                 raise RuntimeError(
                     f"step size underflow at {z}: path passes too close to a pole"
                 )
-            transfer = _taylor_step(r, z, direction * h) @ transfer
+            zs.append(z)
+            # s + h can round short of the length, leaving a remainder that
+            # no step could take
+            if length - s - h < _MIN_STEP:
+                hs.append(b - z)
+                break
+            hs.append(direction * h)
             s += h
+    return np.array(zs, dtype=complex), np.array(hs, dtype=complex)
+
+
+def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
+    """Transport the fundamental pair along a polyline; returns the matrix
+    expressing the continued pair in the starting basis.
+
+    Two phases.  First the step plan (``_step_plan``): every step center
+    and step, each step ``_STEP_FACTOR`` times the distance to the nearest
+    pole of ``r``, at most 1/2.  The step lengths depend only on the path
+    and the poles, never on the solution, so the whole plan is known before
+    any series is solved.  Then one batched ``_taylor_step`` call solves the
+    series at all step centers at once, and the transfer is the ordered
+    product of its matrices.  Raises when the path comes within
+    ``_POLE_CLEARANCE`` of a pole or a step falls below ``_MIN_STEP``.
+    """
+    transfer = _IDENTITY.copy()
+    for m in _taylor_step(r, *_step_plan(r, path)):
+        transfer = m @ transfer
     return transfer
 
 

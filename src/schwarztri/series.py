@@ -179,8 +179,9 @@ def _shift_coeffs(coeffs: list, base) -> list:
 
 def _shifted(f: RatFunc, base) -> tuple[list, list]:
     """Coefficients of N(base + x) and D(base + x) for f = N/D, Fractions for
-    an exact base, else complex.  Raises ZeroDivisionError when ``base`` is a
-    pole."""
+    an exact base, else complex.  A numpy array of bases gives array
+    coefficients, one entry a base.  Raises ZeroDivisionError when a base is
+    a pole."""
     if _is_exact(base):
         num, den = f.num.coeffs, f.den.coeffs
     else:
@@ -188,7 +189,7 @@ def _shifted(f: RatFunc, base) -> tuple[list, list]:
         num = [complex(c.numerator / c.denominator) for c in f.num.coeffs]
         den = [complex(c.numerator / c.denominator) for c in f.den.coeffs]
     ns, ds = _shift_coeffs(num, base), _shift_coeffs(den, base)
-    if ds[0] == 0:
+    if np.any(ds[0] == 0):
         raise ZeroDivisionError(f"base point {base} is a pole")
     return ns, ds
 
@@ -246,6 +247,34 @@ def _sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
 # -- series solutions of the linearized equation ----------------------------
 
 
+def _solve_recurrence(ns: list, ds: list, order: int, c0, c1) -> list:
+    """Coefficients c_0..c_order of the solution of 2 D(b + x) psi'' +
+    N(b + x) psi = 0 with c_0 = ``c0`` and c_1 = ``c1``, given the shifted
+    coefficients ``ns`` and ``ds`` of ``_shifted``.  The entries may be
+    Fractions, complex numbers or numpy arrays that broadcast together."""
+    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
+    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
+    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
+    zero = c0 * 0
+    c, e = [c0, c1], [zero, zero]
+    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
+    # since e_0 = e_1 = 0.  The sums are rebound, never added to in place:
+    # with array entries an in-place add would write into ``zero``.
+    for j in range(2, order + 1):
+        s = zero
+        for i, d in d_terms:
+            if i > j - 2:
+                break
+            s = s + d * e[j - i]
+        for i, n in n_terms:
+            if i > j - 2:
+                break
+            s = s + n * c[j - 2 - i]
+        e.append(-s)
+        c.append(-s / (j * (j - 1)))
+    return c
+
+
 def series_solve_linear(
     r: RatFunc, base: BasePoint, order: int
 ) -> tuple[PowerSeries, PowerSeries]:
@@ -265,36 +294,22 @@ def series_solve_linear(
     complex coefficients, with r's coefficients converted once a call.  The
     pair has unit Wronskian through the truncation order (no first-order term
     in the equation).
+
+    The recurrence itself (``_solve_recurrence``) is shared with
+    ``monodromy._taylor_step``, which runs it once for a whole array of step
+    centers: it works on any coefficients that support +, * and /, numpy
+    arrays of bases included.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     base = _coerce_base(base)
     ns, ds = _shifted(r, base)
-    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
-    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
-    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
     zero = ds[0] * 0
     one = zero + 1
-    c1, c2 = [zero] * (order + 1), [zero] * (order + 1)
-    e1, e2 = [zero] * (order + 1), [zero] * (order + 1)
-    c1[0] = c2[1] = one
-    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
-    # since e_0 = e_1 = 0
-    for j in range(2, order + 1):
-        s1 = s2 = zero
-        for i, d in d_terms:
-            if i > j - 2:
-                break
-            s1 += d * e1[j - i]
-            s2 += d * e2[j - i]
-        for i, n in n_terms:
-            if i > j - 2:
-                break
-            s1 += n * c1[j - 2 - i]
-            s2 += n * c2[j - 2 - i]
-        e1[j], e2[j] = -s1, -s2
-        c1[j], c2[j] = -s1 / (j * (j - 1)), -s2 / (j * (j - 1))
-    return PowerSeries(base, c1), PowerSeries(base, c2)
+    return (
+        PowerSeries(base, _solve_recurrence(ns, ds, order, one, zero)),
+        PowerSeries(base, _solve_recurrence(ns, ds, order, zero, one)),
+    )
 
 
 def schwarz_map(r: RatFunc, base: BasePoint, order: int) -> PowerSeries:

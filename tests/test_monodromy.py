@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -12,19 +13,91 @@ from schwarztri.monodromy import (
     InconclusiveError,
     LoopSpec,
     MonodromyRep,
+    _MIN_STEP,
+    _POLE_CLEARANCE,
+    _STEP_FACTOR,
     _TAYLOR_ORDER,
+    _step_plan,
     _taylor_step,
     classify_projective,
     continue_solution,
     monodromy,
 )
 from schwarztri.rational import RatFunc
-from schwarztri.series import series_solve_linear
+from schwarztri.series import poles, series_solve_linear
 from schwarztri.triangle import AngleParams, build_r
 
 
 def params(a, b, c):
     return AngleParams(F(a), F(b), F(c))
+
+
+# -- reference: the per-step continuation that the batched one replaced, kept
+# word for word but for the names
+
+
+def _reference_taylor_step(r: RatFunc, z: complex, h: complex) -> np.ndarray:
+    columns = []
+    for s in series_solve_linear(r, z, _TAYLOR_ORDER + 2):
+        value = slope = 0j
+        for c in reversed(s.coefficients):
+            slope = slope * h + value
+            value = value * h + c
+        columns.append((value, slope))
+    return np.array(columns).T
+
+
+def _reference_continue_solution(r, path):
+    pole_list = poles(r)
+    transfer = np.eye(2, dtype=complex)
+    for a, b in zip(path, path[1:]):
+        a, b = complex(a), complex(b)
+        seg = b - a
+        length = abs(seg)
+        if length == 0:
+            continue
+        direction = seg / length
+        s = 0.0
+        while s < length:
+            z = a + direction * s
+            dist = min((abs(p - z) for p in pole_list), default=math.inf)
+            if dist < _POLE_CLEARANCE:
+                raise RuntimeError(f"path passes within {_POLE_CLEARANCE} of a pole near {z}")
+            h = min(length - s, dist * _STEP_FACTOR, 0.5)
+            if h < _MIN_STEP:
+                raise RuntimeError(
+                    f"step size underflow at {z}: path passes too close to a pole"
+                )
+            transfer = _reference_taylor_step(r, z, direction * h) @ transfer
+            s += h
+    return transfer
+
+
+def _non_resonant_triples(seed: int, count: int) -> list[AngleParams]:
+    """Seeded triples of exponent differences p/q with q in 2..5 and
+    |p/q| <= 6, none an integer."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        values = []
+        for _ in range(3):
+            q = rng.randint(2, 5)
+            values.append(F(rng.randint(-6 * q, 6 * q), q))
+        if all(v.denominator > 1 for v in values):
+            out.append(AngleParams(*values))
+    return out
+
+
+def _conditioning(r: RatFunc, path) -> float:
+    """max_k |T_k|^2 over the partial transfers T_k along the path (max-abs
+    norm).  T_k is unimodular, so |T_k^-1| = |T_k|: a relative rounding
+    error made at step k reaches the end of the path amplified by up to
+    |T_k| |T_k^-1| = |T_k|^2."""
+    transfer, worst = np.eye(2, dtype=complex), 1.0
+    for m in _taylor_step(r, *_step_plan(r, path)):
+        transfer = m @ transfer
+        worst = max(worst, float(np.max(np.abs(transfer))) ** 2)
+    return worst
 
 
 class TestLoopSpec:
@@ -77,6 +150,50 @@ class TestContinuation:
             assert np.max(np.abs(m - expected)) <= 1e-14 * np.max(np.abs(expected)), (z, h)
             assert abs(np.linalg.det(m) - 1) < 1e-13, (z, h)
 
+    def test_batched_steps_match_scalar_steps(self):
+        # one array call gives the stack of the scalar calls' matrices
+        r = build_r(params("1/2", "1/3", "1/7"))
+        zs, hs = _step_plan(r, LoopSpec(center=1 + 0j).polyline())
+        zs = np.concatenate([zs, [0.5, 0.5, 0.25, 0.7 - 0.2j]])
+        hs = np.concatenate([hs, [0.1, 0.125j, -0.0875, 0.05 + 0.05j]])
+        stack = _taylor_step(r, zs, hs)
+        assert stack.shape == (len(zs), 2, 2)
+        for z, h, m in zip(zs, hs, stack):
+            single = _taylor_step(r, z, h)
+            assert single.shape == (2, 2)
+            assert np.max(np.abs(m - single)) <= 1e-14 * np.max(np.abs(single)), (z, h)
+
+    def test_batched_continuation_matches_per_step_reference(self):
+        # the batched continuation against the per-step one it replaced, on
+        # the default loops and on radius-0.125 loops.  The two round
+        # differently (numpy's complex multiply and divide round otherwise
+        # than Python's), so they are compared relative to the path's
+        # conditioning, at least 1: 1e-13 of it is 1e-11 on paths whose
+        # partial transfers stay below 10 in size, and the two agree to
+        # 3.4e-16 of it on these triples
+        for p in _non_resonant_triples(seed=9, count=24):
+            r = build_r(p)
+            for radius in (0.25, 0.125):
+                for center in (0j, 1 + 0j):
+                    path = LoopSpec(center=center, radius=radius).polyline()
+                    expected = _reference_continue_solution(r, path)
+                    got = continue_solution(r, path)
+                    rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+                    assert rel <= 1e-13 * _conditioning(r, path), (p, radius, center, rel)
+
+    def test_step_rounding_short_of_segment_end(self):
+        # 0.35 * 0.2 falls one ulp short of the segment's length 0.07: the
+        # remainder, far below the smallest step, is taken by the last step
+        r = build_r(params("1/2", "1/3", "1/7"))
+        zs, hs = _step_plan(r, [0.2 + 0j, 0.27 + 0j])
+        assert zs[-1] + hs[-1] == 0.27
+        m = continue_solution(r, [0.2 + 0j, 0.27 + 0j])
+        psi1, psi2 = series_solve_linear(r, 0.2 + 0j, 40)
+        expected = np.array(
+            [[psi1(0.27), psi2(0.27)], [psi1.derivative()(0.27), psi2.derivative()(0.27)]]
+        )
+        assert np.max(np.abs(m - expected)) < 1e-11
+
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))
         with pytest.raises(RuntimeError):
@@ -122,6 +239,20 @@ class TestMonodromy:
         )
         assert np.max(np.abs(rep1.m0 - rep2.m0)) < 1e-8
         assert np.max(np.abs(rep1.m1 - rep2.m1)) < 1e-8
+
+    def test_loops_with_rounding_short_of_nodes(self):
+        # on radius-0.325 loops a step rounds one ulp short of a node; the
+        # trace law holds as on the default loops
+        p = params("1/2", "1/3", "1/7")
+        rep = monodromy(
+            p,
+            loop0=LoopSpec(center=0j, radius=0.325),
+            loop1=LoopSpec(center=1 + 0j, radius=0.325),
+        )
+        default = monodromy(p)
+        assert np.max(np.abs(rep.m0 - default.m0)) < 1e-8
+        assert np.max(np.abs(rep.m1 - default.m1)) < 1e-8
+        assert rep.estimated_error < 1e-12
 
     def test_record_round_trip(self):
         rec = monodromy(params("1/2", "1/2", "1/2")).to_record()
