@@ -170,7 +170,7 @@ class TestContinuation:
         # than Python's), so they are compared relative to the path's
         # conditioning, at least 1: 1e-13 of it is 1e-11 on paths whose
         # partial transfers stay below 10 in size, and the two agree to
-        # 3.4e-16 of it on these triples
+        # 7e-16 of it on these triples (plain relative: up to 9e-11)
         for p in _non_resonant_triples(seed=9, count=24):
             r = build_r(p)
             for radius in (0.25, 0.125):
