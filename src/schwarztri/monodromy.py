@@ -53,8 +53,8 @@ _IDENTITY = np.eye(2, dtype=complex)
 # continuation: the Taylor order through which the equation coefficient
 # enters the series pair at each step center (the pair itself has order
 # _TAYLOR_ORDER + 2), the step as a fraction of the distance to the nearest
-# pole, and the smallest step and pole distance before the path counts as
-# hitting a pole
+# pole, the smallest remainder a step may leave of its segment, and the
+# pole distance below which the path counts as hitting a pole
 _TAYLOR_ORDER = 36
 _STEP_FACTOR = 0.35
 _MIN_STEP = 1e-12
@@ -121,9 +121,10 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
     """Step centers and steps along a polyline, in order.  Each step is
     ``_STEP_FACTOR`` times the distance to the nearest pole of ``r``, at
     most 1/2 and at most what is left of the segment; a step that would
-    leave less than ``_MIN_STEP`` runs to the segment's end node instead.
-    Raises when the path comes within ``_POLE_CLEARANCE`` of a pole or a
-    step falls below ``_MIN_STEP``."""
+    leave less than ``_MIN_STEP`` runs to the segment's end node instead,
+    so a segment shorter than that is one step.  Raises RuntimeError when
+    the path comes within ``_POLE_CLEARANCE`` of a pole, and ValueError on
+    a node that is not finite."""
     pole_list = poles(r)
     zs: list[complex] = []
     hs: list[complex] = []
@@ -131,6 +132,8 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
         a, b = complex(a), complex(b)
         seg = b - a
         length = abs(seg)
+        if not math.isfinite(length):
+            raise ValueError(f"path node is not finite: {a} -> {b}")
         if length == 0:
             continue
         direction = seg / length
@@ -141,10 +144,6 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
             if dist < _POLE_CLEARANCE:
                 raise RuntimeError(f"path passes within {_POLE_CLEARANCE} of a pole near {z}")
             h = min(length - s, dist * _STEP_FACTOR, 0.5)
-            if h < _MIN_STEP:
-                raise RuntimeError(
-                    f"step size underflow at {z}: path passes too close to a pole"
-                )
             zs.append(z)
             # s + h can round short of the length, leaving a remainder that
             # no step could take
@@ -166,8 +165,9 @@ def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
     and the poles, never on the solution, so the whole plan is known before
     any series is solved.  Then one batched ``_taylor_step`` call solves the
     series at all step centers at once, and the transfer is the ordered
-    product of its matrices.  Raises when the path comes within
-    ``_POLE_CLEARANCE`` of a pole or a step falls below ``_MIN_STEP``.
+    product of its matrices.  Raises RuntimeError when the path comes
+    within ``_POLE_CLEARANCE`` of a pole, and ValueError on a node that is
+    not finite.
     """
     transfer = _IDENTITY.copy()
     for m in _taylor_step(r, *_step_plan(r, path)):

@@ -8,7 +8,11 @@ the pullback construction.
 
 Coefficient arithmetic is generic: an exact rational base point with an exact
 rational equation produces Fraction coefficients, a floating base produces
-complex ones.  Residual reports always evaluate in complex arithmetic.
+complex ones.  Residual reports always evaluate in complex arithmetic.  All
+series arithmetic rests on one truncated product (``_mul``) and one division
+(``_divide``, the recurrence of out * b = a); reversion and composition are
+sums over the powers W^k = W^(k-1) W of a series W (Knuth, TAOCP vol. 2,
+section 4.7).
 
 The linear solver clears the denominator of R = N/D and runs the recurrence
 of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
@@ -48,6 +52,35 @@ def _coerce_base(base: BasePoint):
     return complex(base)
 
 
+def _mul(a: Sequence, b: Sequence) -> list:
+    """The truncated product of two coefficient sequences, min(len(a), len(b)) terms."""
+    n = min(len(a), len(b))
+    out = [a[0] * 0 for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _divide(a: Sequence, b: Sequence) -> list:
+    """The len(a) terms of the quotient out = a / b, by the recurrence of
+    out * b = a: out_k = (a_k - sum_{j>=1} b_j out_{k-j}) / b_0.  Missing
+    terms of a short ``b`` (a polynomial) are zero."""
+    b0 = b[0]
+    if b0 == 0:
+        raise ZeroDivisionError("series has a zero constant term")
+    out = []
+    for k in range(len(a)):
+        acc = a[k]
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b0)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
     """Truncated series sum c_k (x - base_point)^k with len(coefficients) terms."""
@@ -84,11 +117,8 @@ class PowerSeries:
     def __add__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             self._check_base(other)
-            n = min(len(self.coefficients), len(other.coefficients))
-            return PowerSeries(
-                self.base_point,
-                [self.coefficients[i] + other.coefficients[i] for i in range(n)],
-            )
+            pairs = zip(self.coefficients, other.coefficients)
+            return PowerSeries(self.base_point, [a + b for a, b in pairs])
         cs = list(self.coefficients)
         cs[0] = cs[0] + other
         return PowerSeries(self.base_point, cs)
@@ -108,38 +138,18 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return PowerSeries(self.base_point, [c * other for c in self.coefficients])
         self._check_base(other)
-        n = min(len(self.coefficients), len(other.coefficients))
-        a, b = self.coefficients, other.coefficients
-        out = [self.coefficients[0] * 0 for _ in range(n)]
-        for i in range(n):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                out[i + j] += ai * b[j]
-        return PowerSeries(self.base_point, out)
+        return PowerSeries(self.base_point, _mul(self.coefficients, other.coefficients))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "PowerSeries":
-        c0 = self.coefficients[0]
-        if c0 == 0:
-            raise ZeroDivisionError("series has a zero constant term")
-        n = len(self.coefficients)
-        out = [self.coefficients[0] * 0 for _ in range(n)]
-        out[0] = 1 / c0
-        for k in range(1, n):
-            acc = out[0] * 0
-            for j in range(1, k + 1):
-                acc += self.coefficients[j] * out[k - j]
-            out[k] = -acc / c0
-        return PowerSeries(self.base_point, out)
+        return (self * 0 + 1) / self
 
     def __truediv__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             self._check_base(other)
             n = min(len(self.coefficients), len(other.coefficients))
-            return self.truncate(n - 1) * other.truncate(n - 1).reciprocal()
+            return PowerSeries(self.base_point, _divide(self.coefficients[:n], other.coefficients))
         return PowerSeries(self.base_point, [c / other for c in self.coefficients])
 
     def derivative(self) -> "PowerSeries":
@@ -197,21 +207,14 @@ def _shifted(f: RatFunc, base) -> tuple[list, list]:
 def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
     """Taylor coefficients of ``f`` at ``base`` through the given order.
 
-    Exact Fraction coefficients when ``base`` is exact, complex otherwise.
-    Raises ZeroDivisionError when ``base`` is a pole.
+    Exact Fraction coefficients when ``base`` is exact, complex otherwise:
+    the one division ``_divide`` of the shifted numerator by the shifted
+    denominator.  Raises ZeroDivisionError when ``base`` is a pole.
     """
     base = _coerce_base(base)
     ns, ds = _shifted(f, base)
-    zero = ds[0] * 0
-    ns = ns + [zero] * (order + 1 - len(ns))
-    out = [zero] * (order + 1)
-    for k in range(order + 1):
-        acc = ns[k]
-        # out * ds = ns: only the terms up to the denominator's degree
-        for j in range(1, min(k, len(ds) - 1) + 1):
-            acc -= ds[j] * out[k - j]
-        out[k] = acc / ds[0]
-    return out
+    ns = (ns + [ds[0] * 0] * (order + 1))[: order + 1]
+    return _divide(ns, ds)
 
 
 def ratfunc_series(f: RatFunc, base: BasePoint, order: int) -> PowerSeries:
@@ -338,38 +341,27 @@ def series_schwarzian(t: PowerSeries) -> PowerSeries:
 
 def series_invert(t: PowerSeries) -> PowerSeries:
     """Formal compositional inverse J with J(t(base)) = base and J∘t = id
-    through the truncation order."""
+    through the truncation order: with W = t - t(base), sum_k d_k W^k =
+    x - base over the powers W^k = W^(k-1) W, each d_k cancelling the x^k
+    term of the running sum sum_{j<k} d_j W^j (W^k starts at x^k)."""
     c = t.coefficients
     if len(c) < 2 or c[1] == 0:
         raise ZeroDivisionError("series has vanishing first derivative; not invertible")
-    n = t.truncation_order
     zero = c[0] * 0
     w = [zero] + list(c[1:])
-    # triangular solve of sum_k d_k W^k = (x - base) against the powers of W
-    powers = [None, w]
-    for j in range(2, n + 1):
-        prev = powers[j - 1]
-        nxt = [zero] * (n + 1)
-        for i in range(j - 1, n + 1):
-            pi = prev[i]
-            if pi == 0:
-                continue
-            for k in range(1, n + 1 - i):
-                nxt[i + k] += pi * w[k]
-        powers.append(nxt)
-    d = [zero] * (n + 1)
-    d[1] = 1 / c[1]
-    for m in range(2, n + 1):
-        acc = zero
-        for j in range(1, m):
-            acc += d[j] * powers[j][m]
-        d[m] = -acc / powers[m][m]
-    coeffs = [t.base_point] + d[1:]
-    return PowerSeries(c[0], coeffs)
+    d = [t.base_point, 1 / c[1]]
+    total, power = [zero] + [d[1] * x for x in w[1:]], w
+    for k in range(2, len(c)):
+        power = _mul(power, w)
+        d.append(-total[k] / power[k])
+        total = [s + d[k] * p for s, p in zip(total, power)]
+    return PowerSeries(c[0], d)
 
 
 def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """outer∘inner; the inner constant term must sit at the outer base point."""
+    """outer∘inner; the inner constant term must sit at the outer base point.
+    The sum of c_k W^k over the powers W^k = W^(k-1) W of W = inner - base,
+    without the outer trailing exact zeros (a polynomial costs its degree)."""
     shift = inner.coefficients[0] - outer.base_point
     if _is_exact(inner.base_point) and _is_exact(outer.base_point):
         if shift != 0:
@@ -377,11 +369,16 @@ def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     elif abs(complex(shift)) > 1e-9 * (1.0 + abs(complex(outer.base_point))):
         raise ValueError("inner series does not map its base to the outer base point")
     n = min(outer.truncation_order, inner.truncation_order)
-    w = PowerSeries(inner.base_point, [shift] + list(inner.coefficients[1 : n + 1]))
-    acc = PowerSeries(inner.base_point, [outer.coefficients[n]] + [shift * 0] * n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * w + outer.coefficients[k]
-    return acc
+    zero = shift * 0
+    w = [shift] + list(inner.coefficients[1 : n + 1])
+    cs = list(outer.coefficients[: n + 1])
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    total, power = [cs[0] + zero] + [zero] * n, [zero + 1] + [zero] * n
+    for ck in cs[1:]:
+        power = _mul(power, w)
+        total = [s + ck * p for s, p in zip(total, power)]
+    return PowerSeries(inner.base_point, total)
 
 
 # -- residual reports --------------------------------------------------------
@@ -467,13 +464,15 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
 
     Builds J2 from the pullback of ``r`` along ``phi``, forms J1 = phi∘J2 by
     series composition, and measures S(J1) + (J1')^2 r(J1) near t = 0.
+    Raises ValueError when phi' vanishes at the base point as given (exactly
+    for an exact base).
     """
     dphi = phi.derivative()
     if dphi.is_zero:
         raise ValueError("pullback along a constant map")
-    b = complex(base)
-    if abs(dphi(b)) < 1e-12:
+    if dphi(base) == 0:
         raise ValueError("phi is ramified at the base point; J1 is not invertible there")
+    b = complex(base)
     r_phi = schwarz_pullback(r, phi)
     j2 = series_invert(schwarz_map(r_phi, b, order))
     j1 = series_compose(ratfunc_series(phi, b, order), j2)

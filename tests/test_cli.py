@@ -137,6 +137,23 @@ class TestVerify:
         assert code == 0
         assert last_json(out)["result"]["passed"] is True
 
+    @pytest.mark.parametrize("phi", ["2^-40*y", "2^-60*y+1/3"])
+    def test_pullback_along_small_affine_map(self, capsys, phi):
+        # an affine phi is ramified nowhere, however small its slope
+        code, out, _ = run(
+            capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7",
+            "--phi", phi, "--tol", "1e-8",
+        )
+        assert code == 0
+        assert last_json(out)["result"]["passed"] is True
+
+    def test_pullback_ramified_at_base(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7",
+            "--phi", "(y-1/2)^2",
+        )
+        assert code == 2 and "ramified" in err
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7",

@@ -194,6 +194,22 @@ class TestContinuation:
         )
         assert np.max(np.abs(m - expected)) < 1e-11
 
+    def test_segment_shorter_than_min_step(self):
+        # far from any pole, a segment shorter than _MIN_STEP is one step
+        r = build_r(params("1/2", "1/3", "1/7"))
+        m = continue_solution(r, [0.5 + 0j, 0.5 + 1e-13])
+        assert np.max(np.abs(m - np.eye(2))) < 1e-12
+        m = continue_solution(r, [0.5 + 0j, 0.5 + 5e-13, 0.7 + 0j])
+        expected = continue_solution(r, [0.5 + 0j, 0.7 + 0j])
+        assert np.max(np.abs(m - expected)) < 1e-12 * np.max(np.abs(expected))
+
+    def test_non_finite_node_rejected(self):
+        r = build_r(params("1/2", "1/3", "1/7"))
+        with pytest.raises(ValueError):
+            continue_solution(r, [0.5 + 0j, complex("nan")])
+        with pytest.raises(ValueError):
+            monodromy(params("1/2", "1/3", "1/7"), loop0=LoopSpec(center=complex("inf")))
+
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))
         with pytest.raises(RuntimeError):

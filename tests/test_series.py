@@ -9,6 +9,8 @@ import pytest
 from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
 from schwarztri.series import (
     PowerSeries,
+    _coerce_base,
+    _shifted,
     ratfunc_series,
     residual_inverse,
     residual_principal,
@@ -323,3 +325,200 @@ class TestPullback:
         rec = verify_pullback(R_CUSP, Y * Y, F(1, 2), 20).to_record()
         assert set(rec) == {"sample_points", "max_abs_residual", "truncation_order"}
         assert len(rec["sample_points"]) == 16
+
+
+# -- the series kernels against the earlier loops ------------------------------
+#
+# Each product, division, reversion and composition had a loop of its own
+# before they were written over one product (``_mul``) and one division
+# (``_divide``); those loops, kept word for word, are the references here.
+
+
+def reference_mul(self, other) -> "PowerSeries":
+    if not isinstance(other, PowerSeries):
+        return PowerSeries(self.base_point, [c * other for c in self.coefficients])
+    self._check_base(other)
+    n = min(len(self.coefficients), len(other.coefficients))
+    a, b = self.coefficients, other.coefficients
+    out = [self.coefficients[0] * 0 for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] += ai * b[j]
+    return PowerSeries(self.base_point, out)
+
+
+def reference_reciprocal(self) -> "PowerSeries":
+    c0 = self.coefficients[0]
+    if c0 == 0:
+        raise ZeroDivisionError("series has a zero constant term")
+    n = len(self.coefficients)
+    out = [self.coefficients[0] * 0 for _ in range(n)]
+    out[0] = 1 / c0
+    for k in range(1, n):
+        acc = out[0] * 0
+        for j in range(1, k + 1):
+            acc += self.coefficients[j] * out[k - j]
+        out[k] = -acc / c0
+    return PowerSeries(self.base_point, out)
+
+
+def reference_truediv(self, other) -> "PowerSeries":
+    if isinstance(other, PowerSeries):
+        self._check_base(other)
+        n = min(len(self.coefficients), len(other.coefficients))
+        return reference_mul(self.truncate(n - 1), reference_reciprocal(other.truncate(n - 1)))
+    return PowerSeries(self.base_point, [c / other for c in self.coefficients])
+
+
+def reference_taylor_coefficients(f: RatFunc, base, order: int) -> list:
+    base = _coerce_base(base)
+    ns, ds = _shifted(f, base)
+    zero = ds[0] * 0
+    ns = ns + [zero] * (order + 1 - len(ns))
+    out = [zero] * (order + 1)
+    for k in range(order + 1):
+        acc = ns[k]
+        # out * ds = ns: only the terms up to the denominator's degree
+        for j in range(1, min(k, len(ds) - 1) + 1):
+            acc -= ds[j] * out[k - j]
+        out[k] = acc / ds[0]
+    return out
+
+
+def reference_series_invert(t: PowerSeries) -> PowerSeries:
+    c = t.coefficients
+    if len(c) < 2 or c[1] == 0:
+        raise ZeroDivisionError("series has vanishing first derivative; not invertible")
+    n = t.truncation_order
+    zero = c[0] * 0
+    w = [zero] + list(c[1:])
+    # triangular solve of sum_k d_k W^k = (x - base) against the powers of W
+    powers = [None, w]
+    for j in range(2, n + 1):
+        prev = powers[j - 1]
+        nxt = [zero] * (n + 1)
+        for i in range(j - 1, n + 1):
+            pi = prev[i]
+            if pi == 0:
+                continue
+            for k in range(1, n + 1 - i):
+                nxt[i + k] += pi * w[k]
+        powers.append(nxt)
+    d = [zero] * (n + 1)
+    d[1] = 1 / c[1]
+    for m in range(2, n + 1):
+        acc = zero
+        for j in range(1, m):
+            acc += d[j] * powers[j][m]
+        d[m] = -acc / powers[m][m]
+    coeffs = [t.base_point] + d[1:]
+    return PowerSeries(c[0], coeffs)
+
+
+def reference_series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    shift = inner.coefficients[0] - outer.base_point
+    if isinstance(inner.base_point, F) and isinstance(outer.base_point, F):
+        if shift != 0:
+            raise ValueError("inner series does not map its base to the outer base point")
+    elif abs(complex(shift)) > 1e-9 * (1.0 + abs(complex(outer.base_point))):
+        raise ValueError("inner series does not map its base to the outer base point")
+    n = min(outer.truncation_order, inner.truncation_order)
+    w = PowerSeries(inner.base_point, [shift] + list(inner.coefficients[1 : n + 1]))
+    acc = PowerSeries(inner.base_point, [outer.coefficients[n]] + [shift * 0] * n)
+    for k in range(n - 1, -1, -1):
+        acc = reference_mul(acc, w) + outer.coefficients[k]
+    return acc
+
+
+def rand_triple(rng) -> AngleParams:
+    """Exponent differences p/q in (0, 1) with q <= 9."""
+    return AngleParams(*(F(rng.randint(1, q - 1), q) for q in (rng.randint(2, 9) for _ in range(3))))
+
+
+def assert_close(new: PowerSeries, old: PowerSeries, rel: float = 1e-12):
+    """Equal lengths and base points, every coefficient within ``rel`` times
+    the largest coefficient of ``old``."""
+    assert new.base_point == old.base_point
+    assert len(new.coefficients) == len(old.coefficients)
+    scale = max(abs(c) for c in old.coefficients)
+    assert all(abs(x - y) <= rel * scale for x, y in zip(new.coefficients, old.coefficients))
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_series_ops(self, seed):
+        rng = random.Random(200 + seed)
+
+        def rand_series(n, base):
+            return PowerSeries(base, [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)])
+
+        for order in range(6, 17):
+            base = F(rng.randint(-3, 3), rng.randint(1, 3))
+            a, b = rand_series(order + 1, base), rand_series(rng.randint(order - 3, order + 3), base)
+            b = b + (1 if b.coefficients[0] == 0 else 0)
+            assert a * b == reference_mul(a, b)
+            assert a / b == reference_truediv(a, b)
+            assert b.reciprocal() == reference_reciprocal(b)
+            t = a - a.coefficients[0] + rng.randint(-2, 2)
+            if t.coefficients[1] != 0:
+                assert series_invert(t) == reference_series_invert(t)
+            inner = PowerSeries(F(0), [base] + list(rand_series(order, base).coefficients[1:]))
+            assert series_compose(a, inner) == reference_series_compose(a, inner)
+            # trailing zeros of the outer series are dropped before summing
+            poly = PowerSeries(base, list(a.coefficients[:3]) + [F(0)] * (order - 2))
+            assert series_compose(poly, inner) == reference_series_compose(poly, inner)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_exact_schwarz_maps(self, seed):
+        rng = random.Random(300 + seed)
+        for r in reference_equations(seed, 3):
+            base = F(rng.randint(1, 9), 10)
+            while r.den(base) == 0:
+                base += F(1, 7)
+            order = rng.randint(6, 12)
+            assert taylor_coefficients(r, base, order) == reference_taylor_coefficients(r, base, order)
+            t = schwarz_map(r, base, order)
+            j = series_invert(t)
+            assert j == reference_series_invert(t)
+            assert series_compose(j, t) == reference_series_compose(j, t)
+            outer = ratfunc_series(3 * Y * Y - 2 * Y * Y * Y, base, order)
+            assert series_compose(outer, j) == reference_series_compose(outer, j)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complex_schwarz_maps(self, seed):
+        # identical inputs: *, reciprocal, series_invert and
+        # taylor_coefficients round as before; / and series_compose sum in
+        # another order.  The outer series of a composition is a map phi's,
+        # as in verify_pullback: J∘t itself cancels terms some 1e6 times
+        # larger than its coefficients.
+        rng = random.Random(400 + seed)
+        for _ in range(8):
+            r = build_r(rand_triple(rng))
+            z = complex(0.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+            psi1, psi2 = series_solve_linear(r, z, 24)
+            t = schwarz_map(r, z, 24)
+            assert taylor_coefficients(r, z, 24) == reference_taylor_coefficients(r, z, 24)
+            assert psi1 * psi2 == reference_mul(psi1, psi2)
+            assert t * t.derivative() == reference_mul(t, t.derivative())
+            j = series_invert(t)
+            assert j == reference_series_invert(t)
+            assert_close(psi2 / psi1, reference_truediv(psi2, psi1))
+            assert_close(t.derivative() / psi1, reference_truediv(t.derivative(), psi1))
+            assert psi1.reciprocal() == reference_reciprocal(psi1)
+            for phi in ((2 * Y + 1) / (Y + 3), Y * Y * Y):
+                outer = ratfunc_series(phi, z, 24)
+                assert_close(series_compose(outer, j), reference_series_compose(outer, j))
+            # a floating shift inside the tolerance of 1e-9
+            shifted = PowerSeries(j.base_point, [z + 3e-10] + list(j.coefficients[1:]))
+            assert_close(series_compose(outer, shifted), reference_series_compose(outer, shifted))
+
+    def test_shift_beyond_tolerance_rejected(self):
+        t = schwarz_map(R_HURWITZ, 0.5 + 0j, 10)
+        j = series_invert(t)
+        outer = ratfunc_series(Y * Y, 0.5 + 0j, 10)
+        inner = PowerSeries(j.base_point, [0.5 + 1e-8] + list(j.coefficients[1:]))
+        with pytest.raises(ValueError):
+            series_compose(outer, inner)
