@@ -18,8 +18,16 @@ every step center and step is known before any series is solved.  Then one
 batched solve: the recurrence of the cleared equation that
 ``series_solve_linear`` runs (O(order * deg) operations a step) runs once on
 arrays over all step centers, and one Horner pass gives each value and
-derivative at the end of its step.  Results are deterministic for fixed
-inputs.
+derivative at the end of its step.
+
+The batch also runs across equations.  Equations whose r has the same
+reduced denominator have the same poles, so they share one step plan a loop:
+every triangle equation with exponent differences in (0, 1) has the
+denominator 2 y^2 (y - 1)^2.  ``monodromy`` of a sequence of parameters
+groups them by that denominator, and ``continue_solution`` solves a group
+in chunks of equations, one array axis over the equations; only the
+numerators are shifted per equation.  Each equation's matrices are bit for
+bit those it gets alone.  Results are deterministic for fixed inputs.
 
 The classification uses the SL2 trace coordinates of the loop matrices a0,
 a1 scaled to unit determinant (Goldman, arXiv:0901.1404): x = tr a0,
@@ -45,7 +53,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import RatFunc
-from .series import _shifted, _solve_recurrence, poles
+from .series import _shift_coeffs, _solve_recurrence, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -59,6 +67,10 @@ _TAYLOR_ORDER = 36
 _STEP_FACTOR = 0.35
 _MIN_STEP = 1e-12
 _POLE_CLEARANCE = 1e-6
+# equations a batched ``_taylor_step`` call solves at once: the recurrence
+# holds about 80 arrays of (equations x steps x 2) complex entries, so this
+# bounds its memory
+_CHUNK = 12
 
 # polyline nodes on a loop circle, before the closing node
 _LOOP_STEPS = 16
@@ -94,19 +106,35 @@ class LoopSpec:
         return [base] + circle + [base]
 
 
-def _taylor_step(r: RatFunc, z, h) -> np.ndarray:
+def _taylor_step(r: RatFunc | Sequence[RatFunc], z, h) -> np.ndarray:
     """Transfer matrices of the fundamental pair across steps from ``z`` to
     ``z + h``: the values and derivatives at ``z + h`` of the series pair
     with initial data (1, 0) and (0, 1) at ``z``.  Scalar ``z`` and ``h``
     give one 2x2 matrix; arrays of shape (steps,) give a (steps, 2, 2) stack
     from one run of the series recurrence over all step centers, each value
-    and derivative from one Horner pass in ``h``."""
-    # a trailing axis of length 2 runs the pair side by side; every operand
-    # gets the full shape, as broadcasting costs numpy more than the arithmetic
-    pair = np.zeros(2)
-    z = np.asarray(z, dtype=complex)[..., None] + pair
-    h = np.asarray(h, dtype=complex)[..., None] + pair
-    ns, ds = _shifted(r, z)
+    and derivative from one Horner pass in ``h``.  ``r`` is one RatFunc, or
+    a sequence of T RatFuncs with one reduced denominator, which adds a
+    leading axis of length T: the denominator is shifted once, and each
+    numerator is shifted at the shared step centers."""
+    rs = [r] if isinstance(r, RatFunc) else r
+    # a trailing axis of length 2 runs the pair side by side, a leading one
+    # the equations; every operand gets the full shape, as broadcasting
+    # costs numpy more than the arithmetic
+    z = np.asarray(z, dtype=complex)
+    shape = (len(rs),) + z.shape + (2,)
+    z = z[..., None] + np.zeros(shape)
+    h = np.asarray(h, dtype=complex)[..., None] + np.zeros(shape)
+    # the numerators' coefficients, padded with zeros to one length, each a
+    # column over the equations
+    width = max(len(f.num.coeffs) for f in rs)
+    num = np.zeros((width, len(rs)) + (1,) * (z.ndim - 1), dtype=complex)
+    for k, f in enumerate(rs):
+        for i, c in enumerate(f.num.coeffs):
+            num[i, k] = c.numerator / c.denominator
+    den = [complex(c.numerator / c.denominator) for c in rs[0].den.coeffs]
+    ns, ds = _shift_coeffs(list(num), z), _shift_coeffs(den, z)
+    if np.any(ds[0] == 0):
+        raise ZeroDivisionError("a step center is a pole")
     coefficients = _solve_recurrence(
         ns, ds, _TAYLOR_ORDER + 2, z * 0 + [1, 0], z * 0 + [0, 1]
     )
@@ -114,7 +142,8 @@ def _taylor_step(r: RatFunc, z, h) -> np.ndarray:
     for c in reversed(coefficients):
         slope = slope * h + value
         value = value * h + c
-    return np.stack([value, slope], axis=-2)
+    stack = np.stack([value, slope], axis=-2)
+    return stack[0] if isinstance(r, RatFunc) else stack
 
 
 def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
@@ -155,24 +184,40 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
     return np.array(zs, dtype=complex), np.array(hs, dtype=complex)
 
 
-def continue_solution(r: RatFunc, path: Sequence[complex]) -> np.ndarray:
+def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:
     """Transport the fundamental pair along a polyline; returns the matrix
-    expressing the continued pair in the starting basis.
+    expressing the continued pair in the starting basis.  ``r`` is one
+    RatFunc, or a sequence of T RatFuncs with one reduced denominator, for
+    which the result is a (T, 2, 2) stack, one matrix an equation.
 
     Two phases.  First the step plan (``_step_plan``): every step center
     and step, each step ``_STEP_FACTOR`` times the distance to the nearest
-    pole of ``r``, at most 1/2.  The step lengths depend only on the path
-    and the poles, never on the solution, so the whole plan is known before
-    any series is solved.  Then one batched ``_taylor_step`` call solves the
-    series at all step centers at once, and the transfer is the ordered
-    product of its matrices.  Raises RuntimeError when the path comes
-    within ``_POLE_CLEARANCE`` of a pole, and ValueError on a node that is
-    not finite.
+    pole, at most 1/2.  The step lengths depend only on the path and the
+    poles, never on the solution, so the whole plan is known before any
+    series is solved, and equations that share their denominator share it.
+    Then, for each chunk of ``_CHUNK`` equations, one batched
+    ``_taylor_step`` call solves the series at all step centers at once,
+    and each transfer is the ordered product of its matrices, taken for the
+    whole chunk by one batched matmul a step.  Raises ValueError on mixed
+    denominators and on a node that is not finite, and RuntimeError when
+    the path comes within ``_POLE_CLEARANCE`` of a pole.
     """
-    transfer = _IDENTITY.copy()
-    for m in _taylor_step(r, *_step_plan(r, path)):
-        transfer = m @ transfer
-    return transfer
+    rs = [r] if isinstance(r, RatFunc) else list(r)
+    if any(f.den != rs[0].den for f in rs):
+        raise ValueError("continue_solution needs one reduced denominator for all equations")
+    if not rs:
+        return np.zeros((0, 2, 2), dtype=complex)
+    zs, hs = _step_plan(rs[0], path)
+    transfers = []
+    for start in range(0, len(rs), _CHUNK):
+        chunk = rs[start : start + _CHUNK]
+        transfer = np.broadcast_to(_IDENTITY, (len(chunk), 2, 2))
+        # step by step, each step's matrices of the whole chunk at once
+        for m in _taylor_step(chunk, zs, hs).swapaxes(0, 1):
+            transfer = m @ transfer
+        transfers.append(transfer)
+    stack = np.concatenate(transfers)
+    return stack[0] if isinstance(r, RatFunc) else stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,29 +245,45 @@ class MonodromyRep:
 
 
 def monodromy(
-    params: AngleParams,
+    params: AngleParams | Sequence[AngleParams],
     loop0: Optional[LoopSpec] = None,
     loop1: Optional[LoopSpec] = None,
-) -> MonodromyRep:
+) -> MonodromyRep | list[MonodromyRep]:
     """Monodromy matrices of the linearized triangle equation around 0 and 1.
 
-    The loop around infinity is implicitly (M1 M0)^-1 and is not stored.
-    Integer exponent differences flag a resonance warning (possible
-    logarithmic local solutions)."""
-    if params.is_generic:
+    ``params`` is one AngleParams, which gives one MonodromyRep, or a
+    sequence of them, which gives a list in input order.  The equations are
+    grouped by the reduced denominator of r, and each group is continued
+    around each loop in one ``continue_solution`` call.  The loop around
+    infinity is implicitly (M1 M0)^-1 and is not stored.  Integer exponent
+    differences flag a resonance warning (possible logarithmic local
+    solutions)."""
+    ps = [params] if isinstance(params, AngleParams) else list(params)
+    if any(p.is_generic for p in ps):
         raise ValueError("monodromy needs exact rational parameters")
-    r = build_r(params)
+    rs = [build_r(p) for p in ps]
     loop0 = loop0 or LoopSpec(center=0j)
     loop1 = loop1 or LoopSpec(center=1 + 0j)
-    m0 = continue_solution(r, loop0.polyline())
-    m1 = continue_solution(r, loop1.polyline())
-    e = exponent_differences(params)
-    defects = [abs(np.linalg.det(m) - 1.0) for m in (m0, m1)]
-    for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):
-        t, c = np.trace(m), 2 * math.cos(math.pi * x)
-        defects.append(min(abs(t - c), abs(t + c)))
-    resonant = any(x.denominator == 1 for x in e.as_tuple())
-    return MonodromyRep(m0, m1, float(max(defects)), resonant_warning=resonant)
+    groups: dict = {}
+    for i, r in enumerate(rs):
+        groups.setdefault(r.den, []).append(i)
+    loops: list = [None] * len(ps)
+    for group in groups.values():
+        m0s, m1s = (
+            continue_solution([rs[i] for i in group], loop.polyline()) for loop in (loop0, loop1)
+        )
+        for i, m0, m1 in zip(group, m0s, m1s):
+            loops[i] = (m0, m1)
+    reps = []
+    for p, (m0, m1) in zip(ps, loops):
+        e = exponent_differences(p)
+        defects = [abs(np.linalg.det(m) - 1.0) for m in (m0, m1)]
+        for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):
+            t, c = np.trace(m), 2 * math.cos(math.pi * x)
+            defects.append(min(abs(t - c), abs(t + c)))
+        resonant = any(x.denominator == 1 for x in e.as_tuple())
+        reps.append(MonodromyRep(m0, m1, float(max(defects)), resonant_warning=resonant))
+    return reps[0] if isinstance(params, AngleParams) else reps
 
 
 # -- projective classification ------------------------------------------------

@@ -343,18 +343,21 @@ def series_invert(t: PowerSeries) -> PowerSeries:
     """Formal compositional inverse J with J(t(base)) = base and J∘t = id
     through the truncation order: with W = t - t(base), sum_k d_k W^k =
     x - base over the powers W^k = W^(k-1) W, each d_k cancelling the x^k
-    term of the running sum sum_{j<k} d_j W^j (W^k starts at x^k)."""
+    term of the running sum sum_{j<k} d_j W^j.  W^k starts at x^k, so it is
+    kept from that term on, as W^(k-1) / x^(k-1) times W / x, and the
+    running sum is updated only past x^k."""
     c = t.coefficients
     if len(c) < 2 or c[1] == 0:
         raise ZeroDivisionError("series has vanishing first derivative; not invertible")
-    zero = c[0] * 0
-    w = [zero] + list(c[1:])
+    n = len(c)
+    w = list(c[1:])  # W / x
     d = [t.base_point, 1 / c[1]]
-    total, power = [zero] + [d[1] * x for x in w[1:]], w
-    for k in range(2, len(c)):
-        power = _mul(power, w)
-        d.append(-total[k] / power[k])
-        total = [s + d[k] * p for s, p in zip(total, power)]
+    total, power = [c[0] * 0] + [d[1] * x for x in w], w
+    for k in range(2, n):
+        power = _mul(power[: n - k], w)
+        d.append(-total[k] / power[0])
+        for i in range(k + 1, n):
+            total[i] += d[k] * power[i - k]
     return PowerSeries(c[0], d)
 
 

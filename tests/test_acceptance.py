@@ -283,3 +283,33 @@ def test_criterion_9_shifted_exponent_agreement():
         "criterion 9 (oracle agreement, shifted and negative exponents)",
         f"400 cases, all agree; kinds {dict(sorted(kinds.items()))}",
     )
+
+
+def test_criterion_10_batched_oracle_with_cusps_and_integer_exponents():
+    """Exact classifier vs the batched monodromy oracle on all 18,424
+    unordered triples of exponents in [0, 1] with denominators <= 12, cusps
+    (0) and integer exponents (1) included, in one ``monodromy`` call: no
+    disagreements and nothing inconclusive."""
+    values = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
+    triples = list(itertools.combinations_with_replacement(values, 3))
+    assert len(triples) == 18424
+    # exponent differences at 0, 1 and infinity, placed as the sweep places them
+    ps = [AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1) for t0, t1, t2 in triples]
+    disagreements, inconclusive = [], []
+    worst = 0.0
+    for triple, params, rep in zip(triples, ps, monodromy(ps)):
+        worst = max(worst, rep.estimated_error)
+        try:
+            oracle = classify_projective(rep)
+        except InconclusiveError:
+            inconclusive.append(triple)
+            continue
+        integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
+        if integrable == classify(params).strongly_minimal:
+            disagreements.append((triple, oracle.kind))
+    assert not disagreements, disagreements[:5]
+    assert not inconclusive, inconclusive[:5]
+    _report(
+        "criterion 10 (batched oracle agreement, den <= 12 with cusps)",
+        f"{len(triples)} cases, all agree; worst estimated error {worst:.2e}",
+    )

@@ -1,6 +1,8 @@
 """Tests for the numerical monodromy oracle."""
 
 import cmath
+import importlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -9,7 +11,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from schwarztri.cli import exponent_values
 from schwarztri.monodromy import (
+    _CHUNK,
     InconclusiveError,
     LoopSpec,
     MonodromyRep,
@@ -26,6 +30,10 @@ from schwarztri.monodromy import (
 from schwarztri.rational import RatFunc
 from schwarztri.series import poles, series_solve_linear
 from schwarztri.triangle import AngleParams, build_r
+
+
+# the package re-exports the function ``monodromy`` under the module's name
+monodromy_module = importlib.import_module("schwarztri.monodromy")
 
 
 def params(a, b, c):
@@ -163,6 +171,19 @@ class TestContinuation:
             assert single.shape == (2, 2)
             assert np.max(np.abs(m - single)) <= 1e-14 * np.max(np.abs(single)), (z, h)
 
+    def test_taylor_step_over_equations_matches_one_equation(self):
+        # a sequence of equations with one denominator adds a leading axis;
+        # each slice is bit for bit the single equation's stack, a numerator
+        # of lower degree (exponent 1 at infinity) included
+        triples = (("1/2", "1/3", "1/7"), (1, "1/3", "1/7"), ("1/4", "1/4", "1/4"))
+        rs = [build_r(params(*t)) for t in triples]
+        assert len({r.den for r in rs}) == 1 and rs[1].num.degree < rs[0].num.degree
+        zs, hs = _step_plan(rs[0], LoopSpec(center=0j).polyline())
+        stack = _taylor_step(rs, zs, hs)
+        assert stack.shape == (3, len(zs), 2, 2)
+        for r, got in zip(rs, stack):
+            assert np.array_equal(got, _taylor_step(r, zs, hs))
+
     def test_batched_continuation_matches_per_step_reference(self):
         # the batched continuation against the per-step one it replaced, on
         # the default loops and on radius-0.125 loops.  The two round
@@ -214,6 +235,22 @@ class TestContinuation:
         r = build_r(params("1/2", "1/3", "1/7"))
         with pytest.raises(RuntimeError):
             continue_solution(r, [0.5 + 0j, -0.5 + 0j])  # crosses the pole at 0
+
+    def test_continuation_over_equations_returns_a_stack(self):
+        rs = [build_r(params(*t)) for t in (("1/2", "1/3", "1/7"), ("1/3", "2/5", "1/7"))]
+        path = LoopSpec(center=1 + 0j).polyline()
+        stack = continue_solution(rs, path)
+        assert stack.shape == (2, 2, 2)
+        for r, m in zip(rs, stack):
+            assert np.array_equal(m, continue_solution(r, path))
+        assert continue_solution([], path).shape == (0, 2, 2)
+
+    def test_mixed_denominators_rejected(self):
+        # an exponent of 1 at 1 makes the pole there simple
+        rs = [build_r(params("1/2", "1/3", "1/7")), build_r(params("1/3", "2/5", 1))]
+        assert rs[0].den != rs[1].den
+        with pytest.raises(ValueError):
+            continue_solution(rs, LoopSpec(center=1 + 0j).polyline())
 
     def test_hurwitz_loop_trace(self):
         r = build_r(params("1/2", "1/3", "1/7"))
@@ -273,6 +310,79 @@ class TestMonodromy:
     def test_record_round_trip(self):
         rec = monodromy(params("1/2", "1/2", "1/2")).to_record()
         assert set(rec) == {"m0", "m1", "estimated_error", "resonant_warning"}
+
+
+def _same_rep(a: MonodromyRep, b: MonodromyRep) -> bool:
+    return (
+        a.m0.tobytes() == b.m0.tobytes()
+        and a.m1.tobytes() == b.m1.tobytes()
+        and a.estimated_error == b.estimated_error
+        and a.resonant_warning == b.resonant_warning
+    )
+
+
+class TestBatchedMonodromy:
+    def test_matches_one_triple_at_a_time_on_the_sweep(self):
+        # every reduced triple with denominators <= 8, as the sweep places
+        # them: one denominator, so 148 chunks in each of two calls
+        values = exponent_values(8)
+        ps = [
+            AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+            for t0, t1, t2 in itertools.combinations_with_replacement(values, 3)
+        ]
+        reps = monodromy(ps)
+        assert len(reps) == len(ps) == 1771
+        assert all(_same_rep(rep, monodromy(p)) for p, rep in zip(ps, reps))
+
+    def test_matches_one_triple_at_a_time_on_a_mixed_list(self, monkeypatch):
+        # exponents of 1 that make a pole of r simple (at 0, at 1) or only
+        # lower the numerator's degree (at infinity), the triple with r = 0,
+        # cusps, and more triples of the common denominator than one chunk
+        # holds
+        special = [
+            params(1, "1/3", "1/7"),
+            params("1/2", 1, "1/5"),
+            params("1/3", "2/5", 1),
+            params(1, 1, 1),
+            params(0, 0, 0),
+            params(0, "1/2", 1),
+        ]
+        assert build_r(params(1, 1, 1)).is_zero
+        common = [params(F(1, a), F(1, b), F(2, 7)) for a in (2, 3, 4, 5) for b in (3, 4, 5, 6)]
+        ps = common[:5] + special + common[5:]
+        assert len(common) > _CHUNK
+        calls = []
+        original = monodromy_module.continue_solution
+
+        def counted(r, path):
+            calls.append(len(r))
+            return original(r, path)
+
+        monkeypatch.setattr(monodromy_module, "continue_solution", counted)
+        loops = {
+            "loop0": LoopSpec(center=0j, radius=0.2),
+            "loop1": LoopSpec(center=1 + 0j, radius=0.3),
+        }
+        for kwargs in ({}, loops):
+            calls.clear()
+            reps = monodromy(ps, **kwargs)
+            groups = {build_r(p).den for p in ps}
+            assert len(calls) == 2 * len(groups) and sum(calls) == 2 * len(ps)
+            assert all(_same_rep(rep, monodromy(p, **kwargs)) for p, rep in zip(ps, reps))
+
+    def test_input_order_and_empty_input(self):
+        ps = [params("1/2", "1/3", "1/7"), params(1, "1/3", "1/7"), params("1/2", "1/2", "1/2")]
+        forward, backward = monodromy(ps), monodromy(ps[::-1])
+        assert all(_same_rep(a, b) for a, b in zip(forward, backward[::-1]))
+        assert [classify_projective(rep).kind for rep in forward] == [
+            classify_projective(monodromy(p)).kind for p in ps
+        ]
+        assert monodromy([]) == []
+        assert isinstance(monodromy(ps[0]), MonodromyRep)
+
+    def test_generic_in_a_batch_rejected(self):
+        with pytest.raises(ValueError):
+            monodromy([params("1/2", "1/3", "1/7"), AngleParams.generic()])
 
 
 def _rep(m0, m1):
