@@ -62,10 +62,8 @@ from .triangle import (
     AngleParams,
     ExponentTriple,
     HGParams,
-    ODECoefficients,
     build_r,
     exponent_differences,
-    linear_ode,
     to_hypergeometric,
 )
 

@@ -45,6 +45,11 @@ class UsageError(ValueError):
 # recursive-descent parser four stack frames
 _MAX_NESTING = 100
 
+# largest degree and coefficient size (bits) that one ^ in --phi may produce:
+# nested powers otherwise grow without limit, as in ((y^64)^64)^64
+_MAX_POWER_DEGREE = 1000
+_MAX_POWER_BITS = 10_000
+
 
 class _ExprParser:
     """Recursive-descent parser for one-variable rational expressions:
@@ -99,7 +104,17 @@ class _ExprParser:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.integer()
+            n = self.integer()
+            # checked before ** runs: the power has |n| times the degree and
+            # about |n| times the coefficient bits (floor of log2, so 1^n is free)
+            coeffs = value.num.coeffs + value.den.coeffs
+            bits = max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
+            degree = max(value.num.degree, value.den.degree)
+            if abs(n) * degree > _MAX_POWER_DEGREE or abs(n) * bits > _MAX_POWER_BITS:
+                self.fail(
+                    f"power exceeds degree {_MAX_POWER_DEGREE} or {_MAX_POWER_BITS}-bit coefficients"
+                )
+            value = value**n
         return value * sign
 
     def atom(self) -> RatFunc:
@@ -140,8 +155,7 @@ class _ExprParser:
 
 
 def parse_phi(text: str) -> RatFunc:
-    phi = _ExprParser(text).parse()
-    return phi
+    return _ExprParser(text).parse()
 
 
 # -- sweep core ---------------------------------------------------------------

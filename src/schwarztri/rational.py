@@ -1,9 +1,9 @@
 """Exact rational-function algebra over the rationals.
 
-Polynomials and reduced rational functions with ``fractions.Fraction``
-coefficients, Mobius maps, and the Schwarzian operator together with its
-composition (cocycle) and pullback laws.  Every value is immutable and every
-operation is pure, so objects can be shared freely between workers.
+Reduced rational functions over Q, Mobius maps, and the Schwarzian operator
+with its composition (cocycle) and pullback laws.  ``Poly`` is a read-only
+view of Fraction coefficients, in and out of a ``RatFunc``.  Every value is
+immutable and every operation is pure, so objects can be shared by workers.
 
 Canonical form: a ``RatFunc`` always stores a gcd-reduced pair with a monic
 denominator, which makes equality structural.
@@ -257,7 +257,7 @@ def _cancel(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients in ascending degree."""
+    """Read-only view of a polynomial's Fraction coefficients, ascending."""
 
     __slots__ = ("coeffs",)
 
@@ -290,7 +290,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self == Poly([other])
         return NotImplemented
 
@@ -308,24 +308,8 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Poly(a)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
+    # unused by the package: kept while bench/tracer.py wraps __mul__, divmod
+    # and gcd by name; they go with the benchmark change that drops them
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -338,18 +322,6 @@ class Poly:
         return _poly_of([Fraction(c, d) for c in _int_mul(a, b)])
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
@@ -370,35 +342,17 @@ class Poly:
             r.pop()
         return Poly(q), Poly(r)
 
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
     def gcd(self, other: "Poly") -> "Poly":
         """Monic gcd, computed over Z by the heuristic gcd."""
-        if self.is_zero:
-            return other.monic() if not other.is_zero else Poly()
-        if other.is_zero:
-            return self.monic()
-        if self.degree == 0 or other.degree == 0:
+        if self.degree > 0 and other.degree > 0:
+            a = _clear_denominators(self.coeffs)[1]
+            b = _clear_denominators(other.coeffs)[1]
+            g = _int_gcd_poly(a, b)
+        elif self.is_zero or other.is_zero:
+            g = self.coeffs or other.coeffs
+        else:
             return Poly([1])
-        a = _clear_denominators(self.coeffs)[1]
-        b = _clear_denominators(other.coeffs)[1]
-        g = _int_gcd_poly(a, b)
-        return Poly(g).monic()
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lc = self.leading
-        if lc == 1:
-            return self
-        return Poly([c / lc for c in self.coeffs])
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([Fraction(c) / g[-1] for c in g]) if g else Poly()
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, float and complex."""
@@ -407,21 +361,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + (c if exact else _numeric(c, x))
         return acc
-
-    def root_multiplicity(self, point: ScalarLike) -> int:
-        """Multiplicity of ``point`` as a root (0 when not a root)."""
-        point = as_fraction(point)
-        if self.is_zero:
-            raise ValueError("every point is a root of the zero polynomial")
-        lin = Poly([-point, 1])
-        mult = 0
-        p = self
-        while True:
-            q, r = p.divmod(lin)
-            if not r.is_zero:
-                return mult
-            mult += 1
-            p = q
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -538,7 +477,7 @@ class RatFunc:
         return len(self._n) <= 1 and len(self._d) == 1
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = _as_ratfunc(other)
         if isinstance(other, RatFunc):
             return self._c == other._c and self._n == other._n and self._d == other._d
@@ -672,16 +611,6 @@ class RatFunc:
                 raise ZeroDivisionError(f"pole at {x}")
             return self.num(x) / den
         return self.num(x) / self.den(x)
-
-    def pole_order(self, point: ScalarLike) -> int:
-        """Order of the pole at an exact point (0 when regular there)."""
-        return self.den.root_multiplicity(point)
-
-    def order_at_infinity(self) -> int:
-        """Vanishing order at infinity (negative for a pole at infinity)."""
-        if self.is_zero:
-            raise ValueError("zero function has no order at infinity")
-        return len(self._d) - len(self._n)
 
     # -- serialization ---------------------------------------------------------
 

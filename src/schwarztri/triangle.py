@@ -131,14 +131,6 @@ class HGParams:
         return ExponentTriple(1 - self.c, self.c - self.a - self.b, self.a - self.b)
 
 
-@dataclass(frozen=True)
-class ODECoefficients:
-    """Coefficients of the linearized equation psi'' + first*psi' + zeroth*psi = 0."""
-
-    first_order: RatFunc
-    zeroth_order: RatFunc
-
-
 def _require_exact(params: AngleParams) -> tuple[Fraction, Fraction, Fraction]:
     if params.is_generic:
         raise ValueError("operation requires exact parameter values, not the generic tag")
@@ -184,8 +176,3 @@ def to_hypergeometric(params: AngleParams) -> HGParams:
     )
     assert hg.exponent_differences() == exponent_differences(params)
     return hg
-
-
-def linear_ode(r: RatFunc) -> ODECoefficients:
-    """Coefficients of the linearization psi'' + (1/2) r psi = 0."""
-    return ODECoefficients(first_order=RatFunc(Poly()), zeroth_order=r * Fraction(1, 2))

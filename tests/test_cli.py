@@ -2,6 +2,8 @@
 
 import json
 import re
+import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -22,6 +24,7 @@ def last_json(stdout: str) -> dict:
 class TestPhiParser:
     def test_monomial(self):
         assert parse_phi("y^2") == RatFunc(Poly([0, 0, 1]))
+        assert parse_phi("(y-1/2)^2") == RatFunc(Poly([F(1, 4), -1, 1]))
 
     def test_mixed_expression(self):
         y = RatFunc.variable()
@@ -29,6 +32,16 @@ class TestPhiParser:
 
     def test_negative_exponent(self):
         assert parse_phi("y^-2") == RatFunc(Poly([1]), Poly([0, 0, 1]))
+
+    @pytest.mark.parametrize("phi", ["y^100000", "((y^64)^64)^64", "(((10^64)^64)^64)^64"])
+    def test_power_size_limit(self, capsys, phi):
+        # rejected before the power is taken: the first runs for minutes
+        # and the nested ones need gigabytes when it is not
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", phi)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1 and "power exceeds" in err
 
     def test_unary_minus(self):
         y = RatFunc.variable()

@@ -31,7 +31,7 @@ class TestPoly:
         a = Poly([1, 0, -3, 2, 5])
         b = Poly([2, 1, 1])
         q, r = a.divmod(b)
-        assert q * b + r == a
+        assert RatFunc(q * b) + RatFunc(r) == RatFunc(a)
         assert r.degree < b.degree
 
     def test_gcd_common_factor(self):
@@ -39,15 +39,13 @@ class TestPoly:
         a = p * Poly([1, 1]) * 6
         b = p * Poly([2, 0, 1]) * F(1, 3)
         assert a.gcd(b) == p
+        # with a zero input the gcd is the other input, made monic
+        assert Poly().gcd(Poly([3, 6])) == Poly([F(1, 2), 1])
+        assert Poly([3, 6]).gcd(Poly()) == Poly([F(1, 2), 1])
+        assert Poly().gcd(Poly()) == Poly()
 
     def test_gcd_coprime(self):
         assert Poly([1, 1]).gcd(Poly([2, 1])) == Poly([1])
-
-    def test_root_multiplicity(self):
-        p = Poly([0, 0, 1]) * Poly([-1, 1])  # y^2 (y-1)
-        assert p.root_multiplicity(0) == 2
-        assert p.root_multiplicity(1) == 1
-        assert p.root_multiplicity(5) == 0
 
     def test_evaluation(self):
         p = Poly([1, 2, 3])
@@ -254,16 +252,6 @@ class TestMobius:
 
 
 class TestStructure:
-    def test_pole_order(self):
-        f = (Y + 1) / (Y * Y * (Y - 1))
-        assert f.pole_order(0) == 2
-        assert f.pole_order(1) == 1
-        assert f.pole_order(2) == 0
-
-    def test_order_at_infinity(self):
-        assert (1 / (Y * Y)).order_at_infinity() == 2
-        assert (Y * Y).order_at_infinity() == -2
-
     def test_evaluation_at_pole_raises(self):
         with pytest.raises(ZeroDivisionError):
             (1 / Y)(F(0))
@@ -296,6 +284,14 @@ class TestStructure:
     def test_constants_hash_as_their_scalar(self, c):
         assert len({RatFunc.constant(c), c}) == 1
         assert len({Poly([c]), c}) == 1
+
+    def test_bool_is_not_a_scalar_to_compare(self):
+        # True == 1 in Python, but a bool is no exact scalar: comparing with
+        # one is False, not an error, so `in` on a list of values works
+        assert not Poly([1]) == True
+        assert not RatFunc.constant(1) == True
+        assert Poly([1]) != False
+        assert True not in [Poly([1]), RatFunc.constant(1)]
 
     def test_from_text_missing_separator(self):
         with pytest.raises(ValueError):
