@@ -83,8 +83,6 @@ class TestBuildR:
             build_r(AngleParams.generic())
 
     def test_pole_structure_under_sweep(self):
-        # every pole of order exactly 2 survives reduction
-        assert build_r(params("1/2", "1/3", "1/7")).den == Poly([0, 0, 1, -2, 1])
         rng = random.Random(1)
         for _ in range(60):
             vals = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(3)]
@@ -95,6 +93,15 @@ class TestBuildR:
             assert (master / RatFunc(r.den)).den == Poly([1])
             if vals[0] * vals[0] != 1:
                 assert r.den.degree - r.num.degree >= 2
+
+
+class TestLinearODE:
+    def test_triangle_coefficient(self):
+        """The potential q = r/2 of u'' + q u = 0 for (1/2, 1/3, 1/7) keeps a
+        pole of order exactly 2 at both 0 and 1 after reduction."""
+        q = build_r(params("1/2", "1/3", "1/7")) * F(1, 2)
+        assert q.den == Poly([0, 0, 1, -2, 1])
+        assert q * 2 == build_r(params("1/2", "1/3", "1/7"))
 
 
 class TestExponentDifferences:
