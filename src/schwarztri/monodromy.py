@@ -14,11 +14,13 @@ Continuation is by adaptive Taylor stepping in two phases.  The step plan
 comes first: the step length is a fixed fraction of the distance to the
 nearest pole, which keeps the local series well inside its convergence disk,
 so it depends only on the path and the poles, never on the solution, and
-every step center and step is known before any series is solved.  Then one
-batched solve: the recurrence of the cleared equation that
-``series_solve_linear`` runs (O(order * deg) operations a step) runs once on
-arrays over all step centers, and one Horner pass gives each value and
-derivative at the end of its step.
+every step center and step is known before any series is solved; plans
+are cached by denominator and path.  Then one batched solve: the
+recurrence of the cleared equation that ``series_solve_linear`` runs
+(O(order * deg) operations a step, two numpy calls a coefficient) runs once
+on arrays over all step centers, one matmul with the matrix of the powers
+of each step gives each value and derivative at the end of its step, and
+log2(steps) batched matmuls multiply the step matrices in pairs.
 
 The batch also runs across equations.  Equations whose r has the same
 reduced denominator have the same poles, so they share one step plan a loop:
@@ -45,6 +47,7 @@ group orders above 120 count as infinite.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -52,7 +55,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rational import RatFunc
+from .rational import Poly, RatFunc
 from .series import _shift_coeffs, _solve_recurrence, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
@@ -67,10 +70,15 @@ _TAYLOR_ORDER = 36
 _STEP_FACTOR = 0.35
 _MIN_STEP = 1e-12
 _POLE_CLEARANCE = 1e-6
+# the factors m of the derivatives m h^(m-1) of the powers of a step
+_DEGREES = np.arange(1, _TAYLOR_ORDER + 3)
 # equations a batched ``_taylor_step`` call solves at once: the recurrence
-# holds about 80 arrays of (equations x steps x 2) complex entries, so this
+# buffer holds about 170 complex entries an equation and step, so this
 # bounds its memory
 _CHUNK = 12
+# step plans kept: one a loop and denominator, and a sweep has two loops
+# and a few denominators
+_PLAN_CACHE_SIZE = 32
 
 # polyline nodes on a loop circle, before the closing node
 _LOOP_STEPS = 16
@@ -111,23 +119,23 @@ def _taylor_step(r: RatFunc | Sequence[RatFunc], z, h) -> np.ndarray:
     ``z + h``: the values and derivatives at ``z + h`` of the series pair
     with initial data (1, 0) and (0, 1) at ``z``.  Scalar ``z`` and ``h``
     give one 2x2 matrix; arrays of shape (steps,) give a (steps, 2, 2) stack
-    from one run of the series recurrence over all step centers, each value
-    and derivative from one Horner pass in ``h``.  ``r`` is one RatFunc, or
-    a sequence of T RatFuncs with one reduced denominator, which adds a
-    leading axis of length T: the denominator is shifted once, and each
-    numerator is shifted at the shared step centers."""
+    from one run of the series recurrence over all step centers.  ``r`` is
+    one RatFunc, or a sequence of T RatFuncs with one reduced denominator,
+    which adds a leading axis of length T: the denominator is shifted once,
+    and each numerator is shifted at the shared step centers.
+
+    Values and slopes come from one matmul: the (steps, 2, order + 1)
+    matrix of the powers h^m and their derivatives m h^(m-1) times the
+    coefficients of the pair, a product per step and equation, so each
+    equation's matrices are bit for bit those it gets alone."""
     rs = [r] if isinstance(r, RatFunc) else r
-    # a trailing axis of length 2 runs the pair side by side, a leading one
-    # the equations; every operand gets the full shape, as broadcasting
-    # costs numpy more than the arithmetic
     z = np.asarray(z, dtype=complex)
-    shape = (len(rs),) + z.shape + (2,)
-    z = z[..., None] + np.zeros(shape)
-    h = np.asarray(h, dtype=complex)[..., None] + np.zeros(shape)
+    h = np.asarray(h, dtype=complex)
     # the numerators' coefficients, padded with zeros to one length, each a
-    # column over the equations
-    width = max(len(f.num.coeffs) for f in rs)
-    num = np.zeros((width, len(rs)) + (1,) * (z.ndim - 1), dtype=complex)
+    # column over the equations; at least one, which carries the equations'
+    # axis when every r is 0
+    width = max(1, max(len(f.num.coeffs) for f in rs))
+    num = np.zeros((width, len(rs)) + (1,) * z.ndim, dtype=complex)
     for k, f in enumerate(rs):
         for i, c in enumerate(f.num.coeffs):
             num[i, k] = c.numerator / c.denominator
@@ -135,14 +143,17 @@ def _taylor_step(r: RatFunc | Sequence[RatFunc], z, h) -> np.ndarray:
     ns, ds = _shift_coeffs(list(num), z), _shift_coeffs(den, z)
     if np.any(ds[0] == 0):
         raise ZeroDivisionError("a step center is a pole")
-    coefficients = _solve_recurrence(
-        ns, ds, _TAYLOR_ORDER + 2, z * 0 + [1, 0], z * 0 + [0, 1]
-    )
-    value = slope = 0j
-    for c in reversed(coefficients):
-        slope = slope * h + value
-        value = value * h + c
-    stack = np.stack([value, slope], axis=-2)
+    coefficients = _solve_recurrence(ns, ds, _TAYLOR_ORDER + 2)
+    # h^0, h^1, ... by a running product, and m h^(m-1) from them
+    powers = np.empty(h.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
+    powers[..., 0, 0] = 1
+    powers[..., 0, 1:] = h[..., None]
+    np.cumprod(powers[..., 0, :], axis=-1, out=powers[..., 0, :])
+    powers[..., 1, 0] = 0
+    np.multiply(powers[..., 0, :-1], _DEGREES, out=powers[..., 1, 1:])
+    # summed from the highest power down, the smallest terms first, which
+    # rounds less than summing up
+    stack = np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
     return stack[0] if isinstance(r, RatFunc) else stack
 
 
@@ -153,12 +164,20 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
     leave less than ``_MIN_STEP`` runs to the segment's end node instead,
     so a segment shorter than that is one step.  Raises RuntimeError when
     the path comes within ``_POLE_CLEARANCE`` of a pole, and ValueError on
-    a node that is not finite."""
-    pole_list = poles(r)
+    a node that is not finite.
+
+    The plan depends only on the poles and the path, so it is cached, keyed
+    by the reduced denominator of ``r`` and the path's nodes; the arrays
+    are read-only, as every caller of that key shares them."""
+    return _cached_step_plan(r.den, tuple(map(complex, path)))
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cached_step_plan(den: Poly, path: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
+    pole_list = poles(RatFunc(Poly([1]), den))
     zs: list[complex] = []
     hs: list[complex] = []
     for a, b in zip(path, path[1:]):
-        a, b = complex(a), complex(b)
         seg = b - a
         length = abs(seg)
         if not math.isfinite(length):
@@ -181,7 +200,10 @@ def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndar
                 break
             hs.append(direction * h)
             s += h
-    return np.array(zs, dtype=complex), np.array(hs, dtype=complex)
+    plan = np.array(zs, dtype=complex), np.array(hs, dtype=complex)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:
@@ -195,10 +217,12 @@ def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -
     pole, at most 1/2.  The step lengths depend only on the path and the
     poles, never on the solution, so the whole plan is known before any
     series is solved, and equations that share their denominator share it.
-    Then, for each chunk of ``_CHUNK`` equations, one batched
-    ``_taylor_step`` call solves the series at all step centers at once,
-    and each transfer is the ordered product of its matrices, taken for the
-    whole chunk by one batched matmul a step.  Raises ValueError on mixed
+    The plan is cached, so each path is planned once a denominator.  Then,
+    for each chunk of ``_CHUNK`` equations, one batched ``_taylor_step``
+    call solves the series at all step centers at once, and each transfer
+    is the ordered product of its matrices, taken in pairs for the whole
+    chunk: padded with identities to a power of two, the stack of step
+    matrices halves at each batched matmul.  Raises ValueError on mixed
     denominators and on a node that is not finite, and RuntimeError when
     the path comes within ``_POLE_CLEARANCE`` of a pole.
     """
@@ -208,16 +232,24 @@ def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -
     if not rs:
         return np.zeros((0, 2, 2), dtype=complex)
     zs, hs = _step_plan(rs[0], path)
+    # identities pad the steps to a power of two, so that the ordered
+    # product halves their number at each batched matmul
+    padding = (1 << (len(zs) - 1).bit_length()) - len(zs)
     transfers = []
     for start in range(0, len(rs), _CHUNK):
         chunk = rs[start : start + _CHUNK]
-        transfer = np.broadcast_to(_IDENTITY, (len(chunk), 2, 2))
-        # step by step, each step's matrices of the whole chunk at once
-        for m in _taylor_step(chunk, zs, hs).swapaxes(0, 1):
-            transfer = m @ transfer
-        transfers.append(transfer)
+        identities = np.broadcast_to(_IDENTITY, (len(chunk), padding, 2, 2))
+        steps = np.concatenate([_taylor_step(chunk, zs, hs), identities], axis=1)
+        while steps.shape[1] > 1:
+            steps = steps[:, 1::2] @ steps[:, ::2]
+        transfers.append(steps[:, 0])
     stack = np.concatenate(transfers)
     return stack[0] if isinstance(r, RatFunc) else stack
+
+
+def _det(m: np.ndarray) -> complex:
+    """The determinant ad - bc of a 2x2 matrix."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +309,7 @@ def monodromy(
     reps = []
     for p, (m0, m1) in zip(ps, loops):
         e = exponent_differences(p)
-        defects = [abs(np.linalg.det(m) - 1.0) for m in (m0, m1)]
+        defects = [abs(_det(m) - 1.0) for m in (m0, m1)]
         for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):
             t, c = np.trace(m), 2 * math.cos(math.pi * x)
             defects.append(min(abs(t - c), abs(t + c)))
@@ -325,8 +357,7 @@ class ProjectiveClass:
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return m / cmath.sqrt(det)
+    return m / cmath.sqrt(_det(m))
 
 
 def _norm(m: np.ndarray) -> float:

@@ -250,32 +250,47 @@ def _sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
 # -- series solutions of the linearized equation ----------------------------
 
 
-def _solve_recurrence(ns: list, ds: list, order: int, c0, c1) -> list:
-    """Coefficients c_0..c_order of the solution of 2 D(b + x) psi'' +
-    N(b + x) psi = 0 with c_0 = ``c0`` and c_1 = ``c1``, given the shifted
-    coefficients ``ns`` and ``ds`` of ``_shifted``.  The entries may be
-    Fractions, complex numbers or numpy arrays that broadcast together."""
-    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
-    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
-    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
-    zero = c0 * 0
-    c, e = [c0, c1], [zero, zero]
-    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
-    # since e_0 = e_1 = 0.  The sums are rebound, never added to in place:
-    # with array entries an in-place add would write into ``zero``.
-    for j in range(2, order + 1):
-        s = zero
-        for i, d in d_terms:
-            if i > j - 2:
-                break
-            s = s + d * e[j - i]
-        for i, n in n_terms:
-            if i > j - 2:
-                break
-            s = s + n * c[j - 2 - i]
-        e.append(-s)
-        c.append(-s / (j * (j - 1)))
-    return c
+def _solve_recurrence(ns: list, ds: list, order: int) -> np.ndarray:
+    """Coefficients c_0..c_order of the fundamental pair of 2 D(b + x) psi''
+    + N(b + x) psi = 0, with (c_0, c_1) = (1, 0) and (0, 1), given the
+    shifted coefficients ``ns`` and ``ds`` of ``_shifted``.  The entries are
+    Fractions, which give an object array of Fractions, or complex numbers
+    or numpy arrays of them that broadcast together to a shape S; the result
+    has shape S + (order + 1, 2), the pair on the last axis.
+
+    e_m = m (m - 1) c_m and c_m sit interleaved in one buffer, e_m in row
+    2w + 2m and c_m in the next, below 2w rows of zeros.  The terms of e_j,
+    e_{j-1}, c_{j-2}, e_{j-2}, c_{j-3}, ..., are then the 2w rows below e_j
+    read backwards, and e_j is the product of that slice with the row
+    -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0, ...), padded with zeros to
+    width 2w: one matmul, and c_j one division, for all of S and the pair
+    at once."""
+    exact = isinstance(ds[0], Fraction)
+    zero = ds[0] * 0 if exact else 0j
+    dtype = object if exact else complex
+    shape = np.broadcast_shapes(*(np.shape(x) for x in ns + ds))
+    size = math.prod(shape)
+    # at least 1: an empty product of object arrays is the int 0, not a Fraction
+    w = max(len(ds) - 1, len(ns), 1)
+    k = np.full(shape + (1, 2 * w), zero, dtype=dtype)
+    for i, d in enumerate(ds[1:]):
+        k[..., 0, 2 * i] = -(d / ds[0])
+    for i, n in enumerate(ns):
+        k[..., 0, 2 * i + 1] = -(n / (2 * ds[0]))
+    k = k.reshape(size, 1, 2 * w)
+    # rows outermost in memory, so that a row and the rows below it are
+    # disjoint blocks, which numpy sees without copying
+    rows = np.full((2 * w + 2 * (order + 1), size, 2), zero, dtype=dtype)
+    rows[2 * w + 1, :, 0] = rows[2 * w + 3, :, 1] = zero + 1
+    history = rows.transpose(1, 0, 2)
+    # coefficients past the float range run on as inf and nan, as Python's
+    # complex arithmetic lets them: the residual reports turn them into errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(2, order + 1):
+            e = 2 * w + 2 * j
+            np.matmul(k, history[:, e - 2 : e - 2 - 2 * w : -1], out=history[:, e : e + 1])
+            np.divide(rows[e], j * (j - 1), out=rows[e + 1])
+    return history[:, 2 * w + 1 :: 2].reshape(shape + (order + 1, 2))
 
 
 def series_solve_linear(
@@ -298,21 +313,17 @@ def series_solve_linear(
     pair has unit Wronskian through the truncation order (no first-order term
     in the equation).
 
-    The recurrence itself (``_solve_recurrence``) is shared with
+    The recurrence itself (``_solve_recurrence``) runs both solutions of the
+    pair at once, two numpy calls a coefficient, and is shared with
     ``monodromy._taylor_step``, which runs it once for a whole array of step
-    centers: it works on any coefficients that support +, * and /, numpy
-    arrays of bases included.
+    centers and equations.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     base = _coerce_base(base)
     ns, ds = _shifted(r, base)
-    zero = ds[0] * 0
-    one = zero + 1
-    return (
-        PowerSeries(base, _solve_recurrence(ns, ds, order, one, zero)),
-        PowerSeries(base, _solve_recurrence(ns, ds, order, zero, one)),
-    )
+    pair = _solve_recurrence(ns, ds, order)
+    return PowerSeries(base, pair[:, 0].tolist()), PowerSeries(base, pair[:, 1].tolist())
 
 
 def schwarz_map(r: RatFunc, base: BasePoint, order: int) -> PowerSeries:
@@ -468,7 +479,9 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
     Builds J2 from the pullback of ``r`` along ``phi``, forms J1 = phi∘J2 by
     series composition, and measures S(J1) + (J1')^2 r(J1) near t = 0.
     Raises ValueError when phi' vanishes at the base point as given (exactly
-    for an exact base).
+    for an exact base), and ZeroDivisionError when phi's value at the base,
+    rounded to floating point, lands on a pole of ``r``: the denominator of
+    ``r`` evaluates to 0 there.
     """
     dphi = phi.derivative()
     if dphi.is_zero:
@@ -479,5 +492,12 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
     r_phi = schwarz_pullback(r, phi)
     j2 = series_invert(schwarz_map(r_phi, b, order))
     j1 = series_compose(ratfunc_series(phi, b, order), j2)
+    value = j1.coefficients[0]
+    if r.den(value) == 0:
+        pole = min(poles(r), key=lambda p: abs(p - value))
+        raise ZeroDivisionError(
+            f"phi's value at the base, {value:.6g}, falls on the pole {pole:.6g} of r "
+            "in floating point"
+        )
     pts = _sample_ring(0j, default_disk_radius(r_phi, b) / 4.0)
     return _report(pts, _third_order_residuals(j1, r, pts), order)

@@ -167,6 +167,18 @@ class TestVerify:
         )
         assert code == 2 and "ramified" in err
 
+    def test_pullback_value_underflows_onto_a_pole(self, capsys):
+        # phi(1/2) = 2^-1000 is no pole of r, but r's denominator underflows
+        # to 0 there: the error names the value and the pole, not a bare
+        # division by zero
+        code, out, err = run(
+            capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", "y^1000",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "phi's value at the base" in err and "9.33264e-302" in err
+        assert "pole 0" in err and "floating point" in err
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(
             capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7",

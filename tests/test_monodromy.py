@@ -21,6 +21,9 @@ from schwarztri.monodromy import (
     _POLE_CLEARANCE,
     _STEP_FACTOR,
     _TAYLOR_ORDER,
+    _cached_step_plan,
+    _det,
+    _normalize,
     _step_plan,
     _taylor_step,
     classify_projective,
@@ -28,8 +31,8 @@ from schwarztri.monodromy import (
     monodromy,
 )
 from schwarztri.rational import RatFunc
-from schwarztri.series import poles, series_solve_linear
-from schwarztri.triangle import AngleParams, build_r
+from schwarztri.series import _shift_coeffs, poles, series_solve_linear
+from schwarztri.triangle import AngleParams, build_r, exponent_differences
 
 
 # the package re-exports the function ``monodromy`` under the module's name
@@ -79,6 +82,66 @@ def _reference_continue_solution(r, path):
             transfer = _reference_taylor_step(r, z, direction * h) @ transfer
             s += h
     return transfer
+
+
+# -- reference: the batched Taylor step with the element-wise recurrence and
+# the Horner pass that the two-call recurrence and the power matrix
+# replaced, kept word for word but for the names
+
+
+def _reference_solve_recurrence(ns: list, ds: list, order: int, c0, c1) -> list:
+    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
+    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
+    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
+    zero = c0 * 0
+    c, e = [c0, c1], [zero, zero]
+    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
+    # since e_0 = e_1 = 0.  The sums are rebound, never added to in place:
+    # with array entries an in-place add would write into ``zero``.
+    for j in range(2, order + 1):
+        s = zero
+        for i, d in d_terms:
+            if i > j - 2:
+                break
+            s = s + d * e[j - i]
+        for i, n in n_terms:
+            if i > j - 2:
+                break
+            s = s + n * c[j - 2 - i]
+        e.append(-s)
+        c.append(-s / (j * (j - 1)))
+    return c
+
+
+def _reference_batched_taylor_step(r, z, h) -> np.ndarray:
+    rs = [r] if isinstance(r, RatFunc) else r
+    # a trailing axis of length 2 runs the pair side by side, a leading one
+    # the equations; every operand gets the full shape, as broadcasting
+    # costs numpy more than the arithmetic
+    z = np.asarray(z, dtype=complex)
+    shape = (len(rs),) + z.shape + (2,)
+    z = z[..., None] + np.zeros(shape)
+    h = np.asarray(h, dtype=complex)[..., None] + np.zeros(shape)
+    # the numerators' coefficients, padded with zeros to one length, each a
+    # column over the equations
+    width = max(len(f.num.coeffs) for f in rs)
+    num = np.zeros((width, len(rs)) + (1,) * (z.ndim - 1), dtype=complex)
+    for k, f in enumerate(rs):
+        for i, c in enumerate(f.num.coeffs):
+            num[i, k] = c.numerator / c.denominator
+    den = [complex(c.numerator / c.denominator) for c in rs[0].den.coeffs]
+    ns, ds = _shift_coeffs(list(num), z), _shift_coeffs(den, z)
+    if np.any(ds[0] == 0):
+        raise ZeroDivisionError("a step center is a pole")
+    coefficients = _reference_solve_recurrence(
+        ns, ds, _TAYLOR_ORDER + 2, z * 0 + [1, 0], z * 0 + [0, 1]
+    )
+    value = slope = 0j
+    for c in reversed(coefficients):
+        slope = slope * h + value
+        value = value * h + c
+    stack = np.stack([value, slope], axis=-2)
+    return stack[0] if isinstance(r, RatFunc) else stack
 
 
 def _non_resonant_triples(seed: int, count: int) -> list[AngleParams]:
@@ -184,6 +247,27 @@ class TestContinuation:
         for r, got in zip(rs, stack):
             assert np.array_equal(got, _taylor_step(r, zs, hs))
 
+    def test_taylor_step_matches_elementwise_reference(self):
+        # the two-call recurrence and the power matrix against the
+        # element-wise recurrence and Horner pass they replaced, on shifted
+        # triples and the step plans of the default and of radius-0.125
+        # loops, one equation at a time and as one chunk of equations: each
+        # step matrix within 1e-14 of the reference's size (they agree to
+        # 3.4e-16 of it)
+        triples = _non_resonant_triples(seed=13, count=_CHUNK)
+        rs = [build_r(p) for p in triples]
+        assert len({r.den for r in rs}) == 1
+        for radius in (0.25, 0.125):
+            for center in (0j, 1 + 0j):
+                zs, hs = _step_plan(rs[0], LoopSpec(center=center, radius=radius).polyline())
+                expected = _reference_batched_taylor_step(rs, zs, hs)
+                singles = np.stack([_taylor_step(r, zs, hs) for r in rs])
+                for got in (_taylor_step(rs, zs, hs), singles):
+                    assert got.shape == expected.shape == (_CHUNK, len(zs), 2, 2)
+                    diff = np.max(np.abs(got - expected), axis=(-2, -1))
+                    size = np.max(np.abs(expected), axis=(-2, -1))
+                    assert np.all(diff <= 1e-14 * size), (radius, center, np.max(diff / size))
+
     def test_batched_continuation_matches_per_step_reference(self):
         # the batched continuation against the per-step one it replaced, on
         # the default loops and on radius-0.125 loops.  The two round
@@ -236,6 +320,45 @@ class TestContinuation:
         with pytest.raises(RuntimeError):
             continue_solution(r, [0.5 + 0j, -0.5 + 0j])  # crosses the pole at 0
 
+    def test_cached_plan_is_a_fresh_plan(self):
+        # the cache returns, bit for bit, what planning afresh gives, in
+        # arrays that cannot be written
+        r = build_r(params("1/2", "1/3", "1/7"))
+        for loop in (LoopSpec(center=0j), LoopSpec(center=1 + 0j, radius=0.125)):
+            path = loop.polyline()
+            fresh = _cached_step_plan.__wrapped__(r.den, tuple(path))
+            for _ in range(2):
+                plan = _step_plan(r, path)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(plan, fresh))
+                for a in plan:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[0] = 0
+
+    def test_plan_cache_keys_on_the_denominator(self):
+        # an exponent of 1 at 0 leaves the poles at 0 and 1 but makes the
+        # one at 0 simple: a new denominator, so a plan of its own
+        exponents = (AngleParams(F(1, 5), F(1, 2), F(1, 3)), AngleParams(F(1, 5), F(1), F(1, 3)))
+        assert exponent_differences(exponents[1]).at0 == 1
+        double, simple = (build_r(p) for p in exponents)
+        assert double.den != simple.den
+        path = LoopSpec(center=1 + 0j).polyline()
+        _cached_step_plan.cache_clear()
+        plan = _step_plan(double, path)
+        other = _step_plan(simple, path)
+        assert other is not plan
+        assert _cached_step_plan.cache_info().misses == _cached_step_plan.cache_info().currsize == 2
+        fresh = _cached_step_plan.__wrapped__(simple.den, tuple(path))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(other, fresh))
+        assert _step_plan(double, path) is plan
+
+    def test_path_through_pole_raises_on_every_call(self):
+        # a failed plan is not cached
+        r = build_r(params("1/2", "1/3", "1/7"))
+        for _ in range(3):
+            with pytest.raises(RuntimeError):
+                _step_plan(r, [0.5 + 0j, -0.5 + 0j])
+
     def test_continuation_over_equations_returns_a_stack(self):
         rs = [build_r(params(*t)) for t in (("1/2", "1/3", "1/7"), ("1/3", "2/5", "1/7"))]
         path = LoopSpec(center=1 + 0j).polyline()
@@ -281,6 +404,13 @@ class TestMonodromy:
         for m in (rep.m0, rep.m1):
             assert abs(np.linalg.det(m) - 1) <= rep.estimated_error
         assert rep.estimated_error < 1e-8
+
+    def test_one_determinant_for_defects_and_normalization(self):
+        rep = monodromy(params("1/3", "2/5", "1/7"))
+        for m in (rep.m0, rep.m1):
+            assert abs(_det(m) - 1) <= rep.estimated_error
+            assert abs(_det(m) - np.linalg.det(m)) <= 1e-14 * np.max(np.abs(m)) ** 2
+            assert abs(_det(_normalize(m)) - 1) < 1e-14
 
     def test_loop_radius_independence(self):
         p = params("1/2", "1/3", "1/7")

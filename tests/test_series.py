@@ -1,6 +1,8 @@
 """Tests for the truncated power-series machinery."""
 
+import cmath
 import random
+import warnings
 from fractions import Fraction as F
 from math import comb
 
@@ -163,6 +165,20 @@ class TestLinearSolver:
                     assert abs(x - y) <= 1e-12 * abs(y), (r, z)
         # some denominators have degree above most of the orders
         assert max(degrees) >= 12 and 0 in degrees
+
+    def test_coefficient_types(self):
+        # Fractions on exact bases, Python complex numbers on floating ones
+        for base, kind in ((F(1, 2), F), (0.5 + 0.1j, complex)):
+            for s in series_solve_linear(R_HURWITZ, base, 12):
+                assert all(type(c) is kind for c in s.coefficients), base
+
+    def test_overflow_runs_on_without_warning(self):
+        # coefficients past the float range become inf and nan, which the
+        # residual reports reject, and numpy warns of nothing on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi1, _ = series_solve_linear(R_HURWITZ, 0.001 + 0j, 120)
+        assert not all(cmath.isfinite(c) for c in psi1.coefficients)
 
     def test_exact_wronskian(self):
         psi1, psi2 = series_solve_linear(R_HURWITZ, F(1, 2), 14)
