@@ -50,6 +50,10 @@ _MAX_NESTING = 100
 _MAX_POWER_DEGREE = 1000
 _MAX_POWER_BITS = 10_000
 
+# largest series truncation order accepted by verify: the reversion's matrix
+# of powers takes 16 (order + 1)^2 bytes, 16 MB at this bound
+_MAX_ORDER = 1000
+
 
 class _ExprParser:
     """Recursive-descent parser for one-variable rational expressions:
@@ -254,6 +258,8 @@ def _cmd_classify_group(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict, int]:
+    if args.order > _MAX_ORDER:
+        raise UsageError(f"--order must be at most {_MAX_ORDER}, not {args.order}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite positive number, not {args.tol}")
     params = AngleParams.parse(args.inv_angles)
@@ -348,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="rational expression in y for the pullback map, e.g. 'y^2' or '(y-1)/(y+1)' "
         "(integers, + - * / ^ with integer exponents)",
     )
-    p.add_argument("--order", type=int, default=40, help="series truncation order (default 40)")
+    p.add_argument(
+        "--order", type=int, default=40, help=f"series truncation order (default 40, at most {_MAX_ORDER})"
+    )
     p.add_argument("--base", default="1/2", help="series base point as an exact fraction (default 1/2)")
     p.add_argument("--tol", type=float, default=1e-8, help="pass/fail residual tolerance (default 1e-8)")
     p.set_defaults(func=_cmd_verify)

@@ -8,11 +8,14 @@ the pullback construction.
 
 Coefficient arithmetic is generic: an exact rational base point with an exact
 rational equation produces Fraction coefficients, a floating base produces
-complex ones.  Residual reports always evaluate in complex arithmetic.  All
-series arithmetic rests on one truncated product (``_mul``) and one division
-(``_divide``, the recurrence of out * b = a); reversion and composition are
-sums over the powers W^k = W^(k-1) W of a series W (Knuth, TAOCP vol. 2,
-section 4.7).
+complex ones.  Series arithmetic rests on one truncated product (``_mul``)
+and one division (``_divide``, the recurrence of out * b = a).  Reversion and
+composition instead work on one matrix of the powers W^0..W^n of a series W
+(``_powers``), each row one numpy convolution of the row before: reversion
+is a triangular solve against it and composition one vector-matrix product
+(the powers first, as in Brent & Kung, J. ACM 25, 1978, rather than the
+term-by-term sums of Knuth, TAOCP vol. 2, section 4.7).  Residual reports
+evaluate in complex arithmetic, at all sample points at once (``_horner``).
 
 The linear solver clears the denominator of R = N/D and runs the recurrence
 of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
@@ -187,6 +190,11 @@ def _shift_coeffs(coeffs: list, base) -> list:
     return a
 
 
+def _complex_coeffs(coeffs: Sequence[Fraction]) -> list[complex]:
+    # by the integer ratio, which is much faster than complex(Fraction)
+    return [complex(c.numerator / c.denominator) for c in coeffs]
+
+
 def _shifted(f: RatFunc, base) -> tuple[list, list]:
     """Coefficients of N(base + x) and D(base + x) for f = N/D, Fractions for
     an exact base, else complex.  A numpy array of bases gives array
@@ -195,9 +203,7 @@ def _shifted(f: RatFunc, base) -> tuple[list, list]:
     if _is_exact(base):
         num, den = f.num.coeffs, f.den.coeffs
     else:
-        # by the integer ratio, which is much faster than complex(Fraction)
-        num = [complex(c.numerator / c.denominator) for c in f.num.coeffs]
-        den = [complex(c.numerator / c.denominator) for c in f.den.coeffs]
+        num, den = _complex_coeffs(f.num.coeffs), _complex_coeffs(f.den.coeffs)
     ns, ds = _shift_coeffs(num, base), _shift_coeffs(den, base)
     if np.any(ds[0] == 0):
         raise ZeroDivisionError(f"base point {base} is a pole")
@@ -350,32 +356,59 @@ def series_schwarzian(t: PowerSeries) -> PowerSeries:
     return d3.truncate(n) / d1 - (ratio * ratio) * 3 / 2
 
 
+# numpy error state of the series kernels and residuals: values past the
+# float range run on as inf and nan, as Python's complex arithmetic lets them,
+# and the residual reports turn them into errors
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _coefficient_array(cs: Sequence) -> np.ndarray:
+    """``cs`` as a float or complex array when every entry is floating, else
+    as an object array (Fractions and ints keep exact arithmetic)."""
+    a = np.asarray(cs)
+    return a if a.dtype.kind in "fc" else np.asarray(cs, dtype=object)
+
+
+def _powers(w: np.ndarray, k: int) -> np.ndarray:
+    """The rows W^0, ..., W^k of the series W with coefficients ``w``, each
+    truncated to len(w) terms, in w's dtype: row i is one convolution of row
+    i - 1 with w.  The caller holds the numpy error state."""
+    zero = w[0] * 0
+    rows = np.full((k + 1, len(w)), zero, dtype=w.dtype)
+    rows[0, 0] = zero + 1
+    for i in range(1, k + 1):
+        rows[i] = np.convolve(rows[i - 1], w)[: len(w)]
+    return rows
+
+
 def series_invert(t: PowerSeries) -> PowerSeries:
     """Formal compositional inverse J with J(t(base)) = base and J∘t = id
-    through the truncation order: with W = t - t(base), sum_k d_k W^k =
-    x - base over the powers W^k = W^(k-1) W, each d_k cancelling the x^k
-    term of the running sum sum_{j<k} d_j W^j.  W^k starts at x^k, so it is
-    kept from that term on, as W^(k-1) / x^(k-1) times W / x, and the
-    running sum is updated only past x^k."""
+    through the truncation order.  With W = t - t(base) and P the matrix of
+    the powers W^0..W^n (``_powers``), the coefficients d_k of J - base solve
+    the triangular system sum_k d_k W^k = x - base: W^k starts at x^k, so
+    d_1 = 1 / P[1, 1] and d_m = -(sum_{k<m} d_k P[k, m]) / P[m, m], one dot
+    product a coefficient."""
     c = t.coefficients
     if len(c) < 2 or c[1] == 0:
         raise ZeroDivisionError("series has vanishing first derivative; not invertible")
-    n = len(c)
-    w = list(c[1:])  # W / x
-    d = [t.base_point, 1 / c[1]]
-    total, power = [c[0] * 0] + [d[1] * x for x in w], w
-    for k in range(2, n):
-        power = _mul(power[: n - k], w)
-        d.append(-total[k] / power[0])
-        for i in range(k + 1, n):
-            total[i] += d[k] * power[i - k]
-    return PowerSeries(c[0], d)
+    n = len(c) - 1
+    w = _coefficient_array(c)
+    w[0] = w[1] * 0  # W = t - t(base), whatever t(base) is
+    with np.errstate(**_QUIET):
+        p = _powers(w, n)
+        d = np.full(n + 1, w[0], dtype=w.dtype)
+        d[1] = 1 / w[1]
+        for m in range(2, n + 1):
+            d[m] = -(d[1:m] @ p[1:m, m]) / p[m, m]
+    return PowerSeries(c[0], [t.base_point] + d[1:].tolist())
 
 
 def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """outer∘inner; the inner constant term must sit at the outer base point.
-    The sum of c_k W^k over the powers W^k = W^(k-1) W of W = inner - base,
-    without the outer trailing exact zeros (a polynomial costs its degree)."""
+    With W = inner - base, the product of the outer coefficients c_k with the
+    matrix of the powers W^k (``_powers``).  The outer trailing exact zeros
+    are dropped first and only the rows up to the last c_k built, so a
+    polynomial costs its degree."""
     shift = inner.coefficients[0] - outer.base_point
     if _is_exact(inner.base_point) and _is_exact(outer.base_point):
         if shift != 0:
@@ -383,16 +416,13 @@ def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     elif abs(complex(shift)) > 1e-9 * (1.0 + abs(complex(outer.base_point))):
         raise ValueError("inner series does not map its base to the outer base point")
     n = min(outer.truncation_order, inner.truncation_order)
-    zero = shift * 0
-    w = [shift] + list(inner.coefficients[1 : n + 1])
     cs = list(outer.coefficients[: n + 1])
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
-    total, power = [cs[0] + zero] + [zero] * n, [zero + 1] + [zero] * n
-    for ck in cs[1:]:
-        power = _mul(power, w)
-        total = [s + ck * p for s, p in zip(total, power)]
-    return PowerSeries(inner.base_point, total)
+    w = _coefficient_array([shift] + list(inner.coefficients[1 : n + 1]))
+    with np.errstate(**_QUIET):
+        total = _coefficient_array(cs) @ _powers(w, len(cs) - 1)
+    return PowerSeries(inner.base_point, total.tolist())
 
 
 # -- residual reports --------------------------------------------------------
@@ -414,19 +444,47 @@ class ResidualReport:
         }
 
 
-def _report(
-    pts: tuple[complex, ...], residuals: Sequence[complex], order: int
-) -> ResidualReport:
+def _report(pts: tuple[complex, ...], residuals: np.ndarray, order: int) -> ResidualReport:
     """The report of the residuals at the sample points.  A residual that is
-    not finite comes from series coefficients past the floating-point range,
-    and is an error rather than a measurement."""
-    values = [abs(v) for v in residuals]
-    if not all(map(math.isfinite, values)):
+    not finite comes from values past the floating-point range, and is an
+    error rather than a measurement."""
+    values = np.abs(residuals)
+    if not np.isfinite(values).all():
         raise OverflowError(
             f"residual is not finite at order {order}: "
             "the series coefficients overflow floating point"
         )
-    return ResidualReport(pts, max(values), order)
+    return ResidualReport(pts, float(values.max()), order)
+
+
+def _horner(rows: Sequence[Sequence], x: np.ndarray) -> np.ndarray:
+    """Row i: the polynomial with coefficients rows[i], lowest first, at every
+    entry of the complex array x.  Horner's rule, one pass over the
+    coefficients of all rows (zero-padded at the top) with numpy over the
+    points.  Not a table of the powers x^k: coefficients that grow like
+    2^(60k) against x^k that underflows to 0 give 0 * inf = nan there, where
+    the nested form stays finite."""
+    table = np.zeros((max(map(len, rows)), len(rows), 1), dtype=complex)
+    for i, cs in enumerate(rows):
+        table[: len(cs), i, 0] = cs
+    acc = np.zeros((len(rows), len(x)), dtype=complex)
+    for c in table[::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _values(f: RatFunc, x: np.ndarray) -> np.ndarray:
+    """f at every entry of the complex array x, from f's coefficients
+    converted to complex once."""
+    num, den = _horner([_complex_coeffs(f.num.coeffs), _complex_coeffs(f.den.coeffs)], x)
+    return num / den
+
+
+def _series_values(series: Sequence[PowerSeries], x: np.ndarray) -> np.ndarray:
+    """Row i: series[i] at every entry of the complex array x (the series
+    share a base point)."""
+    return _horner([s.coefficients for s in series], x - series[0].base_point)
 
 
 def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
@@ -434,7 +492,10 @@ def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualRepor
     b = complex(base)
     s = series_schwarzian(schwarz_map(r, b, order))
     pts = _sample_ring(b, default_disk_radius(r, b))
-    return _report(pts, [s(p) - r(p) for p in pts], order)
+    x = np.array(pts)
+    with np.errstate(**_QUIET):
+        residuals = _series_values([s], x)[0] - _values(r, x)
+    return _report(pts, residuals, order)
 
 
 def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
@@ -444,23 +505,24 @@ def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     b = complex(base)
     psi1, _ = series_solve_linear(r, b, order)
     u = psi1.derivative() / psi1.truncate(order - 1)
-    du = u.derivative()
     pts = _sample_ring(b, default_disk_radius(r, b))
-    return _report(pts, [du(p) + u(p) ** 2 + 0.5 * r(p) for p in pts], order)
+    x = np.array(pts)
+    with np.errstate(**_QUIET):
+        uv, duv = _series_values([u, u.derivative()], x)
+        residuals = duv + uv * uv + 0.5 * _values(r, x)
+    return _report(pts, residuals, order)
 
 
-def _third_order_residuals(
-    j: PowerSeries, r: RatFunc, pts: Sequence[complex]
-) -> list[complex]:
+def _third_order_residuals(j: PowerSeries, r: RatFunc, pts: Sequence[complex]) -> np.ndarray:
+    """S(J) + (J')^2 r(J) at every sample point: J and its first three
+    derivatives in one Horner pass (``_horner``), r at J's values from
+    complex coefficients."""
     d1 = j.derivative()
     d2 = d1.derivative()
-    d3 = d2.derivative()
-    out = []
-    for p in pts:
-        v1 = d1(p)
-        ratio = d2(p) / v1
-        out.append(d3(p) / v1 - 1.5 * ratio * ratio + v1 * v1 * r(j(p)))
-    return out
+    with np.errstate(**_QUIET):
+        v0, v1, v2, v3 = _series_values([j, d1, d2, d2.derivative()], np.array(pts))
+        ratio = v2 / v1
+        return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * _values(r, v0)
 
 
 def residual_inverse(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:

@@ -3,6 +3,7 @@
 import json
 import re
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_without_warnings(capsys, *argv):
+    """``run``, asserting that no warning was issued: outside pytest's
+    capture, a warning would print to stderr before the ``error:`` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    return result
 
 
 def last_json(stdout: str) -> dict:
@@ -171,7 +182,7 @@ class TestVerify:
         # phi(1/2) = 2^-1000 is no pole of r, but r's denominator underflows
         # to 0 there: the error names the value and the pole, not a bare
         # division by zero
-        code, out, err = run(
+        code, out, err = run_without_warnings(
             capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", "y^1000",
         )
         assert code == 2 and out == ""
@@ -202,6 +213,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "principal", "--inv-angles", "generic")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["principal", "riccati", "pullback"])
+    def test_order_limit(self, capsys, kind):
+        # rejected before any series work, which would run for hours and
+        # need 160 GB for the reversion's matrix of powers
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", kind, "--inv-angles", "1/2,1/3,1/7", "--phi", "y^2",
+            "--order", "100000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "--order" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_finite_positive(self, capsys, tol):
         code, out, err = run(
@@ -226,7 +250,7 @@ class TestVerify:
         ],
     )
     def test_float_overflow_is_usage_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_without_warnings(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
