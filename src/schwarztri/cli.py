@@ -16,6 +16,7 @@ deterministic for fixed flags apart from the elapsed_ms field.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -53,6 +54,10 @@ _MAX_POWER_BITS = 10_000
 # largest series truncation order accepted by verify: the reversion's matrix
 # of powers takes 16 (order + 1)^2 bytes, 16 MB at this bound
 _MAX_ORDER = 1000
+
+# largest denominator bound accepted by sweep: the exponent values grow as
+# max_den^2 and the triples as max_den^6, 349,504 triples at this bound
+_MAX_DEN = 20
 
 
 class _ExprParser:
@@ -174,8 +179,8 @@ def exponent_values(max_den: int) -> list[Fraction]:
 
 
 def _check_max_den(max_den: int) -> None:
-    if max_den < 2:
-        raise UsageError("--max-den must be at least 2")
+    if not 2 <= max_den <= _MAX_DEN:
+        raise UsageError(f"--max-den must lie in 2..{_MAX_DEN}, not {max_den}")
 
 
 def sweep_records(max_den: int) -> tuple[list[dict], dict]:
@@ -188,7 +193,6 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
     _check_max_den(max_den)
     values = exponent_values(max_den)
     records = []
-    agreements = disagreements = inconclusive = 0
     triples = list(itertools.combinations_with_replacement(values, 3))
     all_params = [AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1) for t0, t1, t2 in triples]
     for (t0, t1, t2), params, rep in zip(triples, all_params, monodromy(all_params)):
@@ -202,12 +206,6 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
         except InconclusiveError as exc:
             oracle_record = {"kind": "inconclusive", "detail": str(exc)}
             agree = None
-        if agree is None:
-            inconclusive += 1
-        elif agree:
-            agreements += 1
-        else:
-            disagreements += 1
         records.append(
             {
                 "triple": [str(t0), str(t1), str(t2)],
@@ -217,11 +215,12 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
                 "agree": agree,
             }
         )
+    tally = collections.Counter(rec["agree"] for rec in records)
     summary = {
         "cases": len(records),
-        "agreements": agreements,
-        "disagreements": disagreements,
-        "inconclusive": inconclusive,
+        "agreements": tally[True],
+        "disagreements": tally[False],
+        "inconclusive": tally[None],
     }
     return records, summary
 
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the exact classifier with the monodromy oracle over all "
         "reduced exponent triples with bounded denominators",
     )
-    p.add_argument("--max-den", type=int, required=True, help="denominator bound (>= 2)")
+    p.add_argument("--max-den", type=int, required=True, help=f"denominator bound (2 to {_MAX_DEN})")
     p.add_argument("--out", default=None, help="path for newline-delimited per-triple records")
     p.set_defaults(func=_cmd_sweep)
 

@@ -25,11 +25,11 @@ log2(steps) batched matmuls multiply the step matrices in pairs.
 The batch also runs across equations.  Equations whose r has the same
 reduced denominator have the same poles, so they share one step plan a loop:
 every triangle equation with exponent differences in (0, 1) has the
-denominator 2 y^2 (y - 1)^2.  ``monodromy`` of a sequence of parameters
-groups them by that denominator, and ``continue_solution`` solves a group
-in chunks of equations, one array axis over the equations; only the
-numerators are shifted per equation.  Each equation's matrices are bit for
-bit those it gets alone.  Results are deterministic for fixed inputs.
+denominator 2 y^2 (y - 1)^2.  ``continue_solution`` takes any sequence of
+equations, groups them by that denominator and solves each group in chunks
+of equations, one array axis over the equations; only the numerators are
+shifted per equation.  Each equation's matrices are bit for bit those it
+gets alone.  Results are deterministic for fixed inputs.
 
 The classification uses the SL2 trace coordinates of the loop matrices a0,
 a1 scaled to unit determinant (Goldman, arXiv:0901.1404): x = tr a0,
@@ -56,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import Poly, RatFunc
-from .series import _shift_coeffs, _solve_recurrence, poles
+from .series import _complex_coeffs, _shift_coeffs, _solve_recurrence, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -80,81 +80,76 @@ _CHUNK = 12
 # and a few denominators
 _PLAN_CACHE_SIZE = 32
 
-# polyline nodes on a loop circle, before the closing node
+# polyline nodes on a loop circle, before the closing node, and the base
+# point where every loop starts and ends, so that the loop matrices of a
+# monodromy representation share one basis
 _LOOP_STEPS = 16
+_BASE_POINT = 0.5 + 0j
 
 
 @dataclass(frozen=True)
 class LoopSpec:
-    """A positively oriented circular loop based at ``base_point``.
+    """A positively oriented circular loop based at 1/2.
 
     The polyline runs from the base point to the circle along a straight
     segment, once around, and back.
     """
 
     center: complex
-    base_point: complex = 0.5 + 0j
     radius: float = 0.25
 
     def __post_init__(self):
         if not 0 < self.radius < 0.5:
             raise ValueError("loop radius must lie in (0, 1/2) to avoid the other singularity")
-        if abs(complex(self.base_point) - complex(self.center)) <= self.radius:
-            raise ValueError("base point must lie outside the loop circle")
+        if abs(_BASE_POINT - complex(self.center)) <= self.radius:
+            raise ValueError("the base point 1/2 must lie outside the loop circle")
 
     def polyline(self) -> list[complex]:
-        base = complex(self.base_point)
         center = complex(self.center)
-        u = (base - center) / abs(base - center)
+        u = (_BASE_POINT - center) / abs(_BASE_POINT - center)
         theta0 = cmath.phase(u)
         circle = [
             center + self.radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
             for k in range(_LOOP_STEPS + 1)
         ]
-        return [base] + circle + [base]
+        return [_BASE_POINT] + circle + [_BASE_POINT]
 
 
-def _taylor_step(r: RatFunc | Sequence[RatFunc], z, h) -> np.ndarray:
-    """Transfer matrices of the fundamental pair across steps from ``z`` to
-    ``z + h``: the values and derivatives at ``z + h`` of the series pair
-    with initial data (1, 0) and (0, 1) at ``z``.  Scalar ``z`` and ``h``
-    give one 2x2 matrix; arrays of shape (steps,) give a (steps, 2, 2) stack
-    from one run of the series recurrence over all step centers.  ``r`` is
-    one RatFunc, or a sequence of T RatFuncs with one reduced denominator,
-    which adds a leading axis of length T: the denominator is shifted once,
+def _taylor_step(rs: Sequence[RatFunc], zs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Transfer matrices of the fundamental pair across steps from ``zs`` to
+    ``zs + hs``: the values and derivatives at z + h of the series pair with
+    initial data (1, 0) and (0, 1) at z.  ``rs`` are T RatFuncs with one
+    reduced denominator and ``zs``, ``hs`` arrays of shape (steps,); the
+    result is a (T, steps, 2, 2) stack from one run of the series recurrence
+    over all step centers and equations.  The denominator is shifted once,
     and each numerator is shifted at the shared step centers.
 
     Values and slopes come from one matmul: the (steps, 2, order + 1)
     matrix of the powers h^m and their derivatives m h^(m-1) times the
     coefficients of the pair, a product per step and equation, so each
     equation's matrices are bit for bit those it gets alone."""
-    rs = [r] if isinstance(r, RatFunc) else r
-    z = np.asarray(z, dtype=complex)
-    h = np.asarray(h, dtype=complex)
     # the numerators' coefficients, padded with zeros to one length, each a
     # column over the equations; at least one, which carries the equations'
     # axis when every r is 0
     width = max(1, max(len(f.num.coeffs) for f in rs))
-    num = np.zeros((width, len(rs)) + (1,) * z.ndim, dtype=complex)
+    num = np.zeros((width, len(rs), 1), dtype=complex)
     for k, f in enumerate(rs):
-        for i, c in enumerate(f.num.coeffs):
-            num[i, k] = c.numerator / c.denominator
-    den = [complex(c.numerator / c.denominator) for c in rs[0].den.coeffs]
-    ns, ds = _shift_coeffs(list(num), z), _shift_coeffs(den, z)
+        num[: len(f.num.coeffs), k, 0] = _complex_coeffs(f.num.coeffs)
+    ns = _shift_coeffs(list(num), zs)
+    ds = _shift_coeffs(_complex_coeffs(rs[0].den.coeffs), zs)
     if np.any(ds[0] == 0):
         raise ZeroDivisionError("a step center is a pole")
     coefficients = _solve_recurrence(ns, ds, _TAYLOR_ORDER + 2)
     # h^0, h^1, ... by a running product, and m h^(m-1) from them
-    powers = np.empty(h.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
+    powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
     powers[..., 0, 0] = 1
-    powers[..., 0, 1:] = h[..., None]
+    powers[..., 0, 1:] = hs[..., None]
     np.cumprod(powers[..., 0, :], axis=-1, out=powers[..., 0, :])
     powers[..., 1, 0] = 0
     np.multiply(powers[..., 0, :-1], _DEGREES, out=powers[..., 1, 1:])
     # summed from the highest power down, the smallest terms first, which
     # rounds less than summing up
-    stack = np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
-    return stack[0] if isinstance(r, RatFunc) else stack
+    return np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
 
 
 def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
@@ -209,41 +204,42 @@ def _cached_step_plan(den: Poly, path: tuple[complex, ...]) -> tuple[np.ndarray,
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:
     """Transport the fundamental pair along a polyline; returns the matrix
     expressing the continued pair in the starting basis.  ``r`` is one
-    RatFunc, or a sequence of T RatFuncs with one reduced denominator, for
-    which the result is a (T, 2, 2) stack, one matrix an equation.
+    RatFunc, or a sequence of T RatFuncs, any denominators mixed, for which
+    the result is a (T, 2, 2) stack, one matrix an equation in input order.
 
     Two phases.  First the step plan (``_step_plan``): every step center
     and step, each step ``_STEP_FACTOR`` times the distance to the nearest
     pole, at most 1/2.  The step lengths depend only on the path and the
     poles, never on the solution, so the whole plan is known before any
-    series is solved, and equations that share their denominator share it.
-    The plan is cached, so each path is planned once a denominator.  Then,
-    for each chunk of ``_CHUNK`` equations, one batched ``_taylor_step``
-    call solves the series at all step centers at once, and each transfer
-    is the ordered product of its matrices, taken in pairs for the whole
-    chunk: padded with identities to a power of two, the stack of step
-    matrices halves at each batched matmul.  Raises ValueError on mixed
-    denominators and on a node that is not finite, and RuntimeError when
-    the path comes within ``_POLE_CLEARANCE`` of a pole.
+    series is solved, and equations that share their reduced denominator
+    share it: they are grouped by it, and each group is planned once (the
+    plan is cached, so each path is planned once a denominator).  Then, for
+    each chunk of ``_CHUNK`` equations of a group, one batched
+    ``_taylor_step`` call solves the series at all step centers at once,
+    and each transfer is the ordered product of its matrices, taken in
+    pairs for the whole chunk: padded with identities to a power of two,
+    the stack of step matrices halves at each batched matmul.  Raises
+    ValueError on a node that is not finite, and RuntimeError when the
+    path comes within ``_POLE_CLEARANCE`` of a pole.
     """
     rs = [r] if isinstance(r, RatFunc) else list(r)
-    if any(f.den != rs[0].den for f in rs):
-        raise ValueError("continue_solution needs one reduced denominator for all equations")
-    if not rs:
-        return np.zeros((0, 2, 2), dtype=complex)
-    zs, hs = _step_plan(rs[0], path)
-    # identities pad the steps to a power of two, so that the ordered
-    # product halves their number at each batched matmul
-    padding = (1 << (len(zs) - 1).bit_length()) - len(zs)
-    transfers = []
-    for start in range(0, len(rs), _CHUNK):
-        chunk = rs[start : start + _CHUNK]
-        identities = np.broadcast_to(_IDENTITY, (len(chunk), padding, 2, 2))
-        steps = np.concatenate([_taylor_step(chunk, zs, hs), identities], axis=1)
-        while steps.shape[1] > 1:
-            steps = steps[:, 1::2] @ steps[:, ::2]
-        transfers.append(steps[:, 0])
-    stack = np.concatenate(transfers)
+    groups: dict[Poly, list[int]] = {}
+    for i, f in enumerate(rs):
+        groups.setdefault(f.den, []).append(i)
+    stack = np.empty((len(rs), 2, 2), dtype=complex)
+    for group in groups.values():
+        zs, hs = _step_plan(rs[group[0]], path)
+        # identities pad the steps to a power of two, so that the ordered
+        # product halves their number at each batched matmul
+        padding = (1 << (len(zs) - 1).bit_length()) - len(zs)
+        for start in range(0, len(group), _CHUNK):
+            chunk = group[start : start + _CHUNK]
+            identities = np.broadcast_to(_IDENTITY, (len(chunk), padding, 2, 2))
+            steps = _taylor_step([rs[i] for i in chunk], zs, hs)
+            steps = np.concatenate([steps, identities], axis=1)
+            while steps.shape[1] > 1:
+                steps = steps[:, 1::2] @ steps[:, ::2]
+            stack[chunk] = steps[:, 0]
     return stack[0] if isinstance(r, RatFunc) else stack
 
 
@@ -284,30 +280,19 @@ def monodromy(
     """Monodromy matrices of the linearized triangle equation around 0 and 1.
 
     ``params`` is one AngleParams, which gives one MonodromyRep, or a
-    sequence of them, which gives a list in input order.  The equations are
-    grouped by the reduced denominator of r, and each group is continued
-    around each loop in one ``continue_solution`` call.  The loop around
-    infinity is implicitly (M1 M0)^-1 and is not stored.  Integer exponent
-    differences flag a resonance warning (possible logarithmic local
-    solutions)."""
+    sequence of them, which gives a list in input order; all equations are
+    continued around each loop in one ``continue_solution`` call.  The loop
+    around infinity is implicitly (M1 M0)^-1 and is not stored.  Integer
+    exponent differences flag a resonance warning (possible logarithmic
+    local solutions).  Raises ValueError on the generic tag."""
     ps = [params] if isinstance(params, AngleParams) else list(params)
-    if any(p.is_generic for p in ps):
-        raise ValueError("monodromy needs exact rational parameters")
     rs = [build_r(p) for p in ps]
-    loop0 = loop0 or LoopSpec(center=0j)
-    loop1 = loop1 or LoopSpec(center=1 + 0j)
-    groups: dict = {}
-    for i, r in enumerate(rs):
-        groups.setdefault(r.den, []).append(i)
-    loops: list = [None] * len(ps)
-    for group in groups.values():
-        m0s, m1s = (
-            continue_solution([rs[i] for i in group], loop.polyline()) for loop in (loop0, loop1)
-        )
-        for i, m0, m1 in zip(group, m0s, m1s):
-            loops[i] = (m0, m1)
+    m0s, m1s = (
+        continue_solution(rs, loop.polyline())
+        for loop in (loop0 or LoopSpec(center=0j), loop1 or LoopSpec(center=1 + 0j))
+    )
     reps = []
-    for p, (m0, m1) in zip(ps, loops):
+    for p, m0, m1 in zip(ps, m0s, m1s):
         e = exponent_differences(p)
         defects = [abs(_det(m) - 1.0) for m in (m0, m1)]
         for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):

@@ -527,7 +527,10 @@ def _third_order_residuals(j: PowerSeries, r: RatFunc, pts: Sequence[complex]) -
 
 def residual_inverse(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual of the third-order equation S(J) + (J')^2 r(J) = 0 for the
-    inverted Schwarz map J near t = 0."""
+    inverted Schwarz map J near t = 0.  Raises ValueError below order 4,
+    where the third derivative of J is constant."""
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the third-order residual")
     b = complex(base)
     j = series_invert(schwarz_map(r, b, order))
     pts = _sample_ring(0j, default_disk_radius(r, b) / 4.0)
@@ -540,11 +543,14 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
 
     Builds J2 from the pullback of ``r`` along ``phi``, forms J1 = phi∘J2 by
     series composition, and measures S(J1) + (J1')^2 r(J1) near t = 0.
-    Raises ValueError when phi' vanishes at the base point as given (exactly
-    for an exact base), and ZeroDivisionError when phi's value at the base,
+    Raises ValueError below order 4, where the third derivative of J1 is
+    constant, and when phi' vanishes at the base point as given (exactly for
+    an exact base), and ZeroDivisionError when phi's value at the base,
     rounded to floating point, lands on a pole of ``r``: the denominator of
     ``r`` evaluates to 0 there.
     """
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the third-order residual")
     dphi = phi.derivative()
     if dphi.is_zero:
         raise ValueError("pullback along a constant map")

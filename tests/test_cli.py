@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from schwarztri.cli import main, parse_phi
+from schwarztri.cli import _MAX_DEN, _check_max_den, main, parse_phi
 from schwarztri.rational import Poly, RatFunc
 
 
@@ -226,6 +226,17 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and "--order" in err
 
+    @pytest.mark.parametrize("order", ["2", "3"])
+    def test_pullback_below_order_4(self, capsys, order):
+        # the third derivative of J1 is constant there, so the residual
+        # would measure the truncation, not the identity
+        code, out, err = run(
+            capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", "y",
+            "--order", order,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "order" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_finite_positive(self, capsys, tol):
         code, out, err = run(
@@ -280,6 +291,22 @@ class TestSweep:
     def test_bound_too_small(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-den", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("max_den", ["21", "1000000"])
+    def test_bound_too_large(self, capsys, tmp_path, max_den):
+        # rejected before any enumeration: at 1000000 the exponent values
+        # alone would exhaust memory, and no --out file is created
+        out_path = tmp_path / "f.ndjson"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sweep", "--max-den", max_den, "--out", str(out_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "--max-den" in err
+        assert not out_path.exists()
+
+    def test_largest_bound_accepted(self):
+        # the bound itself passes the check (a sweep there runs 349,504 triples)
+        _check_max_den(_MAX_DEN)
 
     def test_usage_error_leaves_no_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "f.ndjson"

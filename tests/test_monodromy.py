@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -165,7 +166,7 @@ def _conditioning(r: RatFunc, path) -> float:
     error made at step k reaches the end of the path amplified by up to
     |T_k| |T_k^-1| = |T_k|^2."""
     transfer, worst = np.eye(2, dtype=complex), 1.0
-    for m in _taylor_step(r, *_step_plan(r, path)):
+    for m in _taylor_step([r], *_step_plan(r, path))[0]:
         transfer = m @ transfer
         worst = max(worst, float(np.max(np.abs(transfer))) ** 2)
     return worst
@@ -179,8 +180,11 @@ class TestLoopSpec:
             LoopSpec(center=0j, radius=0.0)
 
     def test_base_outside_circle(self):
+        # every loop starts at 1/2, which must lie outside its circle
         with pytest.raises(ValueError):
-            LoopSpec(center=0j, base_point=0.1 + 0j, radius=0.25)
+            LoopSpec(center=0.4 + 0j, radius=0.25)
+        with pytest.raises(ValueError):
+            LoopSpec(center=0.5 + 0.1j, radius=0.1)
 
     def test_polyline_closes_at_base(self):
         path = LoopSpec(center=0j).polyline()
@@ -214,7 +218,7 @@ class TestContinuation:
         r = build_r(params("1/2", "1/3", "1/7"))
         steps = ((0.5, 0.1), (0.5, 0.125j), (0.25, -0.0875), (0.7 - 0.2j, 0.05 + 0.05j))
         for z, h in steps:
-            m = _taylor_step(r, z, h)
+            m = _taylor_step([r], np.array([z]), np.array([h]))[0, 0]
             pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
             w = z + h
             expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
@@ -222,16 +226,17 @@ class TestContinuation:
             assert abs(np.linalg.det(m) - 1) < 1e-13, (z, h)
 
     def test_batched_steps_match_scalar_steps(self):
-        # one array call gives the stack of the scalar calls' matrices
+        # one array call gives the stack of the one-step calls' matrices
         r = build_r(params("1/2", "1/3", "1/7"))
         zs, hs = _step_plan(r, LoopSpec(center=1 + 0j).polyline())
         zs = np.concatenate([zs, [0.5, 0.5, 0.25, 0.7 - 0.2j]])
         hs = np.concatenate([hs, [0.1, 0.125j, -0.0875, 0.05 + 0.05j]])
-        stack = _taylor_step(r, zs, hs)
-        assert stack.shape == (len(zs), 2, 2)
-        for z, h, m in zip(zs, hs, stack):
-            single = _taylor_step(r, z, h)
-            assert single.shape == (2, 2)
+        stack = _taylor_step([r], zs, hs)
+        assert stack.shape == (1, len(zs), 2, 2)
+        for z, h, m in zip(zs, hs, stack[0]):
+            single = _taylor_step([r], np.array([z]), np.array([h]))
+            assert single.shape == (1, 1, 2, 2)
+            single = single[0, 0]
             assert np.max(np.abs(m - single)) <= 1e-14 * np.max(np.abs(single)), (z, h)
 
     def test_taylor_step_over_equations_matches_one_equation(self):
@@ -245,7 +250,7 @@ class TestContinuation:
         stack = _taylor_step(rs, zs, hs)
         assert stack.shape == (3, len(zs), 2, 2)
         for r, got in zip(rs, stack):
-            assert np.array_equal(got, _taylor_step(r, zs, hs))
+            assert np.array_equal(got, _taylor_step([r], zs, hs)[0])
 
     def test_taylor_step_matches_elementwise_reference(self):
         # the two-call recurrence and the power matrix against the
@@ -261,7 +266,7 @@ class TestContinuation:
             for center in (0j, 1 + 0j):
                 zs, hs = _step_plan(rs[0], LoopSpec(center=center, radius=radius).polyline())
                 expected = _reference_batched_taylor_step(rs, zs, hs)
-                singles = np.stack([_taylor_step(r, zs, hs) for r in rs])
+                singles = np.stack([_taylor_step([r], zs, hs)[0] for r in rs])
                 for got in (_taylor_step(rs, zs, hs), singles):
                     assert got.shape == expected.shape == (_CHUNK, len(zs), 2, 2)
                     diff = np.max(np.abs(got - expected), axis=(-2, -1))
@@ -368,12 +373,21 @@ class TestContinuation:
             assert np.array_equal(m, continue_solution(r, path))
         assert continue_solution([], path).shape == (0, 2, 2)
 
-    def test_mixed_denominators_rejected(self):
-        # an exponent of 1 at 1 makes the pole there simple
-        rs = [build_r(params("1/2", "1/3", "1/7")), build_r(params("1/3", "2/5", 1))]
-        assert rs[0].den != rs[1].den
-        with pytest.raises(ValueError):
-            continue_solution(rs, LoopSpec(center=1 + 0j).polyline())
+    def test_mixed_denominators_match_one_at_a_time(self):
+        # an exponent of 1 at 1 makes the pole there simple, one at 0 the
+        # pole at 0, and r = 0 has the denominator 1: interleaved with more
+        # equations of the common denominator than one chunk holds, each
+        # matrix comes back in input order, bit for bit its own
+        special = [params("1/3", "2/5", 1), params("1/2", 1, "1/5"), params(1, 1, 1)]
+        common = [params(F(1, a), F(1, b), F(2, 7)) for a in (2, 3, 4, 5) for b in (3, 4, 5, 6)]
+        rs = [build_r(p) for p in common[:3] + special[:2] + common[3:9] + special[2:] + common[9:]]
+        assert len({r.den for r in rs}) == 4 and len(common) > _CHUNK
+        for center in (0j, 1 + 0j):
+            path = LoopSpec(center=center).polyline()
+            stack = continue_solution(rs, path)
+            assert stack.shape == (len(rs), 2, 2)
+            for r, m in zip(rs, stack):
+                assert m.tobytes() == continue_solution(r, path).tobytes()
 
     def test_hurwitz_loop_trace(self):
         r = build_r(params("1/2", "1/3", "1/7"))
@@ -481,23 +495,47 @@ class TestBatchedMonodromy:
         common = [params(F(1, a), F(1, b), F(2, 7)) for a in (2, 3, 4, 5) for b in (3, 4, 5, 6)]
         ps = common[:5] + special + common[5:]
         assert len(common) > _CHUNK
-        calls = []
+        calls, plans, chunks = [], [], []
         original = monodromy_module.continue_solution
+        original_plan = monodromy_module._step_plan
+        original_step = monodromy_module._taylor_step
 
         def counted(r, path):
             calls.append(len(r))
             return original(r, path)
 
+        def planned(r, path):
+            plans.append(r.den)
+            return original_plan(r, path)
+
+        def stepped(rs, zs, hs):
+            assert len({f.den for f in rs}) == 1
+            chunks.append((rs[0].den, len(rs)))
+            return original_step(rs, zs, hs)
+
         monkeypatch.setattr(monodromy_module, "continue_solution", counted)
+        monkeypatch.setattr(monodromy_module, "_step_plan", planned)
+        monkeypatch.setattr(monodromy_module, "_taylor_step", stepped)
+        # one plan a loop and denominator, and each denominator's equations
+        # in chunks of at most _CHUNK, for each of the two loops
+        sizes = Counter(build_r(p).den for p in ps)
+        assert len(sizes) == 4
+        expected = Counter()
+        for den, n in sizes.items():
+            for start in range(0, n, _CHUNK):
+                expected[den, min(_CHUNK, n - start)] += 2
         loops = {
             "loop0": LoopSpec(center=0j, radius=0.2),
             "loop1": LoopSpec(center=1 + 0j, radius=0.3),
         }
         for kwargs in ({}, loops):
             calls.clear()
+            plans.clear()
+            chunks.clear()
             reps = monodromy(ps, **kwargs)
-            groups = {build_r(p).den for p in ps}
-            assert len(calls) == 2 * len(groups) and sum(calls) == 2 * len(ps)
+            assert calls == [len(ps), len(ps)]
+            assert Counter(plans) == {den: 2 for den in sizes}
+            assert Counter(chunks) == expected
             assert all(_same_rep(rep, monodromy(p, **kwargs)) for p, rep in zip(ps, reps))
 
     def test_input_order_and_empty_input(self):

@@ -342,6 +342,15 @@ class TestPullback:
         with pytest.raises(ValueError):
             verify_pullback(R_CUSP, RatFunc.constant(2), F(1, 2), 20)
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_minimum_order_enforced(self, order):
+        # below order 4 the third derivative of J is constant
+        with pytest.raises(ValueError):
+            verify_pullback(R_CUSP, Y, F(1, 2), order)
+        with pytest.raises(ValueError):
+            residual_inverse(R_CUSP, F(1, 2), order)
+        assert verify_pullback(R_CUSP, Y, F(1, 2), 4).truncation_order == 4
+
     def test_report_record_shape(self):
         rec = verify_pullback(R_CUSP, Y * Y, F(1, 2), 20).to_record()
         assert set(rec) == {"sample_points", "max_abs_residual", "truncation_order"}
