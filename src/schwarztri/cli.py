@@ -21,6 +21,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 from .groups import Geometry, Signature, geometry, group_report
 from .minimality import classify
 from .monodromy import InconclusiveError, classify_projective, monodromy
-from .rational import RatFunc
+from .rational import MAX_TEXT_BITS, RatFunc, parse_fraction
 from .series import residual_principal, residual_riccati, verify_pullback
 from .triangle import AngleParams, build_r
 
@@ -46,10 +47,10 @@ class UsageError(ValueError):
 # recursive-descent parser four stack frames
 _MAX_NESTING = 100
 
-# largest degree and coefficient size (bits) that one ^ in --phi may produce:
-# nested powers otherwise grow without limit, as in ((y^64)^64)^64
+# largest degree that one ^ in --phi may produce, and its coefficients have
+# at most MAX_TEXT_BITS bits, the bound on the fractions of --inv-angles and
+# --base: nested powers otherwise grow without limit, as in ((y^64)^64)^64
 _MAX_POWER_DEGREE = 1000
-_MAX_POWER_BITS = 10_000
 
 # largest series truncation order accepted by verify: the reversion's matrix
 # of powers takes 16 (order + 1)^2 bytes, 16 MB at this bound
@@ -119,9 +120,9 @@ class _ExprParser:
             coeffs = value.num.coeffs + value.den.coeffs
             bits = max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
             degree = max(value.num.degree, value.den.degree)
-            if abs(n) * degree > _MAX_POWER_DEGREE or abs(n) * bits > _MAX_POWER_BITS:
+            if abs(n) * degree > _MAX_POWER_DEGREE or abs(n) * bits > MAX_TEXT_BITS:
                 self.fail(
-                    f"power exceeds degree {_MAX_POWER_DEGREE} or {_MAX_POWER_BITS}-bit coefficients"
+                    f"power exceeds degree {_MAX_POWER_DEGREE} or {MAX_TEXT_BITS}-bit coefficients"
                 )
             value = value**n
         return value * sign
@@ -227,16 +228,16 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
 
 # -- commands -------------------------------------------------------------------
 #
-# Each command returns (inputs, result, exit code); main times it and prints
-# the document.
+# Each command returns (inputs, result, exit code, records); main times it
+# and prints the records, one JSON line each, and then the document.
 
 
-def _cmd_classify_equation(args) -> tuple[dict, dict, int]:
+def _cmd_classify_equation(args) -> tuple[dict, dict, int, list[dict]]:
     params = AngleParams.parse(args.inv_angles)
-    return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0
+    return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0, []
 
 
-def _cmd_classify_group(args) -> tuple[dict, dict, int]:
+def _cmd_classify_group(args) -> tuple[dict, dict, int, list[dict]]:
     sig = Signature.parse(args.sig)
     geo = geometry(sig)
     if geo is Geometry.HYPERBOLIC:
@@ -253,10 +254,10 @@ def _cmd_classify_group(args) -> tuple[dict, dict, int]:
             "note": "non-hyperbolic signature: group-theoretic fields not applicable",
         }
     payload["signature"] = sig.as_text()
-    return {"sig": args.sig}, payload, 0
+    return {"sig": args.sig}, payload, 0, []
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int]:
+def _cmd_verify(args) -> tuple[dict, dict, int, list[dict]]:
     if args.order > _MAX_ORDER:
         raise UsageError(f"--order must be at most {_MAX_ORDER}, not {args.order}")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -265,7 +266,10 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
     if params.is_generic:
         raise UsageError("verification needs exact parameter values, not 'generic'")
     r = build_r(params)
-    base = Fraction(args.base)
+    try:
+        base = parse_fraction(args.base)
+    except ValueError as exc:
+        raise UsageError(f"--base: {exc}") from exc
     phi = None
     if args.kind == "principal":
         report = residual_principal(r, base, args.order)
@@ -292,10 +296,10 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         "tolerance": args.tol,
         "passed": passed,
     }
-    return inputs, result, 0 if passed else 1
+    return inputs, result, 0 if passed else 1, []
 
 
-def _cmd_sweep(args) -> tuple[dict, dict, int]:
+def _cmd_sweep(args) -> tuple[dict, dict, int, list[dict]]:
     # validate before opening --out, so that a usage error leaves no file
     _check_max_den(args.max_den)
     sink = None
@@ -306,15 +310,15 @@ def _cmd_sweep(args) -> tuple[dict, dict, int]:
             raise UsageError(f"cannot write --out path: {exc}") from exc
     try:
         records, summary = sweep_records(args.max_den)
-        # sys.stdout is read here, not at import, so that a redirect applies
-        out = sink if sink is not None else sys.stdout
-        for rec in records:
-            out.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+        if sink is not None:
+            for rec in records:
+                sink.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
     finally:
         if sink is not None:
             sink.close()
     summary["out_path"] = args.out or None
-    return {"max_den": args.max_den}, summary, 0 if summary["disagreements"] == 0 else 1
+    code = 0 if summary["disagreements"] == 0 else 1
+    return {"max_den": args.max_den}, summary, code, records if sink is None else []
 
 
 @functools.cache
@@ -400,7 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     start = time.perf_counter()
     try:
-        inputs, result, code = args.func(args)
+        inputs, result, code, records = args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # UsageError is a ValueError; OverflowError is an input too large
         # for floating point
@@ -413,7 +417,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
         "elapsed_ms": elapsed_ms,
     }
-    print(json.dumps(document, sort_keys=True, allow_nan=False))
+    try:
+        for rec in records:
+            sys.stdout.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+        print(json.dumps(document, sort_keys=True, allow_nan=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: the rest of the output
+        # is dropped, and stdout goes to the null device, so that the
+        # interpreter's last flush does not fail on the closed pipe
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
     return code
 
 

@@ -14,13 +14,17 @@ Continuation is by adaptive Taylor stepping in two phases.  The step plan
 comes first: the step length is a fixed fraction of the distance to the
 nearest pole, which keeps the local series well inside its convergence disk,
 so it depends only on the path and the poles, never on the solution, and
-every step center and step is known before any series is solved; plans
-are cached by denominator and path.  Then one batched solve: the
-recurrence of the cleared equation that ``series_solve_linear`` runs
-(O(order * deg) operations a step, two numpy calls a coefficient) runs once
-on arrays over all step centers, one matmul with the matrix of the powers
-of each step gives each value and derivative at the end of its step, and
-log2(steps) batched matmuls multiply the step matrices in pairs.
+every step center and step is known before any series is solved.  A plan is
+compiled once a denominator and path, on first use, and cached: with the
+steps it holds all else that they and the denominator fix, the shifted
+denominator's terms of the recurrence at every step center, the matrix of
+the powers of every step and the identities that pad the steps to a power
+of two.  Then one batched solve: the numerators' terms, the recurrence of
+the cleared equation that ``series_solve_linear`` runs (O(order * deg)
+operations a step, two numpy calls a coefficient) on arrays over all step
+centers, one matmul with the plan's powers, which gives each value and
+derivative at the end of its step, and log2(steps) batched matmuls that
+multiply the step matrices in pairs.
 
 The batch also runs across equations.  Equations whose r has the same
 reduced denominator have the same poles, so they share one step plan a loop:
@@ -41,7 +45,10 @@ dihedral); x, y, z, xy - z and kappa all in T5 = {2cos(pi k/n) : n <= 5} is
 finite primitive, of order 60, 24 or 12 (Beukers & Heckman, Invent. Math.
 95, 1989); anything else is dense.  "=" and "in" hold within a tolerance
 that is a fixed multiple of the estimated error of the loop matrices, and
-group orders above 120 count as infinite.
+group orders above 120 count as infinite.  The 2x2 matrices of the error
+estimate and of the classification are Python complex numbers, out of numpy
+by one ``tolist`` a matrix: numpy calls cost more than the arithmetic on
+matrices this small.
 """
 
 from __future__ import annotations
@@ -56,10 +63,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import Poly, RatFunc
-from .series import _complex_coeffs, _shift_coeffs, _solve_recurrence, poles
+from .series import _complex_coeffs, _run_recurrence, _shift_coeffs, poles
 from .triangle import AngleParams, build_r, exponent_differences
-
-_IDENTITY = np.eye(2, dtype=complex)
 
 # continuation: the Taylor order through which the equation coefficient
 # enters the series pair at each step center (the pair itself has order
@@ -77,7 +82,7 @@ _DEGREES = np.arange(1, _TAYLOR_ORDER + 3)
 # bounds its memory
 _CHUNK = 12
 # step plans kept: one a loop and denominator, and a sweep has two loops
-# and a few denominators
+# and a few denominators; as many loop polylines are kept
 _PLAN_CACHE_SIZE = 32
 
 # polyline nodes on a loop circle, before the closing node, and the base
@@ -104,72 +109,130 @@ class LoopSpec:
         if abs(_BASE_POINT - complex(self.center)) <= self.radius:
             raise ValueError("the base point 1/2 must lie outside the loop circle")
 
-    def polyline(self) -> list[complex]:
-        center = complex(self.center)
-        u = (_BASE_POINT - center) / abs(_BASE_POINT - center)
-        theta0 = cmath.phase(u)
-        circle = [
-            center + self.radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
-            for k in range(_LOOP_STEPS + 1)
-        ]
-        return [_BASE_POINT] + circle + [_BASE_POINT]
-
-
-def _taylor_step(rs: Sequence[RatFunc], zs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Transfer matrices of the fundamental pair across steps from ``zs`` to
-    ``zs + hs``: the values and derivatives at z + h of the series pair with
-    initial data (1, 0) and (0, 1) at z.  ``rs`` are T RatFuncs with one
-    reduced denominator and ``zs``, ``hs`` arrays of shape (steps,); the
-    result is a (T, steps, 2, 2) stack from one run of the series recurrence
-    over all step centers and equations.  The denominator is shifted once,
-    and each numerator is shifted at the shared step centers.
-
-    Values and slopes come from one matmul: the (steps, 2, order + 1)
-    matrix of the powers h^m and their derivatives m h^(m-1) times the
-    coefficients of the pair, a product per step and equation, so each
-    equation's matrices are bit for bit those it gets alone."""
-    # the numerators' coefficients, padded with zeros to one length, each a
-    # column over the equations; at least one, which carries the equations'
-    # axis when every r is 0
-    width = max(1, max(len(f.num.coeffs) for f in rs))
-    num = np.zeros((width, len(rs), 1), dtype=complex)
-    for k, f in enumerate(rs):
-        num[: len(f.num.coeffs), k, 0] = _complex_coeffs(f.num.coeffs)
-    ns = _shift_coeffs(list(num), zs)
-    ds = _shift_coeffs(_complex_coeffs(rs[0].den.coeffs), zs)
-    if np.any(ds[0] == 0):
-        raise ZeroDivisionError("a step center is a pole")
-    coefficients = _solve_recurrence(ns, ds, _TAYLOR_ORDER + 2)
-    # h^0, h^1, ... by a running product, and m h^(m-1) from them
-    powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
-    powers[..., 0, 0] = 1
-    powers[..., 0, 1:] = hs[..., None]
-    np.cumprod(powers[..., 0, :], axis=-1, out=powers[..., 0, :])
-    powers[..., 1, 0] = 0
-    np.multiply(powers[..., 0, :-1], _DEGREES, out=powers[..., 1, 1:])
-    # summed from the highest power down, the smallest terms first, which
-    # rounds less than summing up
-    return np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
-
-
-def _step_plan(r: RatFunc, path: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Step centers and steps along a polyline, in order.  Each step is
-    ``_STEP_FACTOR`` times the distance to the nearest pole of ``r``, at
-    most 1/2 and at most what is left of the segment; a step that would
-    leave less than ``_MIN_STEP`` runs to the segment's end node instead,
-    so a segment shorter than that is one step.  Raises RuntimeError when
-    the path comes within ``_POLE_CLEARANCE`` of a pole, and ValueError on
-    a node that is not finite.
-
-    The plan depends only on the poles and the path, so it is cached, keyed
-    by the reduced denominator of ``r`` and the path's nodes; the arrays
-    are read-only, as every caller of that key shares them."""
-    return _cached_step_plan(r.den, tuple(map(complex, path)))
+    def polyline(self) -> tuple[complex, ...]:
+        return _polyline(complex(self.center), self.radius)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _cached_step_plan(den: Poly, path: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
-    pole_list = poles(RatFunc(Poly([1]), den))
+def _polyline(center: complex, radius: float) -> tuple[complex, ...]:
+    u = (_BASE_POINT - center) / abs(_BASE_POINT - center)
+    theta0 = cmath.phase(u)
+    circle = [
+        center + radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
+        for k in range(_LOOP_STEPS + 1)
+    ]
+    return (_BASE_POINT, *circle, _BASE_POINT)
+
+
+@dataclass(frozen=True, eq=False)
+class _StepPlan:
+    """Everything about the Taylor steps along a path that depends only on
+    the denominator of r and the steps, never on the numerator: the step
+    centers ``zs`` and steps ``hs``; the terms -(d_i/d_0), i >= 1, of the
+    shifted denominator at each center, in the even columns of
+    ``den_terms`` (steps, 2 (deg D)), and 2 d_0 in ``twice_d0``; the matrix
+    of the powers h^m and derivatives m h^(m-1) of each step, highest power
+    first, in ``powers`` (steps, 2, order + 1); and the identities that pad
+    a chunk's steps to a power of two, in ``padding`` (_CHUNK, pad, 2, 2).
+    The arrays are read-only, as every caller of a cached plan shares
+    them."""
+
+    zs: np.ndarray
+    hs: np.ndarray
+    den_terms: np.ndarray
+    twice_d0: np.ndarray
+    powers: np.ndarray
+    padding: np.ndarray
+
+    @staticmethod
+    def compile(den: Poly, zs: Sequence[complex], hs: Sequence[complex]) -> "_StepPlan":
+        """The plan of the steps from ``zs`` to ``zs + hs`` for the monic
+        denominator ``den``."""
+        zs, hs = np.array(zs, dtype=complex), np.array(hs, dtype=complex)
+        ds = _shift_coeffs(_complex_coeffs(den.coeffs), zs)
+        if np.any(ds[0] == 0):
+            raise ZeroDivisionError("a step center is a pole")
+        den_terms = np.zeros((len(zs), 2 * (len(ds) - 1)), dtype=complex)
+        for i, d in enumerate(ds[1:]):
+            den_terms[:, 2 * i] = -(d / ds[0])
+        # h^0, h^1, ... by a running product, and m h^(m-1) from them
+        powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
+        powers[..., 0, 0] = 1
+        powers[..., 0, 1:] = hs[..., None]
+        np.cumprod(powers[..., 0, :], axis=-1, out=powers[..., 0, :])
+        powers[..., 1, 0] = 0
+        np.multiply(powers[..., 0, :-1], _DEGREES, out=powers[..., 1, 1:])
+        pad = (1 << (len(zs) - 1).bit_length()) - len(zs)
+        plan = _StepPlan(
+            zs,
+            hs,
+            den_terms,
+            # an array even where D is constant and so not shifted
+            np.array(2 * ds[0]),
+            # summed from the highest power down, the smallest terms first,
+            # which rounds less than summing up
+            powers[..., ::-1],
+            np.broadcast_to(np.eye(2, dtype=complex), (_CHUNK, pad, 2, 2)),
+        )
+        for a in (plan.zs, plan.hs, plan.den_terms, plan.twice_d0, plan.powers):
+            a.flags.writeable = False
+        return plan
+
+
+def _taylor_step(rs: Sequence[RatFunc], plan: _StepPlan) -> np.ndarray:
+    """Transfer matrices of the fundamental pair across the steps of
+    ``plan``, from ``plan.zs`` to ``plan.zs + plan.hs``: the values and
+    derivatives at z + h of the series pair with initial data (1, 0) and
+    (0, 1) at z.  ``rs`` are T RatFuncs with the denominator the plan was
+    compiled for; the result is a (T, steps, 2, 2) stack from one run of the
+    series recurrence over all step centers and equations.
+
+    The plan holds all that the denominator and the steps fix, so a call
+    computes only the numerators' terms -(n_i / 2 d_0) at the shifted step
+    centers, runs the recurrence and makes one matmul of the plan's powers
+    with the coefficients of the pair, a product per step and equation, so
+    each equation's matrices are bit for bit those it gets alone."""
+    # the numerators' coefficients, padded with zeros to one length, each a
+    # column over the equations; at least one, which carries the equations'
+    # axis when every r is 0.  A coefficient of ``f.num`` is c n_i / lc(d)
+    # in f's reduced form, and one integer division rounds it as
+    # ``_complex_coeffs`` rounds the Fraction, with no Fraction built.
+    width = max(1, max(len(f._n) for f in rs))
+    num = np.zeros((width, len(rs), 1), dtype=complex)
+    for k, f in enumerate(rs):
+        scale, den = f._c.numerator, f._c.denominator * f._d[-1]
+        num[: len(f._n), k, 0] = [scale * x / den for x in f._n]
+    ns = _shift_coeffs(list(num), plan.zs)
+    # the row of terms of ``series._solve_recurrence``: the plan's
+    # denominator terms in the even columns, the numerators' in the odd ones
+    steps, den_width = plan.den_terms.shape
+    w = max(den_width // 2, width)
+    terms = np.zeros((len(rs), steps, 1, 2 * w), dtype=complex)
+    terms[..., 0, :den_width] = plan.den_terms
+    for i, n in enumerate(ns):
+        terms[..., 0, 2 * i + 1] = -(n / plan.twice_d0)
+    order = _TAYLOR_ORDER + 2
+    coefficients = _run_recurrence(terms.reshape(len(rs) * steps, 1, 2 * w), order, 0j)
+    coefficients = coefficients.reshape(len(rs), steps, order + 1, 2)
+    return np.matmul(plan.powers, coefficients[..., ::-1, :])
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
+    """The compiled steps along a polyline, in order, for the reduced
+    denominator ``den`` (``RatFunc._d``, integers).  Each step is
+    ``_STEP_FACTOR`` times the distance to the nearest pole, at most 1/2
+    and at most what is left of the segment; a step that would leave less
+    than ``_MIN_STEP`` runs to the segment's end node instead, so a segment
+    shorter than that is one step.  Raises RuntimeError when the path comes
+    within ``_POLE_CLEARANCE`` of a pole, and ValueError on a node that is
+    not finite.
+
+    The plan depends only on the poles and the path, so it is cached, keyed
+    by the denominator and the path's nodes, and compiled on first use: a
+    failed plan is not cached."""
+    inverse = RatFunc(Poly([1]), Poly(den))
+    pole_list = poles(inverse)
     zs: list[complex] = []
     hs: list[complex] = []
     for a, b in zip(path, path[1:]):
@@ -195,10 +258,7 @@ def _cached_step_plan(den: Poly, path: tuple[complex, ...]) -> tuple[np.ndarray,
                 break
             hs.append(direction * h)
             s += h
-    plan = np.array(zs, dtype=complex), np.array(hs, dtype=complex)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
+    return _StepPlan.compile(inverse.den, zs, hs)
 
 
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:
@@ -209,43 +269,53 @@ def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -
 
     Two phases.  First the step plan (``_step_plan``): every step center
     and step, each step ``_STEP_FACTOR`` times the distance to the nearest
-    pole, at most 1/2.  The step lengths depend only on the path and the
+    pole, at most 1/2, compiled with everything else that the denominator
+    and the steps fix.  The step lengths depend only on the path and the
     poles, never on the solution, so the whole plan is known before any
     series is solved, and equations that share their reduced denominator
-    share it: they are grouped by it, and each group is planned once (the
-    plan is cached, so each path is planned once a denominator).  Then, for
+    share it: they are grouped by it, and each group's plan is compiled once
+    (and cached, so each path is compiled once a denominator).  Then, for
     each chunk of ``_CHUNK`` equations of a group, one batched
     ``_taylor_step`` call solves the series at all step centers at once,
     and each transfer is the ordered product of its matrices, taken in
-    pairs for the whole chunk: padded with identities to a power of two,
-    the stack of step matrices halves at each batched matmul.  Raises
-    ValueError on a node that is not finite, and RuntimeError when the
-    path comes within ``_POLE_CLEARANCE`` of a pole.
+    pairs for the whole chunk: padded with the plan's identities to a power
+    of two, the stack of step matrices halves at each batched matmul.
+    Raises ValueError on a node that is not finite, and RuntimeError when
+    the path comes within ``_POLE_CLEARANCE`` of a pole.
     """
     rs = [r] if isinstance(r, RatFunc) else list(r)
-    groups: dict[Poly, list[int]] = {}
+    path = tuple(map(complex, path))
+    groups: dict[tuple[int, ...], list[int]] = {}
     for i, f in enumerate(rs):
-        groups.setdefault(f.den, []).append(i)
+        groups.setdefault(f._d, []).append(i)
     stack = np.empty((len(rs), 2, 2), dtype=complex)
-    for group in groups.values():
-        zs, hs = _step_plan(rs[group[0]], path)
-        # identities pad the steps to a power of two, so that the ordered
-        # product halves their number at each batched matmul
-        padding = (1 << (len(zs) - 1).bit_length()) - len(zs)
+    for den, group in groups.items():
+        plan = _step_plan(den, path)
         for start in range(0, len(group), _CHUNK):
             chunk = group[start : start + _CHUNK]
-            identities = np.broadcast_to(_IDENTITY, (len(chunk), padding, 2, 2))
-            steps = _taylor_step([rs[i] for i in chunk], zs, hs)
-            steps = np.concatenate([steps, identities], axis=1)
+            steps = _taylor_step([rs[i] for i in chunk], plan)
+            steps = np.concatenate([steps, plan.padding[: len(chunk)]], axis=1)
             while steps.shape[1] > 1:
                 steps = steps[:, 1::2] @ steps[:, ::2]
             stack[chunk] = steps[:, 0]
     return stack[0] if isinstance(r, RatFunc) else stack
 
 
-def _det(m: np.ndarray) -> complex:
-    """The determinant ad - bc of a 2x2 matrix."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _det(m) -> complex:
+    """The determinant ad - bc of a 2x2 matrix, nested sequences of rows."""
+    (a, b), (c, d) = m
+    return a * d - b * c
+
+
+def _trace(m) -> complex:
+    return m[0][0] + m[1][1]
+
+
+def _product(m, n) -> tuple:
+    """The product of two 2x2 matrices of Python complex numbers."""
+    (a, b), (c, d) = m
+    (e, f), (g, h) = n
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,14 +362,16 @@ def monodromy(
         for loop in (loop0 or LoopSpec(center=0j), loop1 or LoopSpec(center=1 + 0j))
     )
     reps = []
-    for p, m0, m1 in zip(ps, m0s, m1s):
+    # the defects in Python complex arithmetic, which costs less than numpy
+    # calls on 2x2 matrices
+    for p, m0, m1, a0, a1 in zip(ps, m0s, m1s, m0s.tolist(), m1s.tolist()):
         e = exponent_differences(p)
-        defects = [abs(_det(m) - 1.0) for m in (m0, m1)]
-        for m, x in zip((m0, m1, m0 @ m1), e.as_tuple()):
-            t, c = np.trace(m), 2 * math.cos(math.pi * x)
+        defects = [abs(_det(a0) - 1.0), abs(_det(a1) - 1.0)]
+        for m, x in zip((a0, a1, _product(a0, a1)), e.as_tuple()):
+            t, c = _trace(m), 2 * math.cos(math.pi * x)
             defects.append(min(abs(t - c), abs(t + c)))
         resonant = any(x.denominator == 1 for x in e.as_tuple())
-        reps.append(MonodromyRep(m0, m1, float(max(defects)), resonant_warning=resonant))
+        reps.append(MonodromyRep(m0, m1, max(defects), resonant_warning=resonant))
     return reps[0] if isinstance(params, AngleParams) else reps
 
 
@@ -341,47 +413,55 @@ class ProjectiveClass:
         return asdict(self)
 
 
-def _normalize(m: np.ndarray) -> np.ndarray:
-    return m / cmath.sqrt(_det(m))
+def _normalize(m) -> tuple:
+    """m over a square root of its determinant."""
+    s = cmath.sqrt(_det(m))
+    return tuple(tuple(x / s for x in row) for row in m)
 
 
-def _norm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
+def _norm(m) -> float:
+    """The largest absolute value of an entry."""
+    return max(abs(x) for row in m for x in row)
 
 
-def _order(a: np.ndarray, cap: int) -> tuple[int, float]:
+def _order(a, cap: int) -> tuple[int, float]:
     """The projective order q <= ``cap`` nearest to that of the
     unit-determinant ``a``, and the distance of ``a`` from having order q."""
-    t = np.trace(a)
+    t = _trace(a)
     theta = math.acos(min(max(t.real / 2, -1.0), 1.0)) / math.pi
     angle = Fraction(theta).limit_denominator(cap)
     dist = abs(t - 2 * math.cos(math.pi * angle))
     if angle.denominator == 1:
         # of trace +-2 only the scalars have finite order, not the parabolics
-        dist = max(dist, _norm(a - t / 2 * _IDENTITY) / _norm(a))
+        (p, q), (r, s) = a
+        dist = max(dist, _norm(((p - t / 2, q), (r, s - t / 2))) / _norm(a))
     return angle.denominator, dist
 
 
 def classify_projective(rep: MonodromyRep) -> ProjectiveClass:
     """Classify the projectivized group generated by the loop matrices by the
     trace rule of the module docstring.  Raises ``InconclusiveError`` when
-    the tolerance from ``rep.estimated_error`` cannot separate the loci."""
+    the tolerance from ``rep.estimated_error`` cannot separate the loci.
+
+    The matrices leave numpy through one ``tolist`` each: the rule runs on
+    Python complex numbers, which costs less than numpy calls on 2x2
+    matrices."""
     tol = max(_TOL_FACTOR * rep.estimated_error, _TOL_FLOOR)
     if tol > _TOL_MAX:
         raise InconclusiveError(
             f"tolerance {tol:.2e} from estimated error {rep.estimated_error:.2e} "
             f"exceeds {_TOL_MAX:.0e}, beyond which the loci are not separated"
         )
-    a0 = _normalize(rep.m0.astype(complex))
-    a1 = _normalize(rep.m1.astype(complex))
-    mats = (a0, a1, a0 @ a1)
-    x, y, z = (np.trace(m) for m in mats)
+    a0 = _normalize(rep.m0.tolist())
+    a1 = _normalize(rep.m1.tolist())
+    mats = (a0, a1, _product(a0, a1))
+    x, y, z = (_trace(m) for m in mats)
     kappa = x * x + y * y + z * z - x * y * z - 2
     missed: list[float] = []
 
     def holds(dist: float) -> bool:
         if dist > tol:
-            missed.append(float(dist))
+            missed.append(dist)
         return dist <= tol
 
     def result(kind: str, order: Optional[int] = None) -> ProjectiveClass:
@@ -389,14 +469,16 @@ def classify_projective(rep: MonodromyRep) -> ProjectiveClass:
 
     if holds(abs(kappa - 2)):
         (q0, d0), (q1, d1) = (_order(a, _MAX_ORDER) for a in (a0, a1))
-        commutator = _norm(a0 @ a1 - a1 @ a0) / (_norm(a0) * _norm(a1))
+        ab, ba = mats[2], _product(a1, a0)
+        difference = [[ab[i][j] - ba[i][j] for j in (0, 1)] for i in (0, 1)]
+        commutator = _norm(difference) / (_norm(a0) * _norm(a1))
         if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_ORDER:
             return result("finite", math.lcm(q0, q1))
         return result("triangularizable")
     if holds(sorted(map(abs, (x, y, z)))[1]):
         # the two matrices of trace 0 are involutions: dihedral of twice the
         # order q of the third
-        q, dist = _order(max(mats, key=lambda m: abs(np.trace(m))), _MAX_ORDER // 2)
+        q, dist = _order(max(mats, key=lambda m: abs(_trace(m))), _MAX_ORDER // 2)
         return result("finite", 2 * q) if holds(dist) else result("dihedral")
     nearest = [min((abs(t - v), n) for v, n in _T5) for t in (x, y, z, x * y - z, kappa)]
     if holds(max(nearest)[0]):

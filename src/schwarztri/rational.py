@@ -30,6 +30,7 @@ References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -39,14 +40,57 @@ ScalarLike = Union[int, Fraction, str]
 _ZERO = Fraction(0)
 
 
+# the most bits a numerator or denominator written as text may have
+MAX_TEXT_BITS = 10_000
+# the digits of 10^3011, the smallest power of ten past 2^MAX_TEXT_BITS
+_MAX_TEXT_DIGITS = 3011
+# a superset of the exponent notation of Fraction(str): an integer part, a
+# fractional part and an exponent
+_EXPONENT_TEXT = re.compile(r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE](?P<exp>[-+]?[\d_]+)\s*")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, its numerator and denominator each of at most
+    ``MAX_TEXT_BITS`` bits; ValueError otherwise.
+
+    Fraction multiplies an exponent out, so '1e10000000' would build
+    10^10000000, and Python's limit on the digits of an integer does not
+    apply to that.  So in exponent notation the size is judged from the
+    text before the number is built: a numerator or denominator with more
+    than 3011 digits written out in full, the exponent applied and nothing
+    cancelled, is rejected.  Any other text is built, and the bound is
+    checked on the reduced fraction."""
+    if "e" in text or "E" in text:
+        match = _EXPONENT_TEXT.fullmatch(text)
+        if match is None:
+            raise ValueError(f"not an exact fraction: {text[:40]!r}")
+        int_digits, frac_digits, exponent = (
+            match[group].replace("_", "") if match[group] else "" for group in ("int", "frac", "exp")
+        )
+        if len(exponent.lstrip("+-").lstrip("0")) > len(str(_MAX_TEXT_DIGITS)):
+            raise ValueError(f"numerator or denominator exceeds {MAX_TEXT_BITS} bits: {text[:40]!r}")
+        # int.frac * 10^exp, as Fraction builds it: the numerator int frac
+        # over 10^len(frac), times 10^exp
+        e = int(exponent)
+        if max(len(int_digits) + len(frac_digits) + e, len(frac_digits) - e + 1) > _MAX_TEXT_DIGITS:
+            raise ValueError(f"numerator or denominator exceeds {MAX_TEXT_BITS} bits: {text[:40]!r}")
+    value = Fraction(text)
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_TEXT_BITS:
+        raise ValueError(f"numerator or denominator exceeds {MAX_TEXT_BITS} bits: {text[:40]!r}")
+    return value
+
+
 def as_fraction(value: ScalarLike) -> Fraction:
-    """Coerce an exact scalar; floats are rejected to avoid silent rounding."""
+    """Coerce an exact scalar; floats are rejected to avoid silent rounding,
+    and text goes through ``parse_fraction``."""
     if isinstance(value, bool):
         raise TypeError("booleans are not exact scalars")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        return parse_fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 

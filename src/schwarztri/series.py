@@ -264,39 +264,49 @@ def _solve_recurrence(ns: list, ds: list, order: int) -> np.ndarray:
     or numpy arrays of them that broadcast together to a shape S; the result
     has shape S + (order + 1, 2), the pair on the last axis.
 
-    e_m = m (m - 1) c_m and c_m sit interleaved in one buffer, e_m in row
-    2w + 2m and c_m in the next, below 2w rows of zeros.  The terms of e_j,
-    e_{j-1}, c_{j-2}, e_{j-2}, c_{j-3}, ..., are then the 2w rows below e_j
-    read backwards, and e_j is the product of that slice with the row
-    -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0, ...), padded with zeros to
-    width 2w: one matmul, and c_j one division, for all of S and the pair
-    at once."""
+    The recurrence divided by 2 d_0 has the row of terms
+    -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0, ...), padded with zeros to width
+    2w; ``_run_recurrence`` runs it."""
     exact = isinstance(ds[0], Fraction)
     zero = ds[0] * 0 if exact else 0j
-    dtype = object if exact else complex
     shape = np.broadcast_shapes(*(np.shape(x) for x in ns + ds))
-    size = math.prod(shape)
     # at least 1: an empty product of object arrays is the int 0, not a Fraction
     w = max(len(ds) - 1, len(ns), 1)
-    k = np.full(shape + (1, 2 * w), zero, dtype=dtype)
+    k = np.full(shape + (1, 2 * w), zero, dtype=object if exact else complex)
     for i, d in enumerate(ds[1:]):
         k[..., 0, 2 * i] = -(d / ds[0])
     for i, n in enumerate(ns):
         k[..., 0, 2 * i + 1] = -(n / (2 * ds[0]))
-    k = k.reshape(size, 1, 2 * w)
+    pair = _run_recurrence(k.reshape(math.prod(shape), 1, 2 * w), order, zero)
+    return pair.reshape(shape + (order + 1, 2))
+
+
+def _run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
+    """The pair c_0..c_order, with (c_0, c_1) = (1, 0) and (0, 1), of each
+    of the rows of terms ``k``, an array of shape (size, 1, 2w) as
+    ``_solve_recurrence`` lays them out; the result has shape
+    (size, order + 1, 2).  ``zero`` is the zero of k's entries.
+
+    e_m = m (m - 1) c_m and c_m sit interleaved in one buffer, e_m in row
+    2w + 2m and c_m in the next, below 2w rows of zeros.  The terms of e_j,
+    e_{j-1}, c_{j-2}, e_{j-2}, c_{j-3}, ..., are then the 2w rows below e_j
+    read backwards, and e_j is the product of that slice with the row of
+    terms: one matmul, and c_j one division, for all rows and the pair at
+    once."""
+    size, _, width = k.shape
     # rows outermost in memory, so that a row and the rows below it are
     # disjoint blocks, which numpy sees without copying
-    rows = np.full((2 * w + 2 * (order + 1), size, 2), zero, dtype=dtype)
-    rows[2 * w + 1, :, 0] = rows[2 * w + 3, :, 1] = zero + 1
+    rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=k.dtype)
+    rows[width + 1, :, 0] = rows[width + 3, :, 1] = zero + 1
     history = rows.transpose(1, 0, 2)
     # coefficients past the float range run on as inf and nan, as Python's
     # complex arithmetic lets them: the residual reports turn them into errors
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(2, order + 1):
-            e = 2 * w + 2 * j
-            np.matmul(k, history[:, e - 2 : e - 2 - 2 * w : -1], out=history[:, e : e + 1])
+            e = width + 2 * j
+            np.matmul(k, history[:, e - 2 : e - 2 - width : -1], out=history[:, e : e + 1])
             np.divide(rows[e], j * (j - 1), out=rows[e + 1])
-    return history[:, 2 * w + 1 :: 2].reshape(shape + (order + 1, 2))
+    return history[:, width + 1 :: 2]
 
 
 def series_solve_linear(

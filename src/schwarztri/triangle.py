@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .rational import Poly, RatFunc, as_fraction
+from .rational import RatFunc, _ratfunc, as_fraction, parse_fraction
 
 
 class _Generic:
@@ -90,9 +90,11 @@ class AngleParams:
         values = []
         for pos, part in enumerate(parts):
             try:
-                values.append(Fraction(part.strip()))
-            except (ValueError, ZeroDivisionError) as exc:
+                values.append(parse_fraction(part))
+            except ZeroDivisionError as exc:
                 raise ValueError(f"field {pos + 1} ({part.strip()!r}): not an exact fraction") from exc
+            except ValueError as exc:
+                raise ValueError(f"field {pos + 1}: {exc}") from exc
         return AngleParams(*values)
 
     def as_text(self) -> str:
@@ -137,6 +139,12 @@ def _require_exact(params: AngleParams) -> tuple[Fraction, Fraction, Fraction]:
     return params.e_alpha, params.e_beta, params.e_gamma
 
 
+# y^a (y - 1)^b, ascending, for the exponents a, b <= 2 of the poles of r
+_POLE_POWERS = {
+    (a, b): (0,) * a + ((1,), (-1, 1), (1, -2, 1))[b] for a in range(3) for b in range(3)
+}
+
+
 def build_r(params: AngleParams) -> RatFunc:
     """The triangle-equation rational function
 
@@ -144,13 +152,38 @@ def build_r(params: AngleParams) -> RatFunc:
 
     with (a, b, g) the inverse angle parameters; poles only at 0 and 1,
     each of order at most 2.
+
+    Reduced directly, with no gcd: over the common denominator
+    2 y^2 (y-1)^2 the numerator c0 (y-1)^2 + c1 y^2 + c_mix y (y-1) takes
+    the value c0 = 1 - b^2 at 0 and c1 = 1 - g^2 at 1, so it shares a
+    factor y or y - 1 with the denominator only where c0 or c1 is 0, and
+    each such factor is divided out exactly.
     """
     ea, eb, eg = _require_exact(params)
-    c0, c1 = 1 - eb * eb, 1 - eg * eg
-    c_mix = eb * eb + eg * eg - ea * ea - 1
-    # over the common denominator 2 y^2 (y-1)^2 the numerator is
-    # c0 (y-1)^2 + c1 y^2 + c_mix y (y-1)
-    return RatFunc(Poly([c0, -2 * c0 - c_mix, c0 + c1 + c_mix]), Poly([0, 0, 2, -4, 2]))
+    # the coefficients times their common denominator L^2, L the lcm of the
+    # parameters' denominators: c0 L^2 = L^2 - (L b)^2 and so on
+    lcm = math.lcm(ea.denominator, eb.denominator, eg.denominator)
+    sa, sb, sg = ((e.numerator * (lcm // e.denominator)) ** 2 for e in (ea, eb, eg))
+    square = lcm * lcm
+    c0, c1, c_mix = square - sb, square - sg, sb + sg - sa - square
+    n = [c0, -2 * c0 - c_mix, c0 + c1 + c_mix]
+    while n and n[-1] == 0:
+        n.pop()
+    if not n:
+        return RatFunc.constant(0)
+    at0 = at1 = 2
+    while n[0] == 0:
+        # y divides the numerator
+        n.pop(0)
+        at0 -= 1
+    while len(n) > 1 and sum(n) == 0:
+        # y - 1 divides the numerator: the quotient by synthetic division
+        for i in range(len(n) - 2, -1, -1):
+            n[i] += n[i + 1]
+        n.pop(0)
+        at1 -= 1
+    content = math.gcd(*n) if n[-1] > 0 else -math.gcd(*n)
+    return _ratfunc([x // content for x in n], _POLE_POWERS[at0, at1], Fraction(content, 2 * square))
 
 
 def exponent_differences(params: AngleParams) -> ExponentTriple:

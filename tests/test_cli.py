@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -105,6 +108,20 @@ class TestClassifyEquation:
         d1, d2 = last_json(out1), last_json(out2)
         d1.pop("elapsed_ms"), d2.pop("elapsed_ms")
         assert d1 == d2
+
+
+    @pytest.mark.parametrize("value", ["1e3100", "1e-3100", "1e10000000"])
+    def test_exponent_notation_bound(self, capsys, value):
+        # judged from the text: Fraction would multiply 10^10000000 out
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify-equation", f"--inv-angles={value},1/2,1/3")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err.startswith("error: field 1: ") and err.count("\n") == 1 and "10000 bits" in err
+
+    def test_exponent_notation_within_bound(self, capsys):
+        code, out, _ = run(capsys, "classify-equation", "--inv-angles=1e3000,1/2,1/3")
+        assert code == 0 and last_json(out)["result"]["verdict"] == "strongly_minimal"
 
 
 class TestClassifyGroup:
@@ -266,6 +283,14 @@ class TestVerify:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+    def test_base_bound(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base=1e10000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err.startswith("error: --base: ") and err.count("\n") == 1
+
+
 class TestSweep:
     def test_min_denominator(self, capsys, tmp_path):
         out_path = tmp_path / "records.ndjson"
@@ -386,3 +411,46 @@ class TestOneCommandPath:
         assert code == 0 and len(lines) == 2
         assert json.loads(lines[0])["triple"] == ["1/2", "1/2", "1/2"]
         assert last_json(out)["result"]["out_path"] is None
+
+
+def _run_with_closed_stdout(argv: list[str], lines_before_close: int) -> tuple[int, str]:
+    """Run the CLI in a subprocess, read ``lines_before_close`` lines of its
+    stdout and close the pipe; returns the exit code and stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schwarztri", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines_before_close):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+class TestClosedStdout:
+    def test_sweep_into_a_closed_pipe(self):
+        # 1771 records, far more than a pipe holds, so the writes after the
+        # first line meet the closed pipe; the sweep agrees everywhere, so
+        # its own code is 0
+        code, err = _run_with_closed_stdout(["sweep", "--max-den", "8"], 1)
+        assert err == ""
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["classify-equation", "--inv-angles", "1/2,1/3,1/7"], 0),
+            (["verify", "principal", "--inv-angles", "1/2,1/3,1/7"], 0),
+            (["verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--tol", "1e-300"], 1),
+        ],
+    )
+    def test_document_into_a_closed_pipe(self, argv, expected):
+        # the pipe is closed before the document is written
+        code, err = _run_with_closed_stdout(argv, 0)
+        assert err == ""
+        assert code == expected

@@ -6,7 +6,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,24 +15,37 @@ import pytest
 from schwarztri.cli import exponent_values
 from schwarztri.monodromy import (
     _CHUNK,
-    InconclusiveError,
-    LoopSpec,
-    MonodromyRep,
+    _DEGREES,
+    _MAX_ORDER,
     _MIN_STEP,
     _POLE_CLEARANCE,
     _STEP_FACTOR,
+    _T5,
     _TAYLOR_ORDER,
-    _cached_step_plan,
+    _TOL_FACTOR,
+    _TOL_FLOOR,
+    _TOL_MAX,
+    InconclusiveError,
+    LoopSpec,
+    MonodromyRep,
+    ProjectiveClass,
     _det,
     _normalize,
     _step_plan,
+    _StepPlan,
     _taylor_step,
     classify_projective,
     continue_solution,
     monodromy,
 )
 from schwarztri.rational import RatFunc
-from schwarztri.series import _shift_coeffs, poles, series_solve_linear
+from schwarztri.series import (
+    _complex_coeffs,
+    _shift_coeffs,
+    _solve_recurrence,
+    poles,
+    series_solve_linear,
+)
 from schwarztri.triangle import AngleParams, build_r, exponent_differences
 
 
@@ -145,6 +158,115 @@ def _reference_batched_taylor_step(r, z, h) -> np.ndarray:
     return stack[0] if isinstance(r, RatFunc) else stack
 
 
+# -- reference: the Taylor step that compiled step plans replaced, kept word
+# for word but for the names
+
+
+def _reference_uncompiled_taylor_step(rs, zs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    # the numerators' coefficients, padded with zeros to one length, each a
+    # column over the equations; at least one, which carries the equations'
+    # axis when every r is 0
+    width = max(1, max(len(f.num.coeffs) for f in rs))
+    num = np.zeros((width, len(rs), 1), dtype=complex)
+    for k, f in enumerate(rs):
+        num[: len(f.num.coeffs), k, 0] = _complex_coeffs(f.num.coeffs)
+    ns = _shift_coeffs(list(num), zs)
+    ds = _shift_coeffs(_complex_coeffs(rs[0].den.coeffs), zs)
+    if np.any(ds[0] == 0):
+        raise ZeroDivisionError("a step center is a pole")
+    coefficients = _solve_recurrence(ns, ds, _TAYLOR_ORDER + 2)
+    # h^0, h^1, ... by a running product, and m h^(m-1) from them
+    powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
+    powers[..., 0, 0] = 1
+    powers[..., 0, 1:] = hs[..., None]
+    np.cumprod(powers[..., 0, :], axis=-1, out=powers[..., 0, :])
+    powers[..., 1, 0] = 0
+    np.multiply(powers[..., 0, :-1], _DEGREES, out=powers[..., 1, 1:])
+    # summed from the highest power down, the smallest terms first, which
+    # rounds less than summing up
+    return np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
+
+
+# -- reference: the projective classification on numpy 2x2 matrices that
+# the Python complex arithmetic replaced, kept word for word but for the
+# names
+
+_REFERENCE_IDENTITY = np.eye(2, dtype=complex)
+
+
+def _reference_det(m: np.ndarray) -> complex:
+    """The determinant ad - bc of a 2x2 matrix."""
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _reference_normalize(m: np.ndarray) -> np.ndarray:
+    return m / cmath.sqrt(_reference_det(m))
+
+
+def _reference_norm(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m)))
+
+
+def _reference_order(a: np.ndarray, cap: int) -> tuple[int, float]:
+    """The projective order q <= ``cap`` nearest to that of the
+    unit-determinant ``a``, and the distance of ``a`` from having order q."""
+    t = np.trace(a)
+    theta = math.acos(min(max(t.real / 2, -1.0), 1.0)) / math.pi
+    angle = F(theta).limit_denominator(cap)
+    dist = abs(t - 2 * math.cos(math.pi * angle))
+    if angle.denominator == 1:
+        # of trace +-2 only the scalars have finite order, not the parabolics
+        dist = max(dist, _reference_norm(a - t / 2 * _REFERENCE_IDENTITY) / _reference_norm(a))
+    return angle.denominator, dist
+
+
+def _reference_classify_projective(rep: MonodromyRep) -> ProjectiveClass:
+    """Classify the projectivized group generated by the loop matrices by the
+    trace rule of the module docstring.  Raises ``InconclusiveError`` when
+    the tolerance from ``rep.estimated_error`` cannot separate the loci."""
+    tol = max(_TOL_FACTOR * rep.estimated_error, _TOL_FLOOR)
+    if tol > _TOL_MAX:
+        raise InconclusiveError(
+            f"tolerance {tol:.2e} from estimated error {rep.estimated_error:.2e} "
+            f"exceeds {_TOL_MAX:.0e}, beyond which the loci are not separated"
+        )
+    a0 = _reference_normalize(rep.m0.astype(complex))
+    a1 = _reference_normalize(rep.m1.astype(complex))
+    mats = (a0, a1, a0 @ a1)
+    x, y, z = (np.trace(m) for m in mats)
+    kappa = x * x + y * y + z * z - x * y * z - 2
+    missed: list[float] = []
+
+    def holds(dist: float) -> bool:
+        if dist > tol:
+            missed.append(float(dist))
+        return dist <= tol
+
+    def result(kind: str, order=None) -> ProjectiveClass:
+        return ProjectiveClass(kind, order, tol, min(missed, default=None))
+
+    if holds(abs(kappa - 2)):
+        (q0, d0), (q1, d1) = (_reference_order(a, _MAX_ORDER) for a in (a0, a1))
+        commutator = _reference_norm(a0 @ a1 - a1 @ a0) / (_reference_norm(a0) * _reference_norm(a1))
+        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_ORDER:
+            return result("finite", math.lcm(q0, q1))
+        return result("triangularizable")
+    if holds(sorted(map(abs, (x, y, z)))[1]):
+        # the two matrices of trace 0 are involutions: dihedral of twice the
+        # order q of the third
+        q, dist = _reference_order(max(mats, key=lambda m: abs(np.trace(m))), _MAX_ORDER // 2)
+        return result("finite", 2 * q) if holds(dist) else result("dihedral")
+    nearest = [min((abs(t - v), n) for v, n in _T5) for t in (x, y, z, x * y - z, kappa)]
+    if holds(max(nearest)[0]):
+        return result("finite", {5: 60, 4: 24}.get(max(n for _, n in nearest[:4]), 12))
+    return result("dense")
+
+
+def plan_of(r: RatFunc, path) -> _StepPlan:
+    """The cached step plan of ``r``'s denominator along ``path``."""
+    return _step_plan(r._d, tuple(map(complex, path)))
+
+
 def _non_resonant_triples(seed: int, count: int) -> list[AngleParams]:
     """Seeded triples of exponent differences p/q with q in 2..5 and
     |p/q| <= 6, none an integer."""
@@ -166,7 +288,7 @@ def _conditioning(r: RatFunc, path) -> float:
     error made at step k reaches the end of the path amplified by up to
     |T_k| |T_k^-1| = |T_k|^2."""
     transfer, worst = np.eye(2, dtype=complex), 1.0
-    for m in _taylor_step([r], *_step_plan(r, path))[0]:
+    for m in _taylor_step([r], plan_of(r, path))[0]:
         transfer = m @ transfer
         worst = max(worst, float(np.max(np.abs(transfer))) ** 2)
     return worst
@@ -218,7 +340,7 @@ class TestContinuation:
         r = build_r(params("1/2", "1/3", "1/7"))
         steps = ((0.5, 0.1), (0.5, 0.125j), (0.25, -0.0875), (0.7 - 0.2j, 0.05 + 0.05j))
         for z, h in steps:
-            m = _taylor_step([r], np.array([z]), np.array([h]))[0, 0]
+            m = _taylor_step([r], _StepPlan.compile(r.den, [z], [h]))[0, 0]
             pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
             w = z + h
             expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
@@ -228,13 +350,13 @@ class TestContinuation:
     def test_batched_steps_match_scalar_steps(self):
         # one array call gives the stack of the one-step calls' matrices
         r = build_r(params("1/2", "1/3", "1/7"))
-        zs, hs = _step_plan(r, LoopSpec(center=1 + 0j).polyline())
-        zs = np.concatenate([zs, [0.5, 0.5, 0.25, 0.7 - 0.2j]])
-        hs = np.concatenate([hs, [0.1, 0.125j, -0.0875, 0.05 + 0.05j]])
-        stack = _taylor_step([r], zs, hs)
+        plan = plan_of(r, LoopSpec(center=1 + 0j).polyline())
+        zs = np.concatenate([plan.zs, [0.5, 0.5, 0.25, 0.7 - 0.2j]])
+        hs = np.concatenate([plan.hs, [0.1, 0.125j, -0.0875, 0.05 + 0.05j]])
+        stack = _taylor_step([r], _StepPlan.compile(r.den, zs, hs))
         assert stack.shape == (1, len(zs), 2, 2)
         for z, h, m in zip(zs, hs, stack[0]):
-            single = _taylor_step([r], np.array([z]), np.array([h]))
+            single = _taylor_step([r], _StepPlan.compile(r.den, [z], [h]))
             assert single.shape == (1, 1, 2, 2)
             single = single[0, 0]
             assert np.max(np.abs(m - single)) <= 1e-14 * np.max(np.abs(single)), (z, h)
@@ -246,11 +368,11 @@ class TestContinuation:
         triples = (("1/2", "1/3", "1/7"), (1, "1/3", "1/7"), ("1/4", "1/4", "1/4"))
         rs = [build_r(params(*t)) for t in triples]
         assert len({r.den for r in rs}) == 1 and rs[1].num.degree < rs[0].num.degree
-        zs, hs = _step_plan(rs[0], LoopSpec(center=0j).polyline())
-        stack = _taylor_step(rs, zs, hs)
-        assert stack.shape == (3, len(zs), 2, 2)
+        plan = plan_of(rs[0], LoopSpec(center=0j).polyline())
+        stack = _taylor_step(rs, plan)
+        assert stack.shape == (3, len(plan.zs), 2, 2)
         for r, got in zip(rs, stack):
-            assert np.array_equal(got, _taylor_step([r], zs, hs)[0])
+            assert np.array_equal(got, _taylor_step([r], plan)[0])
 
     def test_taylor_step_matches_elementwise_reference(self):
         # the two-call recurrence and the power matrix against the
@@ -264,11 +386,11 @@ class TestContinuation:
         assert len({r.den for r in rs}) == 1
         for radius in (0.25, 0.125):
             for center in (0j, 1 + 0j):
-                zs, hs = _step_plan(rs[0], LoopSpec(center=center, radius=radius).polyline())
-                expected = _reference_batched_taylor_step(rs, zs, hs)
-                singles = np.stack([_taylor_step([r], zs, hs)[0] for r in rs])
-                for got in (_taylor_step(rs, zs, hs), singles):
-                    assert got.shape == expected.shape == (_CHUNK, len(zs), 2, 2)
+                plan = plan_of(rs[0], LoopSpec(center=center, radius=radius).polyline())
+                expected = _reference_batched_taylor_step(rs, plan.zs, plan.hs)
+                singles = np.stack([_taylor_step([r], plan)[0] for r in rs])
+                for got in (_taylor_step(rs, plan), singles):
+                    assert got.shape == expected.shape == (_CHUNK, len(plan.zs), 2, 2)
                     diff = np.max(np.abs(got - expected), axis=(-2, -1))
                     size = np.max(np.abs(expected), axis=(-2, -1))
                     assert np.all(diff <= 1e-14 * size), (radius, center, np.max(diff / size))
@@ -295,8 +417,8 @@ class TestContinuation:
         # 0.35 * 0.2 falls one ulp short of the segment's length 0.07: the
         # remainder, far below the smallest step, is taken by the last step
         r = build_r(params("1/2", "1/3", "1/7"))
-        zs, hs = _step_plan(r, [0.2 + 0j, 0.27 + 0j])
-        assert zs[-1] + hs[-1] == 0.27
+        plan = plan_of(r, [0.2 + 0j, 0.27 + 0j])
+        assert plan.zs[-1] + plan.hs[-1] == 0.27
         m = continue_solution(r, [0.2 + 0j, 0.27 + 0j])
         psi1, psi2 = series_solve_linear(r, 0.2 + 0j, 40)
         expected = np.array(
@@ -326,16 +448,17 @@ class TestContinuation:
             continue_solution(r, [0.5 + 0j, -0.5 + 0j])  # crosses the pole at 0
 
     def test_cached_plan_is_a_fresh_plan(self):
-        # the cache returns, bit for bit, what planning afresh gives, in
+        # the cache returns, bit for bit, what compiling afresh gives, in
         # arrays that cannot be written
         r = build_r(params("1/2", "1/3", "1/7"))
         for loop in (LoopSpec(center=0j), LoopSpec(center=1 + 0j, radius=0.125)):
             path = loop.polyline()
-            fresh = _cached_step_plan.__wrapped__(r.den, tuple(path))
+            fresh = _step_plan.__wrapped__(r._d, path)
             for _ in range(2):
-                plan = _step_plan(r, path)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(plan, fresh))
-                for a in plan:
+                plan = plan_of(r, path)
+                for field in fields(_StepPlan):
+                    a, b = getattr(plan, field.name), getattr(fresh, field.name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
                     assert not a.flags.writeable
                     with pytest.raises(ValueError):
                         a[0] = 0
@@ -346,23 +469,24 @@ class TestContinuation:
         exponents = (AngleParams(F(1, 5), F(1, 2), F(1, 3)), AngleParams(F(1, 5), F(1), F(1, 3)))
         assert exponent_differences(exponents[1]).at0 == 1
         double, simple = (build_r(p) for p in exponents)
-        assert double.den != simple.den
+        assert double._d != simple._d
         path = LoopSpec(center=1 + 0j).polyline()
-        _cached_step_plan.cache_clear()
-        plan = _step_plan(double, path)
-        other = _step_plan(simple, path)
+        _step_plan.cache_clear()
+        plan = plan_of(double, path)
+        other = plan_of(simple, path)
         assert other is not plan
-        assert _cached_step_plan.cache_info().misses == _cached_step_plan.cache_info().currsize == 2
-        fresh = _cached_step_plan.__wrapped__(simple.den, tuple(path))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(other, fresh))
-        assert _step_plan(double, path) is plan
+        assert _step_plan.cache_info().misses == _step_plan.cache_info().currsize == 2
+        fresh = _step_plan.__wrapped__(simple._d, path)
+        for field in fields(_StepPlan):
+            assert getattr(other, field.name).tobytes() == getattr(fresh, field.name).tobytes()
+        assert plan_of(double, path) is plan
 
     def test_path_through_pole_raises_on_every_call(self):
         # a failed plan is not cached
         r = build_r(params("1/2", "1/3", "1/7"))
         for _ in range(3):
             with pytest.raises(RuntimeError):
-                _step_plan(r, [0.5 + 0j, -0.5 + 0j])
+                plan_of(r, [0.5 + 0j, -0.5 + 0j])
 
     def test_continuation_over_equations_returns_a_stack(self):
         rs = [build_r(params(*t)) for t in (("1/2", "1/3", "1/7"), ("1/3", "2/5", "1/7"))]
@@ -504,21 +628,21 @@ class TestBatchedMonodromy:
             calls.append(len(r))
             return original(r, path)
 
-        def planned(r, path):
-            plans.append(r.den)
-            return original_plan(r, path)
+        def planned(den, path):
+            plans.append(den)
+            return original_plan(den, path)
 
-        def stepped(rs, zs, hs):
-            assert len({f.den for f in rs}) == 1
-            chunks.append((rs[0].den, len(rs)))
-            return original_step(rs, zs, hs)
+        def stepped(rs, plan):
+            assert len({f._d for f in rs}) == 1
+            chunks.append((rs[0]._d, len(rs)))
+            return original_step(rs, plan)
 
         monkeypatch.setattr(monodromy_module, "continue_solution", counted)
         monkeypatch.setattr(monodromy_module, "_step_plan", planned)
         monkeypatch.setattr(monodromy_module, "_taylor_step", stepped)
         # one plan a loop and denominator, and each denominator's equations
         # in chunks of at most _CHUNK, for each of the two loops
-        sizes = Counter(build_r(p).den for p in ps)
+        sizes = Counter(build_r(p)._d for p in ps)
         assert len(sizes) == 4
         expected = Counter()
         for den, n in sizes.items():
@@ -639,3 +763,104 @@ class TestClassifyProjective:
         rec = cls.to_record()
         assert set(rec) == {"kind", "order", "tolerance_used", "margin"}
         assert rec["margin"] > 1000 * rec["tolerance_used"]
+
+
+class TestCompiledPlanMatchesReference:
+    def test_step_matrices_bit_for_bit(self):
+        # a compiled plan's step matrices against the uncompiled Taylor step,
+        # bit for bit, in a chunk of _CHUNK shifted triples and one equation
+        # at a time, on the default and radius-0.125 loops; and for the
+        # denominators of an exponent 1 at 0 and at 1, the lower-degree
+        # numerator of an exponent 1 at infinity, and r = 0
+        chunk = [build_r(p) for p in _non_resonant_triples(seed=16, count=_CHUNK)]
+        special = [params("1/3", 1, "1/5"), params("1/3", "2/5", 1), params(1, "1/3", "1/7"), params(1, 1, 1)]
+        groups = [chunk] + [[build_r(p)] for p in special]
+        assert len({r._d for r in chunk}) == 1
+        assert len({rs[0]._d for rs in groups}) == 4
+        for rs in groups:
+            for radius in (0.25, 0.125):
+                for center in (0j, 1 + 0j):
+                    plan = plan_of(rs[0], LoopSpec(center=center, radius=radius).polyline())
+                    expected = _reference_uncompiled_taylor_step(rs, plan.zs, plan.hs)
+                    got = _taylor_step(rs, plan)
+                    assert got.shape == expected.shape == (len(rs), len(plan.zs), 2, 2)
+                    assert got.tobytes() == expected.tobytes(), (rs[0], radius, center)
+                    for r, want in zip(rs, expected):
+                        single = _taylor_step([r], plan)[0]
+                        assert single.tobytes() == want.tobytes()
+                        ref = _reference_uncompiled_taylor_step([r], plan.zs, plan.hs)[0]
+                        assert ref.tobytes() == want.tobytes()
+
+
+def _same_class(rep: MonodromyRep, rounding: float = 0.0) -> None:
+    """classify_projective agrees with the numpy reference on ``rep``: the
+    same kind and order, or both inconclusive, tolerance_used within 1e-12
+    relative, and margin within 1e-12 relative or within ``rounding``."""
+    try:
+        want = _reference_classify_projective(rep)
+    except InconclusiveError:
+        with pytest.raises(InconclusiveError):
+            classify_projective(rep)
+        return
+    got = classify_projective(rep)
+    assert (got.kind, got.order) == (want.kind, want.order)
+    assert got.tolerance_used == pytest.approx(want.tolerance_used, rel=1e-12, abs=0)
+    if want.margin is None:
+        assert got.margin is None
+    else:
+        assert abs(got.margin - want.margin) <= max(1e-12 * want.margin, rounding), rep
+
+
+class TestClassifyProjectiveMatchesReference:
+    def test_on_the_sweep(self):
+        values = exponent_values(8)
+        ps = [
+            AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+            for t0, t1, t2 in itertools.combinations_with_replacement(values, 3)
+        ]
+        for rep in monodromy(ps):
+            _same_class(rep)
+
+    def test_on_shifted_exponents(self):
+        # the 400 triples of acceptance criterion 9, drawn as it draws them
+        rng = random.Random(9)
+
+        def exponent():
+            q = rng.randint(2, 5)
+            while True:
+                p = rng.randint(-6 * q, 6 * q)
+                if math.gcd(p, q) == 1:
+                    return F(p, q)
+
+        ps = []
+        for _ in range(400):
+            t0, t1, t2 = exponent(), exponent(), exponent()
+            ps.append(AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1))
+        for rep in monodromy(ps):
+            # loop matrices with entries up to 7e4: z = tr A0 A1 sums
+            # products of that size, which numpy rounds otherwise (its
+            # complex division, and fused multiply-adds in the BLAS matmul),
+            # so the margins may differ by the rounding of that sum
+            # (measured: up to 6.8e-16 times |M0| |M1|, or 3.9e-12 of the
+            # margin)
+            size = np.max(np.abs(rep.m0)) * np.max(np.abs(rep.m1))
+            _same_class(rep, rounding=16 * np.finfo(float).eps * size)
+
+    def test_on_hand_built_cases(self):
+        a = cmath.exp(1j * 0.7)
+        swap = [[0, 1], [-1, 0]]
+        cases = [
+            (np.eye(2), np.eye(2)),
+            ([[a, 0], [0, 1 / a]], [[a, 0], [0, 1 / a]]),
+            ([[a, 0], [0, 1 / a]], swap),
+            ([[1, 1], [0, 1]], np.eye(2)),
+        ]
+        for q in (5, 60, 61):
+            b = cmath.exp(1j * math.pi / q)
+            cases.append(([[b, 0], [0, 1 / b]], swap))
+        reps = [_rep(m0, m1) for m0, m1 in cases]
+        for triple in (("1/2", "1/2", "1/2"), ("1/2", "1/3", "1/5"), ("1/2", "1/3", "1/6"), ("1/5", "1/2", "13/3")):
+            rep = monodromy(params(*triple))
+            reps += [replace(rep, estimated_error=err) for err in (rep.estimated_error, 4e-8, 1e-7)]
+        for rep in reps:
+            _same_class(rep)

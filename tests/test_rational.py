@@ -300,3 +300,28 @@ class TestStructure:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             Poly([0.5])
+
+
+class TestParseFraction:
+    def test_values(self):
+        cases = {"1/2": F(1, 2), " -3/4 ": F(-3, 4), "0.25": F(1, 4), "1.5e-3": F(3, 2000), "1_000/3": F(1000, 3), ".5E+2": 50}
+        for text, value in cases.items():
+            assert rational.parse_fraction(text) == value == F(text)
+        with pytest.raises(ValueError):
+            rational.parse_fraction("1/2/3")
+        with pytest.raises(ZeroDivisionError):
+            rational.parse_fraction("1/0")
+
+    def test_bit_bound(self):
+        # 10^3010 has 10,000 bits and 10^3011 more; 2^10000 has 10,001
+        assert rational.parse_fraction("1e3010") == 10**3010
+        assert rational.parse_fraction("1e-3010") == F(1, 10**3010)
+        assert rational.parse_fraction(str(2**10000 - 1)) == 2**10000 - 1
+        for text in ("1e3011", "1e-3011", str(2**10000), "1/" + str(2**10000), "1e99999999999999999999"):
+            with pytest.raises(ValueError, match="exceeds 10000 bits"):
+                rational.parse_fraction(text)
+
+    def test_as_fraction_bounds_text(self):
+        with pytest.raises(ValueError):
+            rational.as_fraction("1e10000000")
+        assert rational.as_fraction("2/4") == F(1, 2)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,16 @@ def params(a, b, c):
 
 
 class TestAngleParams:
+    def test_parse_bounds_exponent_notation(self):
+        # Fraction would multiply the exponent out: judged from the text,
+        # so each rejection is immediate
+        assert AngleParams.parse("1e3000,1/2,1/3").e_alpha == 10**3000
+        for text in ("1e3100", "1e-3100", "1e10000000", "1e-10000000", "0e10000000", "3/" + "7" * 3100):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="field 2: numerator or denominator exceeds 10000 bits"):
+                AngleParams.parse(f"1/2,{text},1/3")
+            assert time.perf_counter() - start < 1.0
+
     def test_mixed_generic_rejected(self):
         with pytest.raises(ValueError):
             AngleParams(GENERIC, F(1, 2), F(1, 3))
@@ -93,6 +104,32 @@ class TestBuildR:
             assert (master / RatFunc(r.den)).den == Poly([1])
             if vals[0] * vals[0] != 1:
                 assert r.den.degree - r.num.degree >= 2
+
+
+    def test_matches_gcd_reduction(self):
+        # the direct reduction against RatFunc's gcd reduction of the
+        # numerator over 2 y^2 (y-1)^2: equal, and the same canonical
+        # integer form, on seeded triples, the exponents +-1 at 0, at 1 and
+        # at infinity, and the triple with r = 0
+        def by_gcd(a, b, g):
+            c0, c1 = 1 - b * b, 1 - g * g
+            c_mix = b * b + g * g - a * a - 1
+            return RatFunc(Poly([c0, -2 * c0 - c_mix, c0 + c1 + c_mix]), Poly([0, 0, 2, -4, 2]))
+
+        rng = random.Random(16)
+        triples = [
+            tuple(F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(3)) for _ in range(20_000)
+        ]
+        for sign in (1, -1):
+            triples += [(sign, "1/3", "2/5"), ("1/3", sign, "2/5"), ("1/3", "2/5", sign)]
+            triples += [(sign, sign, "2/7"), ("2/7", sign, sign), (sign, "2/7", sign)]
+        triples += [(1, 1, 1), (0, 1, 1), ("1/2", 1, "1/2"), ("1/2", "1/2", 1), (0, 0, 0)]
+        assert by_gcd(F(1), F(1), F(1)).is_zero
+        for triple in triples:
+            r = build_r(params(*triple))
+            expected = by_gcd(*(F(v) for v in triple))
+            assert r == expected, triple
+            assert (r._n, r._d, r._c) == (expected._n, expected._d, expected._c), triple
 
 
 class TestLinearODE:
