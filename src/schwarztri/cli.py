@@ -232,6 +232,10 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
 # and prints the records, one JSON line each, and then the document.
 
 
+def _json_line(value) -> str:
+    return json.dumps(value, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _cmd_classify_equation(args) -> tuple[dict, dict, int, list[dict]]:
     params = AngleParams.parse(args.inv_angles)
     return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0, []
@@ -312,7 +316,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, int, list[dict]]:
         records, summary = sweep_records(args.max_den)
         if sink is not None:
             for rec in records:
-                sink.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+                sink.write(_json_line(rec))
     finally:
         if sink is not None:
             sink.close()
@@ -419,8 +423,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         for rec in records:
-            sys.stdout.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
-        print(json.dumps(document, sort_keys=True, allow_nan=False))
+            sys.stdout.write(_json_line(rec))
+        sys.stdout.write(_json_line(document))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout, as `| head` does: the rest of the output

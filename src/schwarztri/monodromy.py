@@ -19,12 +19,12 @@ compiled once a denominator and path, on first use, and cached: with the
 steps it holds all else that they and the denominator fix, the shifted
 denominator's terms of the recurrence at every step center, the matrix of
 the powers of every step and the identities that pad the steps to a power
-of two.  Then one batched solve: the numerators' terms, the recurrence of
-the cleared equation that ``series_solve_linear`` runs (O(order * deg)
-operations a step, two numpy calls a coefficient) on arrays over all step
-centers, one matmul with the plan's powers, which gives each value and
-derivative at the end of its step, and log2(steps) batched matmuls that
-multiply the step matrices in pairs.
+of two.  Then one batched solve: the numerators shifted to the step
+centers, the recurrence that ``series_solve_linear`` runs, row of terms
+and all (O(order * deg) operations a step, two numpy calls a coefficient),
+on arrays over all step centers, one matmul with the plan's powers, which
+gives each value and derivative at the end of its step, and log2(steps)
+batched matmuls that multiply the step matrices in pairs.
 
 The batch also runs across equations.  Equations whose r has the same
 reduced denominator have the same poles, so they share one step plan a loop:
@@ -62,8 +62,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rational import Poly, RatFunc
-from .series import _complex_coeffs, _run_recurrence, _shift_coeffs, poles
+from .rational import Poly, RatFunc, _complex_parts
+from .series import _QUIET, _den_terms, _shift_coeffs, _solve_recurrence, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
 # continuation: the Taylor order through which the equation coefficient
@@ -128,9 +128,8 @@ def _polyline(center: complex, radius: float) -> tuple[complex, ...]:
 class _StepPlan:
     """Everything about the Taylor steps along a path that depends only on
     the denominator of r and the steps, never on the numerator: the step
-    centers ``zs`` and steps ``hs``; the terms -(d_i/d_0), i >= 1, of the
-    shifted denominator at each center, in the even columns of
-    ``den_terms`` (steps, 2 (deg D)), and 2 d_0 in ``twice_d0``; the matrix
+    centers ``zs`` and steps ``hs``; ``series._den_terms`` of the shifted
+    denominator at each center, in ``den_terms`` and ``twice_d0``; the matrix
     of the powers h^m and derivatives m h^(m-1) of each step, highest power
     first, in ``powers`` (steps, 2, order + 1); and the identities that pad
     a chunk's steps to a power of two, in ``padding`` (_CHUNK, pad, 2, 2).
@@ -145,16 +144,13 @@ class _StepPlan:
     padding: np.ndarray
 
     @staticmethod
-    def compile(den: Poly, zs: Sequence[complex], hs: Sequence[complex]) -> "_StepPlan":
-        """The plan of the steps from ``zs`` to ``zs + hs`` for the monic
-        denominator ``den``."""
+    def compile(f: RatFunc, zs: Sequence[complex], hs: Sequence[complex]) -> "_StepPlan":
+        """The plan of the steps from ``zs`` to ``zs + hs`` for ``f``'s denominator."""
         zs, hs = np.array(zs, dtype=complex), np.array(hs, dtype=complex)
-        ds = _shift_coeffs(_complex_coeffs(den.coeffs), zs)
+        ds = _shift_coeffs(_complex_parts(f)[1], zs)
         if np.any(ds[0] == 0):
             raise ZeroDivisionError("a step center is a pole")
-        den_terms = np.zeros((len(zs), 2 * (len(ds) - 1)), dtype=complex)
-        for i, d in enumerate(ds[1:]):
-            den_terms[:, 2 * i] = -(d / ds[0])
+        den_terms, twice_d0 = _den_terms(ds)
         # h^0, h^1, ... by a running product, and m h^(m-1) from them
         powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
         powers[..., 0, 0] = 1
@@ -168,7 +164,7 @@ class _StepPlan:
             hs,
             den_terms,
             # an array even where D is constant and so not shifted
-            np.array(2 * ds[0]),
+            np.array(twice_d0),
             # summed from the highest power down, the smallest terms first,
             # which rounds less than summing up
             powers[..., ::-1],
@@ -188,32 +184,20 @@ def _taylor_step(rs: Sequence[RatFunc], plan: _StepPlan) -> np.ndarray:
     series recurrence over all step centers and equations.
 
     The plan holds all that the denominator and the steps fix, so a call
-    computes only the numerators' terms -(n_i / 2 d_0) at the shifted step
-    centers, runs the recurrence and makes one matmul of the plan's powers
-    with the coefficients of the pair, a product per step and equation, so
-    each equation's matrices are bit for bit those it gets alone."""
+    only shifts the numerators to the step centers, runs the recurrence
+    (``series._solve_recurrence``, which adds their terms to the plan's) and
+    makes one matmul of the plan's powers with the coefficients of the pair,
+    a product per step and equation, so each equation's matrices are bit for
+    bit those it gets alone."""
     # the numerators' coefficients, padded with zeros to one length, each a
     # column over the equations; at least one, which carries the equations'
-    # axis when every r is 0.  A coefficient of ``f.num`` is c n_i / lc(d)
-    # in f's reduced form, and one integer division rounds it as
-    # ``_complex_coeffs`` rounds the Fraction, with no Fraction built.
-    width = max(1, max(len(f._n) for f in rs))
-    num = np.zeros((width, len(rs), 1), dtype=complex)
-    for k, f in enumerate(rs):
-        scale, den = f._c.numerator, f._c.denominator * f._d[-1]
-        num[: len(f._n), k, 0] = [scale * x / den for x in f._n]
+    # axis when every r is 0
+    parts = [_complex_parts(f)[0] for f in rs]
+    num = np.zeros((max(1, max(map(len, parts))), len(rs), 1), dtype=complex)
+    for k, cs in enumerate(parts):
+        num[: len(cs), k, 0] = cs
     ns = _shift_coeffs(list(num), plan.zs)
-    # the row of terms of ``series._solve_recurrence``: the plan's
-    # denominator terms in the even columns, the numerators' in the odd ones
-    steps, den_width = plan.den_terms.shape
-    w = max(den_width // 2, width)
-    terms = np.zeros((len(rs), steps, 1, 2 * w), dtype=complex)
-    terms[..., 0, :den_width] = plan.den_terms
-    for i, n in enumerate(ns):
-        terms[..., 0, 2 * i + 1] = -(n / plan.twice_d0)
-    order = _TAYLOR_ORDER + 2
-    coefficients = _run_recurrence(terms.reshape(len(rs) * steps, 1, 2 * w), order, 0j)
-    coefficients = coefficients.reshape(len(rs), steps, order + 1, 2)
+    coefficients = _solve_recurrence(plan.den_terms, plan.twice_d0, ns, _TAYLOR_ORDER + 2)
     return np.matmul(plan.powers, coefficients[..., ::-1, :])
 
 
@@ -258,7 +242,7 @@ def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
                 break
             hs.append(direction * h)
             s += h
-    return _StepPlan.compile(inverse.den, zs, hs)
+    return _StepPlan.compile(inverse, zs, hs)
 
 
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:
@@ -295,8 +279,9 @@ def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -
             chunk = group[start : start + _CHUNK]
             steps = _taylor_step([rs[i] for i in chunk], plan)
             steps = np.concatenate([steps, plan.padding[: len(chunk)]], axis=1)
-            while steps.shape[1] > 1:
-                steps = steps[:, 1::2] @ steps[:, ::2]
+            with np.errstate(**_QUIET):
+                while steps.shape[1] > 1:
+                    steps = steps[:, 1::2] @ steps[:, ::2]
             stack[chunk] = steps[:, 0]
     return stack[0] if isinstance(r, RatFunc) else stack
 
@@ -322,24 +307,13 @@ def _product(m, n) -> tuple:
 class MonodromyRep:
     """Loop matrices around 0 and 1 in the fundamental-solution basis at the
     base point.  ``estimated_error`` is the largest of the determinant defects
-    |det M - 1| and the trace-law defects, the distance of tr M from
-    +-2cos(pi e) at 0, 1 and infinity."""
+    |det M - 1| and the trace-law defects |tr M + 2cos(pi e)| at 0, 1 and
+    infinity, and infinite when any defect is not finite."""
 
     m0: np.ndarray
     m1: np.ndarray
     estimated_error: float
     resonant_warning: bool = False
-
-    def to_record(self) -> dict:
-        def mat(m):
-            return [[[z.real, z.imag] for z in row] for row in m.tolist()]
-
-        return {
-            "m0": mat(self.m0),
-            "m1": mat(self.m1),
-            "estimated_error": self.estimated_error,
-            "resonant_warning": self.resonant_warning,
-        }
 
 
 def monodromy(
@@ -352,7 +326,8 @@ def monodromy(
     ``params`` is one AngleParams, which gives one MonodromyRep, or a
     sequence of them, which gives a list in input order; all equations are
     continued around each loop in one ``continue_solution`` call.  The loop
-    around infinity is implicitly (M1 M0)^-1 and is not stored.  Integer
+    around infinity is implicitly (M1 M0)^-1 and is not stored.  Local
+    exponents (1 +- e)/2 give a loop the trace -2cos(pi e).  Integer
     exponent differences flag a resonance warning (possible logarithmic
     local solutions).  Raises ValueError on the generic tag."""
     ps = [params] if isinstance(params, AngleParams) else list(params)
@@ -368,10 +343,11 @@ def monodromy(
         e = exponent_differences(p)
         defects = [abs(_det(a0) - 1.0), abs(_det(a1) - 1.0)]
         for m, x in zip((a0, a1, _product(a0, a1)), e.as_tuple()):
-            t, c = _trace(m), 2 * math.cos(math.pi * x)
-            defects.append(min(abs(t - c), abs(t + c)))
+            defects.append(abs(_trace(m) + 2 * math.cos(math.pi * x)))
+        # max drops a nan that is not first
+        error = max(defects) if all(map(math.isfinite, defects)) else math.inf
         resonant = any(x.denominator == 1 for x in e.as_tuple())
-        reps.append(MonodromyRep(m0, m1, max(defects), resonant_warning=resonant))
+        reps.append(MonodromyRep(m0, m1, error, resonant_warning=resonant))
     return reps[0] if isinstance(params, AngleParams) else reps
 
 
@@ -441,13 +417,14 @@ def _order(a, cap: int) -> tuple[int, float]:
 def classify_projective(rep: MonodromyRep) -> ProjectiveClass:
     """Classify the projectivized group generated by the loop matrices by the
     trace rule of the module docstring.  Raises ``InconclusiveError`` when
-    the tolerance from ``rep.estimated_error`` cannot separate the loci.
+    the tolerance from ``rep.estimated_error`` cannot separate the loci, an
+    infinite or nan one (from matrices that overflowed) included.
 
     The matrices leave numpy through one ``tolist`` each: the rule runs on
     Python complex numbers, which costs less than numpy calls on 2x2
     matrices."""
     tol = max(_TOL_FACTOR * rep.estimated_error, _TOL_FLOOR)
-    if tol > _TOL_MAX:
+    if not tol <= _TOL_MAX:  # a nan tolerance fails too
         raise InconclusiveError(
             f"tolerance {tol:.2e} from estimated error {rep.estimated_error:.2e} "
             f"exceeds {_TOL_MAX:.0e}, beyond which the loci are not separated"

@@ -730,6 +730,14 @@ def _as_ratfunc(x) -> RatFunc:
     raise TypeError(f"cannot interpret {type(x).__name__} as a rational function")
 
 
+def _complex_parts(f: RatFunc) -> tuple[list[complex], list[complex]]:
+    """The coefficients of ``f.num`` and ``f.den`` as complex numbers, each
+    one correctly rounded integer division, so ``complex(c)`` of each
+    Fraction c (OverflowError included) with no Fraction built."""
+    scale, lc = f._c.numerator, f._c.denominator * f._d[-1]
+    return [complex(scale * x / lc) for x in f._n], [complex(x / f._d[-1]) for x in f._d]
+
+
 @dataclass(frozen=True)
 class MobiusMap:
     """Fractional-linear map (a*t + b)/(c*t + d) with ad - bc != 0."""

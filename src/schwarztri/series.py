@@ -3,8 +3,8 @@
 Series solutions of psi'' + (1/2) R psi = 0 at an ordinary point, the local
 inverse-uniformizer (Schwarz map) t as a series, formal inversion and
 composition, and residual checks for the principal equation S_y(t) = R(y),
-the Riccati equation, the third-order equation satisfied by the inverse, and
-the pullback construction.
+the Riccati equation, and the pullback construction, which along y is the
+third-order equation satisfied by the inverse.
 
 Coefficient arithmetic is generic: an exact rational base point with an exact
 rational equation produces Fraction coefficients, a floating base produces
@@ -21,7 +21,8 @@ The linear solver clears the denominator of R = N/D and runs the recurrence
 of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
 Hoeven, TCS 210, 1999): deg N + deg D + 1 terms a coefficient, so
 O(order * deg) operations, where a convolution with the Taylor series of R
-takes O(order^2).
+takes O(order^2).  Only this module lays out the recurrence's row of
+terms, for ``monodromy`` too, whose step plans cache its ``_den_terms``.
 
 Note on the Schwarz map convention: with the fundamental pair normalized to
 (psi1, psi1') = (1, 0) and (psi2, psi2') = (0, 1) at the base point, the
@@ -40,7 +41,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rational import RatFunc, schwarz_pullback
+from .rational import RatFunc, _complex_parts, schwarz_pullback
 
 BasePoint = Union[Fraction, int, float, complex]
 
@@ -190,20 +191,12 @@ def _shift_coeffs(coeffs: list, base) -> list:
     return a
 
 
-def _complex_coeffs(coeffs: Sequence[Fraction]) -> list[complex]:
-    # by the integer ratio, which is much faster than complex(Fraction)
-    return [complex(c.numerator / c.denominator) for c in coeffs]
-
-
 def _shifted(f: RatFunc, base) -> tuple[list, list]:
     """Coefficients of N(base + x) and D(base + x) for f = N/D, Fractions for
     an exact base, else complex.  A numpy array of bases gives array
     coefficients, one entry a base.  Raises ZeroDivisionError when a base is
     a pole."""
-    if _is_exact(base):
-        num, den = f.num.coeffs, f.den.coeffs
-    else:
-        num, den = _complex_coeffs(f.num.coeffs), _complex_coeffs(f.den.coeffs)
+    num, den = (f.num.coeffs, f.den.coeffs) if _is_exact(base) else _complex_parts(f)
     ns, ds = _shift_coeffs(num, base), _shift_coeffs(den, base)
     if np.any(ds[0] == 0):
         raise ZeroDivisionError(f"base point {base} is a pole")
@@ -229,10 +222,7 @@ def ratfunc_series(f: RatFunc, base: BasePoint, order: int) -> PowerSeries:
 
 def poles(f: RatFunc) -> list[complex]:
     """Numerical poles (roots of the reduced denominator)."""
-    if f.den.degree < 1:
-        return []
-    desc = [complex(c) for c in reversed(f.den.coeffs)]
-    return [complex(r) for r in np.roots(desc)]
+    return [complex(r) for r in np.roots(_complex_parts(f)[1][::-1])]
 
 
 def default_disk_radius(f: RatFunc, base: BasePoint) -> float:
@@ -256,27 +246,35 @@ def _sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
 # -- series solutions of the linearized equation ----------------------------
 
 
-def _solve_recurrence(ns: list, ds: list, order: int) -> np.ndarray:
-    """Coefficients c_0..c_order of the fundamental pair of 2 D(b + x) psi''
-    + N(b + x) psi = 0, with (c_0, c_1) = (1, 0) and (0, 1), given the
-    shifted coefficients ``ns`` and ``ds`` of ``_shifted``.  The entries are
-    Fractions, which give an object array of Fractions, or complex numbers
-    or numpy arrays of them that broadcast together to a shape S; the result
-    has shape S + (order + 1, 2), the pair on the last axis.
-
-    The recurrence divided by 2 d_0 has the row of terms
-    -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0, ...), padded with zeros to width
-    2w; ``_run_recurrence`` runs it."""
+def _den_terms(ds: list) -> tuple[np.ndarray, object]:
+    """The denominator's half of ``_solve_recurrence``'s row of terms from
+    the shifted ``ds`` of ``_shifted``: -(d_i/d_0), i >= 1, in the even
+    columns of an array (S, 2 deg D), S the shape of the entries, and 2 d_0."""
     exact = isinstance(ds[0], Fraction)
-    zero = ds[0] * 0 if exact else 0j
-    shape = np.broadcast_shapes(*(np.shape(x) for x in ns + ds))
-    # at least 1: an empty product of object arrays is the int 0, not a Fraction
-    w = max(len(ds) - 1, len(ns), 1)
-    k = np.full(shape + (1, 2 * w), zero, dtype=object if exact else complex)
+    shape = np.broadcast_shapes(*(np.shape(d) for d in ds)) + (2 * (len(ds) - 1),)
+    terms = np.full(shape, ds[0] * 0 if exact else 0j, dtype=object if exact else complex)
     for i, d in enumerate(ds[1:]):
-        k[..., 0, 2 * i] = -(d / ds[0])
+        terms[..., 2 * i] = -(d / ds[0])
+    return terms, 2 * ds[0]
+
+
+def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> np.ndarray:
+    """Coefficients c_0..c_order of the fundamental pair of 2 D(b + x) psi''
+    + N(b + x) psi = 0, (c_0, c_1) = (1, 0) and (0, 1), from ``_den_terms``
+    of the shifted denominator and the shifted numerator ``ns`` (Fractions,
+    complex numbers or arrays of them), in the shape S + (order + 1, 2) with
+    S that of the entries, the pair on the last axis.  The row of terms of
+    the recurrence over 2 d_0 is -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0,
+    ...), padded with zeros to width 2w: this adds the odd columns to the
+    even ones, and ``_run_recurrence`` runs it."""
+    zero = Fraction(0) if den_terms.dtype == object else 0j
+    shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
+    # at least 1: an empty product of object arrays is the int 0, not a Fraction
+    w = max(den_terms.shape[-1] // 2, len(ns), 1)
+    k = np.full(shape + (1, 2 * w), zero, dtype=den_terms.dtype)
+    k[..., 0, : den_terms.shape[-1]] = den_terms
     for i, n in enumerate(ns):
-        k[..., 0, 2 * i + 1] = -(n / (2 * ds[0]))
+        k[..., 0, 2 * i + 1] = -(n / twice_d0)
     pair = _run_recurrence(k.reshape(math.prod(shape), 1, 2 * w), order, zero)
     return pair.reshape(shape + (order + 1, 2))
 
@@ -332,13 +330,13 @@ def series_solve_linear(
     The recurrence itself (``_solve_recurrence``) runs both solutions of the
     pair at once, two numpy calls a coefficient, and is shared with
     ``monodromy._taylor_step``, which runs it once for a whole array of step
-    centers and equations.
+    centers and equations, with ``_den_terms`` from its step plan.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
     base = _coerce_base(base)
     ns, ds = _shifted(r, base)
-    pair = _solve_recurrence(ns, ds, order)
+    pair = _solve_recurrence(*_den_terms(ds), ns, order)
     return PowerSeries(base, pair[:, 0].tolist()), PowerSeries(base, pair[:, 1].tolist())
 
 
@@ -487,7 +485,7 @@ def _horner(rows: Sequence[Sequence], x: np.ndarray) -> np.ndarray:
 def _values(f: RatFunc, x: np.ndarray) -> np.ndarray:
     """f at every entry of the complex array x, from f's coefficients
     converted to complex once."""
-    num, den = _horner([_complex_coeffs(f.num.coeffs), _complex_coeffs(f.den.coeffs)], x)
+    num, den = _horner(_complex_parts(f), x)
     return num / den
 
 
@@ -537,14 +535,10 @@ def _third_order_residuals(j: PowerSeries, r: RatFunc, pts: Sequence[complex]) -
 
 def residual_inverse(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual of the third-order equation S(J) + (J')^2 r(J) = 0 for the
-    inverted Schwarz map J near t = 0.  Raises ValueError below order 4,
-    where the third derivative of J is constant."""
-    if order < 4:
-        raise ValueError("order must be at least 4 to form the third-order residual")
-    b = complex(base)
-    j = series_invert(schwarz_map(r, b, order))
-    pts = _sample_ring(0j, default_disk_radius(r, b) / 4.0)
-    return _report(pts, _third_order_residuals(j, r, pts), order)
+    inverted Schwarz map J near t = 0: the pullback check along phi = y,
+    where the pulled-back equation is r itself and J1 = J2 = J.  Raises
+    ValueError below order 4, where the third derivative of J is constant."""
+    return verify_pullback(r, RatFunc.variable(), base, order)
 
 
 def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> ResidualReport:

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from schwarztri.cli import sweep_records
+from schwarztri.cli import exponent_values, sweep_records
 from schwarztri.groups import ARITHMETIC_SIGNATURES, INF, Geometry, Signature, geometry, is_maximal
 from schwarztri.minimality import Verdict, classify
 from schwarztri.monodromy import InconclusiveError, LoopSpec, classify_projective, monodromy
@@ -312,4 +312,42 @@ def test_criterion_10_batched_oracle_with_cusps_and_integer_exponents():
     _report(
         "criterion 10 (batched oracle agreement, den <= 12 with cusps)",
         f"{len(triples)} cases, all agree; worst estimated error {worst:.2e}",
+    )
+
+
+def test_criterion_11_signed_trace_law():
+    """The loop matrices obey the trace law with its sign: tr M0, tr M1 and
+    tr M0 M1 are -2cos(pi e) at 0, 1 and infinity, each within 1e-7, on
+    every reduced triple with denominators <= 8 and on the 400 triples of
+    criterion 9, drawn as it draws them."""
+    sweep = [
+        AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+        for t0, t1, t2 in itertools.combinations_with_replacement(exponent_values(8), 3)
+    ]
+    rng = random.Random(9)
+
+    def exponent():
+        q = rng.randint(2, 5)
+        while True:
+            p = rng.randint(-6 * q, 6 * q)
+            if math.gcd(p, q) == 1:
+                return F(p, q)
+
+    shifted = []
+    for _ in range(400):
+        t0, t1, t2 = exponent(), exponent(), exponent()
+        shifted.append(AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1))
+    worst = {}
+    for label, ps in (("den <= 8", sweep), ("criterion 9", shifted)):
+        defects = []
+        for p, rep in zip(ps, monodromy(ps)):
+            e = exponent_differences(p)
+            for m, x in zip((rep.m0, rep.m1, rep.m0 @ rep.m1), e.as_tuple()):
+                defects.append((abs(np.trace(m) + 2 * math.cos(math.pi * x)), p))
+        worst[label] = max(defects, key=lambda d: d[0])
+        assert worst[label][0] < 1e-7, worst[label]
+    _report(
+        "criterion 11 (signed trace law)",
+        f"{len(sweep)} + {len(shifted)} triples; worst signed defect "
+        + ", ".join(f"{label} {d:.2e}" for label, (d, _) in worst.items()),
     )

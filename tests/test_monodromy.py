@@ -5,6 +5,7 @@ import importlib
 import itertools
 import math
 import random
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -40,7 +41,7 @@ from schwarztri.monodromy import (
 )
 from schwarztri.rational import RatFunc
 from schwarztri.series import (
-    _complex_coeffs,
+    _den_terms,
     _shift_coeffs,
     _solve_recurrence,
     poles,
@@ -159,7 +160,12 @@ def _reference_batched_taylor_step(r, z, h) -> np.ndarray:
 
 
 # -- reference: the Taylor step that compiled step plans replaced, kept word
-# for word but for the names
+# for word but for the names, the recurrence's call and the conversion of
+# the coefficients to complex, by the integer ratio
+
+
+def _complex_coeffs(coeffs) -> list[complex]:
+    return [complex(c.numerator / c.denominator) for c in coeffs]
 
 
 def _reference_uncompiled_taylor_step(rs, zs: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -174,7 +180,7 @@ def _reference_uncompiled_taylor_step(rs, zs: np.ndarray, hs: np.ndarray) -> np.
     ds = _shift_coeffs(_complex_coeffs(rs[0].den.coeffs), zs)
     if np.any(ds[0] == 0):
         raise ZeroDivisionError("a step center is a pole")
-    coefficients = _solve_recurrence(ns, ds, _TAYLOR_ORDER + 2)
+    coefficients = _solve_recurrence(*_den_terms(ds), ns, _TAYLOR_ORDER + 2)
     # h^0, h^1, ... by a running product, and m h^(m-1) from them
     powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
     powers[..., 0, 0] = 1
@@ -340,7 +346,7 @@ class TestContinuation:
         r = build_r(params("1/2", "1/3", "1/7"))
         steps = ((0.5, 0.1), (0.5, 0.125j), (0.25, -0.0875), (0.7 - 0.2j, 0.05 + 0.05j))
         for z, h in steps:
-            m = _taylor_step([r], _StepPlan.compile(r.den, [z], [h]))[0, 0]
+            m = _taylor_step([r], _StepPlan.compile(r, [z], [h]))[0, 0]
             pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
             w = z + h
             expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
@@ -353,10 +359,10 @@ class TestContinuation:
         plan = plan_of(r, LoopSpec(center=1 + 0j).polyline())
         zs = np.concatenate([plan.zs, [0.5, 0.5, 0.25, 0.7 - 0.2j]])
         hs = np.concatenate([plan.hs, [0.1, 0.125j, -0.0875, 0.05 + 0.05j]])
-        stack = _taylor_step([r], _StepPlan.compile(r.den, zs, hs))
+        stack = _taylor_step([r], _StepPlan.compile(r, zs, hs))
         assert stack.shape == (1, len(zs), 2, 2)
         for z, h, m in zip(zs, hs, stack[0]):
-            single = _taylor_step([r], _StepPlan.compile(r.den, [z], [h]))
+            single = _taylor_step([r], _StepPlan.compile(r, [z], [h]))
             assert single.shape == (1, 1, 2, 2)
             single = single[0, 0]
             assert np.max(np.abs(m - single)) <= 1e-14 * np.max(np.abs(single)), (z, h)
@@ -575,9 +581,63 @@ class TestMonodromy:
         assert np.max(np.abs(rep.m1 - default.m1)) < 1e-8
         assert rep.estimated_error < 1e-12
 
-    def test_record_round_trip(self):
-        rec = monodromy(params("1/2", "1/2", "1/2")).to_record()
-        assert set(rec) == {"m0", "m1", "estimated_error", "resonant_warning"}
+    def test_trace_law_checks_the_sign(self, monkeypatch):
+        # a loop matrix of the wrong sign has the right |trace| and
+        # determinant, so only the signed law tr M = -2cos(pi e) sees it
+        p = params("1/2", "1/3", "1/7")
+        rep = monodromy(p)
+        e = exponent_differences(p)
+        for m, x in zip((rep.m0, rep.m1, rep.m0 @ rep.m1), e.as_tuple()):
+            assert abs(np.trace(m) + 2 * math.cos(math.pi * x)) <= rep.estimated_error
+        original = monodromy_module.continue_solution
+        calls = []
+
+        def flipped(r, path):
+            stack = original(r, path)
+            calls.append(path)
+            return -stack if len(calls) == 1 else stack
+
+        monkeypatch.setattr(monodromy_module, "continue_solution", flipped)
+        bad = monodromy(p)
+        assert bad.m0.tobytes() == (-rep.m0).tobytes()
+        assert abs(abs(np.trace(bad.m0)) - 2 * math.cos(math.pi * e.at0)) < 1e-12
+        assert bad.estimated_error > 1
+        with pytest.raises(InconclusiveError):
+            classify_projective(bad)
+
+    def test_overflowing_loop_matrices_are_inconclusive(self):
+        # exponent difference 401/2 at 0: the loop matrices overflow to inf
+        # and nan, without a numpy warning, and the oracle gives no verdict
+        # rather than "dense"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = monodromy(AngleParams(F(1, 3), F(401, 2), F(1, 2)))
+            assert not np.isfinite(rep.m0).all()
+            assert rep.estimated_error == math.inf
+            with pytest.raises(InconclusiveError):
+                classify_projective(rep)
+        assert not caught, [str(w.message) for w in caught]
+
+    def test_nan_in_the_second_loop_matrix_gives_an_infinite_error(self, monkeypatch):
+        # max() keeps a nan only in first place: a nan in m1 alone, whose
+        # defects come after m0's, still makes the error infinite
+        p = params("1/2", "1/3", "1/7")
+        rep = monodromy(p)
+        m1 = rep.m1.copy()
+        m1[0, 0] = complex("nan")
+        original = monodromy_module.continue_solution
+        calls = []
+
+        def spoiled(r, path):
+            calls.append(path)
+            return original(r, path) if len(calls) == 1 else m1[None]
+
+        monkeypatch.setattr(monodromy_module, "continue_solution", spoiled)
+        bad = monodromy([p])[0]
+        assert bad.m0.tobytes() == rep.m0.tobytes()
+        assert bad.estimated_error == math.inf
+        with pytest.raises(InconclusiveError):
+            classify_projective(bad)
 
 
 def _same_rep(a: MonodromyRep, b: MonodromyRep) -> bool:
@@ -739,6 +799,14 @@ class TestClassifyProjective:
         rep = monodromy(params("1/2", "1/3", "1/5"))
         assert classify_projective(replace(rep, estimated_error=4e-8)).order == 60
         for err in (1e-7, 1e-3):
+            with pytest.raises(InconclusiveError):
+                classify_projective(replace(rep, estimated_error=err))
+
+    def test_tolerance_that_is_not_finite_raises(self):
+        # a nan estimated error gives a nan tolerance, which must fail the
+        # check against _TOL_MAX rather than pass it
+        rep = monodromy(params("1/2", "1/3", "1/7"))
+        for err in (math.nan, math.inf):
             with pytest.raises(InconclusiveError):
                 classify_projective(replace(rep, estimated_error=err))
 

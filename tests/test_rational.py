@@ -325,3 +325,66 @@ class TestParseFraction:
         with pytest.raises(ValueError):
             rational.as_fraction("1e10000000")
         assert rational.as_fraction("2/4") == F(1, 2)
+
+
+def _bits(values: list[complex]) -> list[tuple[str, str]]:
+    """Each complex number as the hex forms of its parts, so that -0.0 and
+    0.0 differ."""
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+class TestComplexParts:
+    @staticmethod
+    def _check(f: RatFunc) -> bool:
+        """``_complex_parts(f)`` against complex() of each Fraction
+        coefficient, bit for bit, or both raising OverflowError; True when
+        the values were compared."""
+        try:
+            want = ([complex(c) for c in f.num.coeffs], [complex(c) for c in f.den.coeffs])
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rational._complex_parts(f)
+            return False
+        num, den = rational._complex_parts(f)
+        assert (_bits(num), _bits(den)) == (_bits(want[0]), _bits(want[1])), f
+        return True
+
+    def test_zero_and_constants(self):
+        assert rational._complex_parts(RatFunc.constant(0)) == ([], [1 + 0j])
+        for value in (F(-7, 3), F(1, 10**300), F(10**300, 7), F(-1)):
+            assert self._check(RatFunc.constant(value))
+        assert self._check(1 / (Y - F(1, 3)))
+
+    def test_seeded_ratfuncs(self):
+        rng = random.Random(2024)
+
+        def coefficient():
+            bits = rng.choice((4, 60, 1000, 9990))
+            num = rng.getrandbits(bits) * rng.choice((-1, 1))
+            return F(num, rng.getrandbits(rng.choice((4, 60, 1000, 9990))) + 1)
+
+        def poly():
+            cs = [coefficient() for _ in range(rng.randint(1, 4))]
+            return Poly(cs if cs[-1] else cs + [1])
+
+        compared = sum(self._check(RatFunc(poly(), poly())) for _ in range(60))
+        assert compared >= 20
+
+    def test_near_the_bit_bound(self):
+        # numerators and denominators of up to 10,000 bits, with quotients
+        # inside the float range, far below it and past it
+        big = 2**10000 - 1
+        cases = [
+            F(big, big - 2),
+            F(big, 2**9000),
+            F(2**9000, big),
+            F(-big, 3),
+            F(1, big),
+            F(2**1024 - 2**970),  # the largest float
+            F(2**1024 - 2**969),  # rounds to 2^1024, past it
+        ]
+        overflowed = 0
+        for c in cases:
+            for f in (RatFunc.constant(c), c * Y + 1, (Y + c) / (Y - 1), 1 / (c * Y * Y + 1)):
+                overflowed += not self._check(f)
+        assert overflowed > 0

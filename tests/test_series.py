@@ -13,8 +13,13 @@ import pytest
 from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
 from schwarztri.series import (
     PowerSeries,
+    ResidualReport,
     _coerce_base,
+    _report,
+    _sample_ring,
     _shifted,
+    _third_order_residuals,
+    default_disk_radius,
     ratfunc_series,
     residual_inverse,
     residual_principal,
@@ -582,3 +587,42 @@ class TestKernelsMatchReference:
         inner = PowerSeries(j.base_point, [0.5 + 1e-8] + list(j.coefficients[1:]))
         with pytest.raises(ValueError):
             series_compose(outer, inner)
+
+
+# -- reference: the third-order check that the pullback along y replaced,
+# kept word for word
+
+
+def reference_residual_inverse(r: RatFunc, base, order: int) -> ResidualReport:
+    """Residual of the third-order equation S(J) + (J')^2 r(J) = 0 for the
+    inverted Schwarz map J near t = 0.  Raises ValueError below order 4,
+    where the third derivative of J is constant."""
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the third-order residual")
+    b = complex(base)
+    j = series_invert(schwarz_map(r, b, order))
+    pts = _sample_ring(0j, default_disk_radius(r, b) / 4.0)
+    return _report(pts, _third_order_residuals(j, r, pts), order)
+
+
+class TestInverseIsPullbackAlongY:
+    def test_matches_reference_records(self):
+        # seeded triples in (0, 1) and shifted ones, at exact, floating and
+        # complex bases, orders 4 to 40: the same record, bit for bit
+        rng = random.Random(1717)
+        for _ in range(40):
+            if rng.random() < 0.5:
+                p = rand_triple(rng)
+            else:
+                p = AngleParams(*(F(rng.randint(-12, 12), q) for q in (rng.choice((2, 3, 5)) for _ in range(3))))
+            r = build_r(p)
+            base = rng.choice((F(1, 2), F(rng.randint(1, 9), 10), 0.4 + 0.1j, complex(0.6, -rng.random() / 5)))
+            order = rng.randint(4, 40)
+            want = reference_residual_inverse(r, base, order).to_record()
+            assert residual_inverse(r, base, order).to_record() == want, (p, base, order)
+
+    def test_errors_match_reference(self):
+        for base, order, error in ((F(1, 2), 3, ValueError), (F(0), 10, ZeroDivisionError)):
+            for check in (residual_inverse, reference_residual_inverse):
+                with pytest.raises(error):
+                    check(R_HURWITZ, base, order)
