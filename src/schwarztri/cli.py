@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -28,7 +30,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import Geometry, Signature, geometry, group_report
+from .groups import Geometry, GroupReport, Signature, geometry, group_report
 from .minimality import classify
 from .monodromy import InconclusiveError, classify_projective, monodromy
 from .rational import MAX_TEXT_BITS, RatFunc, parse_fraction
@@ -47,10 +49,12 @@ class UsageError(ValueError):
 # recursive-descent parser four stack frames
 _MAX_NESTING = 100
 
-# largest degree that one ^ in --phi may produce, and its coefficients have
-# at most MAX_TEXT_BITS bits, the bound on the fractions of --inv-angles and
-# --base: nested powers otherwise grow without limit, as in ((y^64)^64)^64
-_MAX_POWER_DEGREE = 1000
+# largest degree of any value that --phi builds, whose coefficients have at
+# most MAX_TEXT_BITS bits, the bound on the fractions of --inv-angles and
+# --base: powers and products otherwise grow without limit, as in
+# ((y^64)^64)^64, and so does the work of building them and of the series
+# on phi
+_MAX_PHI_DEGREE = 1000
 
 # largest series truncation order accepted by verify: the reversion's matrix
 # of powers takes 16 (order + 1)^2 bytes, 16 MB at this bound
@@ -73,6 +77,21 @@ class _ExprParser:
     def fail(self, message: str):
         raise UsageError(f"phi expression, position {self.pos}: {message}")
 
+    def bound(self, what: str, *values: RatFunc, times: int = 1) -> None:
+        """Fail unless ``times`` times the summed degrees and coefficient
+        bits of ``values`` stay within the bounds of --phi.  A value's
+        degree is that of its numerator or denominator, whichever is larger,
+        and its bits the floor of log2 of its largest coefficient numerator
+        or denominator (so 1^n is free)."""
+        degree = bits = 0
+        for value in values:
+            num, den = value.num, value.den
+            degree += max(num.degree, den.degree)
+            coeffs = num.coeffs + den.coeffs
+            bits += max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
+        if times * degree > _MAX_PHI_DEGREE or times * bits > MAX_TEXT_BITS:
+            self.fail(f"{what} exceeds degree {_MAX_PHI_DEGREE} or {MAX_TEXT_BITS}-bit coefficients")
+
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -90,6 +109,7 @@ class _ExprParser:
             self.pos += 1
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
+            self.bound("sum", value)
         return value
 
     def term(self) -> RatFunc:
@@ -97,6 +117,10 @@ class _ExprParser:
         while (op := self.peek()) in ("*", "/"):
             self.pos += 1
             rhs = self.factor()
+            # checked before the operation runs: before cancellation, a
+            # product or quotient has the sum of the degrees and about the
+            # sum of the coefficient bits
+            self.bound("product" if op == "*" else "quotient", value, rhs)
             if op == "*":
                 value = value * rhs
             else:
@@ -116,14 +140,8 @@ class _ExprParser:
             self.pos += 1
             n = self.integer()
             # checked before ** runs: the power has |n| times the degree and
-            # about |n| times the coefficient bits (floor of log2, so 1^n is free)
-            coeffs = value.num.coeffs + value.den.coeffs
-            bits = max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
-            degree = max(value.num.degree, value.den.degree)
-            if abs(n) * degree > _MAX_POWER_DEGREE or abs(n) * bits > MAX_TEXT_BITS:
-                self.fail(
-                    f"power exceeds degree {_MAX_POWER_DEGREE} or {MAX_TEXT_BITS}-bit coefficients"
-                )
+            # about |n| times the coefficient bits
+            self.bound("power", value, times=abs(n))
             value = value**n
         return value * sign
 
@@ -228,40 +246,48 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
 
 # -- commands -------------------------------------------------------------------
 #
-# Each command returns (inputs, result, exit code, records); main times it
-# and prints the records, one JSON line each, and then the document.
+# Each command returns (inputs, result, exit code); main times it and writes
+# the document.  A sweep writes its records itself, to --out or to stdout,
+# before main writes the document, so elapsed_ms covers the writing.
 
 
-def _json_line(value) -> str:
-    return json.dumps(value, sort_keys=True, allow_nan=False) + "\n"
+def _write(sink, values) -> None:
+    """Write each value to ``sink`` as one JSON line, and flush.
+
+    When the reader has closed the pipe, as ``| head`` does, the rest of the
+    output is dropped, and the sink goes to the null device, so that later
+    writes and the interpreter's last flush do not fail on the closed pipe.
+    """
+    try:
+        for value in values:
+            sink.write(json.dumps(value, sort_keys=True, allow_nan=False) + "\n")
+        sink.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sink.fileno())
+        os.close(null)
 
 
-def _cmd_classify_equation(args) -> tuple[dict, dict, int, list[dict]]:
+def _cmd_classify_equation(args) -> tuple[dict, dict, int]:
     params = AngleParams.parse(args.inv_angles)
-    return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0, []
+    return {"inv_angles": args.inv_angles}, classify(params).to_record(), 0
 
 
-def _cmd_classify_group(args) -> tuple[dict, dict, int, list[dict]]:
+def _cmd_classify_group(args) -> tuple[dict, dict, int]:
     sig = Signature.parse(args.sig)
     geo = geometry(sig)
     if geo is Geometry.HYPERBOLIC:
         payload = group_report(sig).to_record()
     else:
         # arithmetic/maximality theory is stated for hyperbolic signatures only
-        payload = {
-            "geometry": geo.value,
-            "arithmetic": None,
-            "maximal": None,
-            "in_m": None,
-            "in_w": None,
-            "special_polynomials": None,
-            "note": "non-hyperbolic signature: group-theoretic fields not applicable",
-        }
+        payload = dict.fromkeys((field.name for field in dataclasses.fields(GroupReport)), None)
+        payload["geometry"] = geo.value
+        payload["note"] = "non-hyperbolic signature: group-theoretic fields not applicable"
     payload["signature"] = sig.as_text()
-    return {"sig": args.sig}, payload, 0, []
+    return {"sig": args.sig}, payload, 0
 
 
-def _cmd_verify(args) -> tuple[dict, dict, int, list[dict]]:
+def _cmd_verify(args) -> tuple[dict, dict, int]:
     if args.order > _MAX_ORDER:
         raise UsageError(f"--order must be at most {_MAX_ORDER}, not {args.order}")
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -300,29 +326,22 @@ def _cmd_verify(args) -> tuple[dict, dict, int, list[dict]]:
         "tolerance": args.tol,
         "passed": passed,
     }
-    return inputs, result, 0 if passed else 1, []
+    return inputs, result, 0 if passed else 1
 
 
-def _cmd_sweep(args) -> tuple[dict, dict, int, list[dict]]:
+def _cmd_sweep(args) -> tuple[dict, dict, int]:
     # validate before opening --out, so that a usage error leaves no file
     _check_max_den(args.max_den)
-    sink = None
-    if args.out:
-        try:
-            sink = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot write --out path: {exc}") from exc
     try:
+        sink = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out path: {exc}") from exc
+    with sink as out:
         records, summary = sweep_records(args.max_den)
-        if sink is not None:
-            for rec in records:
-                sink.write(_json_line(rec))
-    finally:
-        if sink is not None:
-            sink.close()
+        _write(out, records)
     summary["out_path"] = args.out or None
     code = 0 if summary["disagreements"] == 0 else 1
-    return {"max_den": args.max_den}, summary, code, records if sink is None else []
+    return {"max_den": args.max_den}, summary, code
 
 
 @functools.cache
@@ -408,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     start = time.perf_counter()
     try:
-        inputs, result, code, records = args.func(args)
+        inputs, result, code = args.func(args)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # UsageError is a ValueError; OverflowError is an input too large
         # for floating point
@@ -421,18 +440,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "result": result,
         "elapsed_ms": elapsed_ms,
     }
-    try:
-        for rec in records:
-            sys.stdout.write(_json_line(rec))
-        sys.stdout.write(_json_line(document))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout, as `| head` does: the rest of the output
-        # is dropped, and stdout goes to the null device, so that the
-        # interpreter's last flush does not fail on the closed pipe
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+    _write(sys.stdout, [document])
     return code
 
 

@@ -94,16 +94,16 @@ def as_fraction(value: ScalarLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
+def _is_exact(x) -> bool:
+    """True for the exact scalars: ints and Fractions, not bools."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 # -- integer polynomial kernels (ascending coefficient lists) ------------------
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            break
-    return g or 1
+    return math.gcd(*coeffs) or 1
 
 
 def _primitive(a: Sequence[int]) -> list[int]:
@@ -195,6 +195,11 @@ def _int_lincomb(terms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
 
 def _int_deriv(a: Sequence[int]) -> list[int]:
     return [i * a[i] for i in range(1, len(a))]
+
+
+def _int_wronskian(n: Sequence[int], d: Sequence[int]) -> list[int]:
+    """N'D - ND', the numerator of the derivative of N/D."""
+    return _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
 
 
 def _int_exact_div(a: Sequence[int], c: Sequence[int]) -> list[int] | None:
@@ -334,7 +339,7 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_exact(other):
             return self == Poly([other])
         return NotImplemented
 
@@ -401,7 +406,7 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation; works for Fraction, int, float and complex."""
         acc = x * 0
-        exact = isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+        exact = _is_exact(x)
         for c in reversed(self.coeffs):
             acc = acc * x + (c if exact else _numeric(c, x))
         return acc
@@ -432,9 +437,7 @@ def _as_poly(x) -> Poly:
 
 
 def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in coeffs))
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
@@ -466,9 +469,8 @@ class RatFunc:
     """Reduced rational function num/den over Q with monic denominator."""
 
     # (_n, _d, _c): the value is _c * _n/_d with _n, _d coprime primitive
-    # integer tuples of positive leading coefficient; zero is ((), (1,), 0).
-    # _num and _den cache the Poly views.
-    __slots__ = ("_n", "_d", "_c", "_num", "_den")
+    # integer tuples of positive leading coefficient; zero is ((), (1,), 0)
+    __slots__ = ("_n", "_d", "_c")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
@@ -499,18 +501,14 @@ class RatFunc:
     @property
     def num(self) -> Poly:
         """Reduced numerator, scaled to go with the monic denominator."""
-        if self._num is None:
-            c = self._c / self._d[-1]
-            object.__setattr__(self, "_num", _poly_of([c * x for x in self._n]))
-        return self._num
+        c = self._c / self._d[-1]
+        return _poly_of([c * x for x in self._n])
 
     @property
     def den(self) -> Poly:
         """Reduced monic denominator."""
-        if self._den is None:
-            lc = self._d[-1]
-            object.__setattr__(self, "_den", _poly_of([Fraction(x, lc) for x in self._d]))
-        return self._den
+        lc = self._d[-1]
+        return _poly_of([Fraction(x, lc) for x in self._d])
 
     @property
     def is_zero(self) -> bool:
@@ -521,7 +519,7 @@ class RatFunc:
         return len(self._n) <= 1 and len(self._d) == 1
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if _is_exact(other):
             other = _as_ratfunc(other)
         if isinstance(other, RatFunc):
             return self._c == other._c and self._n == other._n and self._d == other._d
@@ -604,7 +602,7 @@ class RatFunc:
     def derivative(self) -> "RatFunc":
         """Exact quotient-rule derivative, reduced."""
         n, d = self._n, self._d
-        num = _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
+        num = _int_wronskian(n, d)
         if len(d) == 1:
             return _ratfunc(*_canonical(num, d, self._c))
         # a pole of order k becomes one of order k + 1, so the reduced
@@ -648,7 +646,7 @@ class RatFunc:
 
     def __call__(self, x):
         """Evaluate at an exact or floating point; exact poles raise."""
-        if isinstance(x, Fraction) or isinstance(x, int):
+        if _is_exact(x):
             x = Fraction(x)
             den = self.den(x)
             if den == 0:
@@ -709,8 +707,6 @@ def _init(f: RatFunc, n: Sequence[int], d: Sequence[int], c: Fraction) -> None:
     object.__setattr__(f, "_n", tuple(n))
     object.__setattr__(f, "_d", tuple(d))
     object.__setattr__(f, "_c", c)
-    object.__setattr__(f, "_num", None)
-    object.__setattr__(f, "_den", None)
 
 
 def _ratfunc(n: Sequence[int], d: Sequence[int], c: Fraction) -> RatFunc:
@@ -723,7 +719,7 @@ def _ratfunc(n: Sequence[int], d: Sequence[int], c: Fraction) -> RatFunc:
 def _as_ratfunc(x) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    if _is_exact(x):
         return _ratfunc((1,), (1,), Fraction(x))
     if isinstance(x, Poly):
         return RatFunc(x)
@@ -781,7 +777,7 @@ def schwarzian(f: RatFunc) -> RatFunc:
     Vanishes exactly on Mobius maps; constant input raises.
     """
     n, d = f._n, f._d
-    w = _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
+    w = _int_wronskian(n, d)
     if not w:
         raise ValueError("Schwarzian of a constant function")
     w1 = _int_deriv(w)

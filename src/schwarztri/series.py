@@ -41,13 +41,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .rational import RatFunc, _complex_parts, schwarz_pullback
+from .rational import RatFunc, _complex_parts, _is_exact, schwarz_pullback
 
 BasePoint = Union[Fraction, int, float, complex]
 
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
+# numpy error state of the series kernels and residuals: values past the
+# float range run on as inf and nan, as Python's complex arithmetic lets them,
+# and the residual reports turn them into errors
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _coerce_base(base: BasePoint):
@@ -85,7 +86,7 @@ def _divide(a: Sequence, b: Sequence) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PowerSeries:
     """Truncated series sum c_k (x - base_point)^k with len(coefficients) terms."""
 
@@ -100,14 +101,6 @@ class PowerSeries:
     @property
     def truncation_order(self) -> int:
         return len(self.coefficients) - 1
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.base_point == other.base_point and self.coefficients == other.coefficients
-
-    def __hash__(self):
-        return hash((self.base_point, self.coefficients))
 
     def _check_base(self, other: "PowerSeries"):
         if self.base_point != other.base_point:
@@ -297,9 +290,7 @@ def _run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
     rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=k.dtype)
     rows[width + 1, :, 0] = rows[width + 3, :, 1] = zero + 1
     history = rows.transpose(1, 0, 2)
-    # coefficients past the float range run on as inf and nan, as Python's
-    # complex arithmetic lets them: the residual reports turn them into errors
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         for j in range(2, order + 1):
             e = width + 2 * j
             np.matmul(k, history[:, e - 2 : e - 2 - width : -1], out=history[:, e : e + 1])
@@ -362,12 +353,6 @@ def series_schwarzian(t: PowerSeries) -> PowerSeries:
     d1 = d1.truncate(n)
     ratio = d2.truncate(n) / d1
     return d3.truncate(n) / d1 - (ratio * ratio) * 3 / 2
-
-
-# numpy error state of the series kernels and residuals: values past the
-# float range run on as inf and nan, as Python's complex arithmetic lets them,
-# and the residual reports turn them into errors
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _coefficient_array(cs: Sequence) -> np.ndarray:
@@ -496,7 +481,10 @@ def _series_values(series: Sequence[PowerSeries], x: np.ndarray) -> np.ndarray:
 
 
 def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
-    """Residual |S(t) - r| of the principal equation for the series Schwarz map."""
+    """Residual |S(t) - r| of the principal equation for the series Schwarz
+    map.  Raises ValueError below order 4, too short a series for S(t)."""
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the principal residual")
     b = complex(base)
     s = series_schwarzian(schwarz_map(r, b, order))
     pts = _sample_ring(b, default_disk_radius(r, b))

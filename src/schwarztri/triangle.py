@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .groups import Signature
 from .rational import RatFunc, _ratfunc, as_fraction, parse_fraction
 
 
@@ -66,17 +67,11 @@ class AngleParams:
     def from_signature_entries(k, l, m) -> "AngleParams":
         """Inverse parameters of the uniformizer for a signature (k, l, m).
 
-        Entries are integers >= 2 or ``math.inf``; infinity maps to 0.
+        Entries are those of a :class:`~schwarztri.groups.Signature`:
+        integers >= 2 or ``math.inf``, and infinity maps to 0.
         """
-
-        def inv(entry) -> Fraction:
-            if entry == math.inf:
-                return Fraction(0)
-            if not isinstance(entry, int) or isinstance(entry, bool) or entry < 2:
-                raise ValueError(f"signature entry must be an integer >= 2 or inf, got {entry!r}")
-            return Fraction(1, entry)
-
-        return AngleParams(inv(k), inv(l), inv(m))
+        entries = Signature(k, l, m).entries
+        return AngleParams(*(Fraction(0) if e == math.inf else Fraction(1, e) for e in entries))
 
     @staticmethod
     def parse(text: str) -> "AngleParams":

@@ -57,6 +57,31 @@ class TestPhiParser:
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1 and "power exceeds" in err
 
+    @pytest.mark.parametrize("phi", ["(y+2)^1000*(y+3)^1000", "(10^3000)*(10^3000)"])
+    def test_product_size_limit(self, capsys, phi):
+        # each factor is within the bounds and the product is not: degree
+        # 2000, or 19,932 bits; the pullback of the first ran for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", phi)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1 and "product exceeds" in err
+
+    @pytest.mark.parametrize(
+        "phi, what", [("y^1000 + 1/(y+1)^1000", "sum"), ("y^600 / (y+1)^600", "quotient")]
+    )
+    def test_sum_and_quotient_size_limits(self, phi, what):
+        from schwarztri.cli import UsageError
+
+        with pytest.raises(UsageError, match=f"{what} exceeds degree 1000"):
+            parse_phi(phi)
+
+    def test_sum_is_bounded_by_its_result(self):
+        # a sum is checked once taken: two polynomials of degree 1000 add up
+        # to one, and a difference may cancel
+        assert parse_phi("y^1000 + y^999") == RatFunc(Poly([0] * 999 + [1, 1]))
+        assert parse_phi("y^1000 - (y^1000 - 1)") == RatFunc.constant(1)
+
     def test_unary_minus(self):
         y = RatFunc.variable()
         assert parse_phi("-y + 3") == 3 - y
@@ -149,6 +174,13 @@ class TestClassifyGroup:
         assert code == 0
         assert r["geometry"] == "euclidean"
         assert r["arithmetic"] is None and "note" in r
+
+    def test_non_hyperbolic_keys_are_the_reports_and_a_note(self, capsys):
+        _, out, _ = run(capsys, "classify-group", "--sig", "2,3,inf")
+        hyperbolic = set(last_json(out)["result"])
+        for sig in ("2,3,5", "2,4,4", "3,3,3", "2,2,7"):
+            _, out, _ = run(capsys, "classify-group", "--sig", sig)
+            assert set(last_json(out)["result"]) == hyperbolic | {"note"}
 
 
 class TestVerify:
@@ -254,6 +286,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and "order" in err
 
+    @pytest.mark.parametrize("order", ["-5", "0", "3"])
+    def test_principal_below_order_4(self, capsys, order):
+        code, out, err = run(
+            capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--order", order,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: order must be at least 4 to form the principal residual\n"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_tolerance_must_be_finite_positive(self, capsys, tol):
         code, out, err = run(
@@ -312,6 +352,15 @@ class TestSweep:
         rec = json.loads(lines[0])
         assert rec["triple"] == ["1/2", "1/2", "1/2"]
         assert rec["agree"] is True
+
+    def test_stdout_and_out_records_agree(self, capsys, tmp_path):
+        out_path = tmp_path / "records.ndjson"
+        run(capsys, "sweep", "--max-den", "4", "--out", str(out_path))
+        code, out, _ = run(capsys, "sweep", "--max-den", "4")
+        assert code == 0
+        records = out.splitlines(keepends=True)[:-1]
+        assert len(records) == 35
+        assert "".join(records).encode() == out_path.read_bytes()
 
     def test_bound_too_small(self, capsys):
         code, _, err = run(capsys, "sweep", "--max-den", "1")

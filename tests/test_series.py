@@ -101,6 +101,23 @@ class TestSeriesOps:
         with pytest.raises(ValueError):
             PowerSeries(F(0), [F(1)]) + PowerSeries(F(1), [F(1)])
 
+    def test_equal_series_hash_equal(self):
+        a = PowerSeries(F(1, 2), [F(1), F(2), F(3)])
+        b = PowerSeries(F(1, 2), (1, 2, 3))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_base_point_and_length_distinguish(self):
+        a = PowerSeries(F(1, 2), [1, 2, 3])
+        assert a != PowerSeries(F(1, 3), [1, 2, 3])
+        assert a != PowerSeries(F(1, 2), [1, 2])
+        assert a != PowerSeries(F(1, 2), [1, 2, 3, 0])
+
+    def test_not_equal_to_a_tuple(self):
+        a = PowerSeries(F(1, 2), [1, 2])
+        assert (a == (F(1, 2), (1, 2))) is False
+        assert (a == (1, 2)) is False
+
     def test_reciprocal_exact(self):
         s = PowerSeries(F(0), [F(1), F(2), F(3), F(4)])
         r = s.reciprocal()
@@ -229,6 +246,12 @@ class TestSchwarzMap:
         ]
         for lo, hi in zip(residuals[1:], residuals):
             assert lo < hi or lo < floor
+
+
+@pytest.mark.parametrize("order", [-5, 0, 3])
+def test_principal_residual_minimum_order(order):
+    with pytest.raises(ValueError, match="order must be at least 4 to form the principal residual"):
+        residual_principal(R_HURWITZ, F(1, 2), order)
 
 
 class TestSeriesSchwarzian:

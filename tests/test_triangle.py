@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from schwarztri.groups import Signature
 from schwarztri.rational import Poly, RatFunc
 from schwarztri.triangle import (
     GENERIC,
@@ -60,6 +61,15 @@ class TestAngleParams:
         assert p == params("1/2", "1/3", 0)
         with pytest.raises(ValueError):
             AngleParams.from_signature_entries(1, 3, 7)
+
+    @pytest.mark.parametrize("entry", [1, 0, True, 2.0, -math.inf])
+    def test_from_signature_entries_rejects_as_signature_does(self, entry):
+        with pytest.raises(ValueError) as from_entries:
+            AngleParams.from_signature_entries(2, entry, 7)
+        with pytest.raises(ValueError) as from_signature:
+            Signature(2, entry, 7)
+        assert str(from_entries.value) == str(from_signature.value)
+        assert "signature entry must be an integer >= 2 or inf" in str(from_entries.value)
 
 
 class TestBuildR:
