@@ -1,6 +1,7 @@
 """Triangle-group signature classification.
 
-Geometry by the exact angle-sum comparison, arithmeticity by lookup in the
+Geometry by the sign of an integer, the angle-sum excess 1/k + 1/l + 1/m - 1
+times the product of the finite entries; arithmeticity by lookup in the
 embedded table of the 85 arithmetic signatures (76 cocompact, 9 with a cusp),
 maximality by the three excluded signature patterns, and the resulting
 special-polynomial trichotomy:
@@ -79,8 +80,15 @@ class Signature:
     def as_text(self) -> str:
         return ",".join("inf" if e == INF else str(e) for e in self.entries)
 
+    def _angle_sum_terms(self) -> tuple[int, int]:
+        # 1/k + 1/l + 1/m as an integer over the product of the finite
+        # entries; an infinite entry adds 0
+        finite = [e for e in self.entries if e != INF]
+        product = math.prod(finite)
+        return sum(product // e for e in finite), product
+
     def angle_sum(self) -> Fraction:
-        return sum((Fraction(0) if e == INF else Fraction(1, e) for e in self.entries), Fraction(0))
+        return Fraction(*self._angle_sum_terms())
 
 
 class Geometry(enum.Enum):
@@ -156,12 +164,13 @@ class GroupReport:
 
 
 def geometry(sig: Signature) -> Geometry:
-    """Hyperbolic, Euclidean or spherical by the exact comparison of
-    1/k + 1/l + 1/m with 1 (infinity contributing 0)."""
-    s = sig.angle_sum()
-    if s < 1:
+    """Hyperbolic, Euclidean or spherical by the sign of 1/k + 1/l + 1/m - 1
+    (infinity contributing 0), taken in integers: for three finite entries
+    the sign of lm + km + kl - klm."""
+    total, product = sig._angle_sum_terms()
+    if total < product:
         return Geometry.HYPERBOLIC
-    if s == 1:
+    if total == product:
         return Geometry.EUCLIDEAN
     return Geometry.SPHERICAL
 

@@ -15,9 +15,12 @@ the verdict names:
 Condition 1 asks for one of the four signed sums of the exponent differences
 to be an odd integer; condition 2 sweeps a fixed 15-row table of fractional
 parts modulo integer shifts, some rows carrying an "even shift sum" clause.
-Each condition has one test, which both its search and its witness's
-``verify`` call; condition 2 searches only the rows whose residues mod 1 the
-values contain.
+Both are decided in integer arithmetic, with no ``Fraction`` operations:
+condition 1 on the numerators over the lcm of the three denominators,
+condition 2 on each value's numerator and denominator.  Each condition has
+one test, which both its search and its witness's ``verify`` call;
+condition 2 searches only the rows whose residues mod 1 the values contain,
+looked up from the values' integer residues.
 
 Witnesses are reproducible: the sweep order is rows, then sign choices, then
 column permutations, and every returned witness re-verifies by substitution.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -69,8 +72,25 @@ def _residue(x: Fraction) -> tuple[int, int]:
     return (min(p % q, q - p % q), q)
 
 
-# the residues each row's fixed columns need, as a multiset
-_NEEDS = tuple(Counter(_residue(f) for f in fracs if f is not None) for fracs, _ in _TABLE)
+# A residue that no table entry has; it can fill only an arbitrary column.
+_OTHER = (0, 0)
+_TABLE_RESIDUES = frozenset(_residue(f) for fracs, _ in _TABLE for f in fracs if f is not None)
+
+
+def _rows_by_residues() -> dict[tuple, list[int]]:
+    # the rows worth searching, keyed by the sorted residues of the three
+    # values (_OTHER for one outside the table): the rows whose fixed
+    # columns' residues the values have, in ascending order
+    rows: dict[tuple, list[int]] = {}
+    keys = sorted(_TABLE_RESIDUES | {_OTHER})
+    for row, (fracs, _) in enumerate(_TABLE, start=1):
+        needs = [_residue(f) for f in fracs if f is not None]
+        for fill in itertools.combinations_with_replacement(keys, 3 - len(needs)):
+            rows.setdefault(tuple(sorted(needs + list(fill))), []).append(row)
+    return rows
+
+
+_ROWS_BY_RESIDUES = _rows_by_residues()
 
 
 def _values_alpha_beta_gamma(e: ExponentTriple) -> tuple[Fraction, Fraction, Fraction]:
@@ -91,7 +111,7 @@ class Condition1Witness:
     def verify(self, e: ExponentTriple) -> bool:
         if self.signs not in _SIGN_CHOICES:
             return False
-        value = _odd_sum(_values_alpha_beta_gamma(e), self.signs)
+        value = _odd_sum(*_over_lcm(_values_alpha_beta_gamma(e)), self.signs)
         return value is not None and value == self.value
 
     def to_record(self) -> dict:
@@ -164,18 +184,24 @@ class MinimalityVerdict:
         }
 
 
-def _odd_sum(v: tuple[Fraction, ...], signs: tuple[int, int, int]) -> Optional[int]:
-    # the signed sum of the values when it is an odd integer, else None
-    total = sum(s * x for s, x in zip(signs, v))
-    return total.numerator if total.denominator == 1 and total.numerator % 2 else None
+def _over_lcm(v: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    # the values as integer numerators over their least common denominator
+    lcm = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (lcm // x.denominator) for x in v), lcm
+
+
+def _odd_sum(nums: tuple[int, ...], lcm: int, signs: tuple[int, int, int]) -> Optional[int]:
+    # the signed sum of the values nums/lcm when it is an odd integer, else None
+    total, rem = divmod(sum(s * n for s, n in zip(signs, nums)), lcm)
+    return total if not rem and total % 2 else None
 
 
 def check_condition1(e: ExponentTriple) -> Optional[Condition1Witness]:
     """First witness among the four signed sums (+++), (-++), (+-+), (++-)
     whose value is an odd integer; None when there is none."""
-    v = _values_alpha_beta_gamma(e)
+    nums, lcm = _over_lcm(_values_alpha_beta_gamma(e))
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
-        value = _odd_sum(v, signs)
+        value = _odd_sum(nums, lcm, signs)
         if value is not None:
             return Condition1Witness(signs=signs, value=value)
     return None
@@ -215,10 +241,9 @@ def check_condition2(e: ExponentTriple) -> Optional[Condition2Witness]:
     full sweep finds it.
     """
     v = _values_alpha_beta_gamma(e)
-    have = Counter(map(_residue, v))
-    for row, ((fracs, parity), need) in enumerate(zip(_TABLE, _NEEDS), start=1):
-        if not need <= have:
-            continue
+    residues = sorted(r if r in _TABLE_RESIDUES else _OTHER for r in map(_residue, v))
+    for row in _ROWS_BY_RESIDUES.get(tuple(residues), ()):
+        fracs, parity = _TABLE[row - 1]
         for signs in _SIGN_CHOICES:
             for perm in _PERMUTATIONS:
                 shifts = _shifts(fracs, parity, v, signs, perm)

@@ -1,6 +1,7 @@
 """Tests for triangle-group signature classification."""
 
 import itertools
+import random
 from fractions import Fraction as F
 from math import cos, gcd, pi
 
@@ -55,6 +56,46 @@ class TestGeometry:
 
     def test_exact_comparison(self):
         assert Signature(2, 3, 7).angle_sum() == F(41, 42)
+
+    @staticmethod
+    def _assert_matches_fraction_sum(sig: Signature):
+        # the three-term Fraction sum, infinity contributing 0
+        s = sum((F(0) if e == INF else F(1, e) for e in sig.entries), F(0))
+        expected = Geometry.HYPERBOLIC if s < 1 else Geometry.EUCLIDEAN if s == 1 else Geometry.SPHERICAL
+        assert geometry(sig) is expected, sig
+        angle_sum = sig.angle_sum()
+        assert type(angle_sum) is F and angle_sum == s, sig
+
+    def test_integer_sign_matches_fraction_sum(self):
+        """Every sorted signature with entries in 2..60 and infinity."""
+        kinds = set()
+        sigs = list(itertools.combinations_with_replacement(list(range(2, 61)) + [INF], 3))
+        assert len(sigs) == 37820
+        for entries in sigs:
+            sig = Signature(*entries)
+            self._assert_matches_fraction_sum(sig)
+            kinds.add(geometry(sig))
+        assert kinds == set(Geometry)
+
+    def test_integer_sign_on_100_digit_entries(self):
+        rng = random.Random(100)
+        big = [rng.randrange(10**99, 10**100) for _ in range(10)]
+        sigs = [
+            Signature(2, 2, big[0]),
+            Signature(big[1], 2, 2),
+            Signature(2, 3, big[2]),
+            Signature(3, big[3], 3),
+            Signature(2, big[4], INF),
+            Signature(INF, big[5], INF),
+            Signature(big[6], big[6], big[6]),
+            Signature(big[7], big[8], big[9]),
+            Signature(big[0], big[1], 2),
+            Signature(2, big[2] * big[3], big[4]),
+        ]
+        for sig in sigs:
+            assert max(e for e in sig.entries if e != INF) >= 10**99
+            self._assert_matches_fraction_sum(sig)
+        assert {geometry(sig) for sig in sigs} == {Geometry.SPHERICAL, Geometry.HYPERBOLIC}
 
 
 class TestArithmeticity:

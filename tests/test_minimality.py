@@ -9,6 +9,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schwarztri.cli import exponent_values
 from schwarztri.minimality import (
     Condition1Witness,
     Condition2Witness,
@@ -415,3 +416,77 @@ def test_condition_searches_match_reference_on_seeded_triples():
 
     rows, _ = _assert_matches_reference([ExponentTriple(value(), value(), value()) for _ in range(3000)])
     assert len(rows) > 5
+
+
+def test_condition_searches_match_reference_on_shared_factor_denominators():
+    """Denominators 6, 10, 12, 30, 60 and multiples, so that the lcm of a
+    triple's denominators is below their product.  In half the triples a
+    signed sum is an integer by construction, which condition 1 tests."""
+    rng = random.Random(20)
+    dens = [d * k for d in (6, 10, 12, 30, 60) for k in (1, 2, 7)]
+
+    def value():
+        q = rng.choice(dens)
+        return F(rng.randint(-4 * q, 4 * q), q)
+
+    triples = []
+    for i in range(2000):
+        a, b, c = value(), value(), value()
+        if i % 2:
+            c = rng.choice((1, -1)) * (rng.randint(-5, 5) - rng.choice((1, -1)) * a - rng.choice((1, -1)) * b)
+        triples.append(ExponentTriple(a, b, c))
+    rows, _ = _assert_matches_reference(triples)
+    assert len(rows) > 5
+    assert sum(check_condition1(e) is not None for e in triples) > 200
+
+
+def test_condition_searches_match_reference_on_large_values():
+    """Denominators up to 10^6 (primes and prime powers, down to 2) and
+    numerators up to 3000 bits; every fourth triple closes a signed sum to an
+    integer."""
+    rng = random.Random(21)
+    dens = (2, 3, 4, 5, 8, 9, 25, 27, 997, 65536, 78125, 99991, 524288, 531441, 823543, 999983)
+
+    def value():
+        p = rng.getrandbits(rng.randint(1, 3000))
+        return F(rng.choice((1, -1)) * p, rng.choice(dens))
+
+    triples = []
+    for i in range(500):
+        a, b, c = value(), value(), value()
+        if i % 4 == 0:
+            c = rng.getrandbits(3000) - a - b
+        triples.append(ExponentTriple(a, b, c))
+    rows, _ = _assert_matches_reference(triples)
+    assert rows
+    assert sum(check_condition1(e) is not None for e in triples) > 20
+
+
+def test_condition_searches_match_reference_with_integers_in_every_slot():
+    """Zero and +-integers in each slot, next to integers and table residues
+    in the others."""
+    values = [F(n) for n in range(-3, 4)] + [F(1, 2), F(-1, 2), F(1, 3), F(-2, 3), F(3, 5), F(1, 4)]
+    triples = [
+        ExponentTriple(a, b, c)
+        for a, b, c in itertools.product(values, repeat=3)
+        if any(x.denominator == 1 for x in (a, b, c))
+    ]
+    rows, _ = _assert_matches_reference(triples)
+    assert 1 in rows
+    assert sum(check_condition1(e) is not None for e in triples) > 100
+
+
+def test_classify_matches_reference_on_the_den8_sweep():
+    """The verdict records of the 1771 den <= 8 sweep triples, placed as the
+    sweep places them, against the reference searches."""
+    triples = list(itertools.combinations_with_replacement(exponent_values(8), 3))
+    assert len(triples) == 1771
+    for t0, t1, t2 in triples:
+        params = AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+        e = exponent_differences(params)
+        w = reference_check_condition1(e) or reference_check_condition2(e)
+        expected = {
+            "verdict": (Verdict.NOT_STRONGLY_MINIMAL if w else Verdict.STRONGLY_MINIMAL).value,
+            "witness": w.to_record() if w else None,
+        }
+        assert classify(params).to_record() == expected, (t0, t1, t2)
