@@ -16,11 +16,12 @@ Condition 1 asks for one of the four signed sums of the exponent differences
 to be an odd integer; condition 2 sweeps a fixed 15-row table of fractional
 parts modulo integer shifts, some rows carrying an "even shift sum" clause.
 Both are decided in integer arithmetic, with no ``Fraction`` operations:
-condition 1 on the numerators over the lcm of the three denominators,
-condition 2 on each value's numerator and denominator.  Each condition has
-one test, which both its search and its witness's ``verify`` call;
-condition 2 searches only the rows whose residues mod 1 the values contain,
-looked up from the values' integer residues.
+condition 1 on the numerators over the lcm of the three denominators
+(``rational._clear_denominators``), condition 2 on each value's numerator
+and denominator.  Each condition has one test, which both its search and
+its witness's ``verify`` call; condition 2 searches only the rows whose
+residues mod 1 the values contain, looked up from the values' integer
+residues.
 
 Witnesses are reproducible: the sweep order is rows, then sign choices, then
 column permutations, and every returned witness re-verifies by substitution.
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .rational import _clear_denominators
 from .triangle import AngleParams, ExponentTriple, exponent_differences
 
 _SIGN_CHOICES = tuple(itertools.product((1, -1), repeat=3))
@@ -111,7 +112,8 @@ class Condition1Witness:
     def verify(self, e: ExponentTriple) -> bool:
         if self.signs not in _SIGN_CHOICES:
             return False
-        value = _odd_sum(*_over_lcm(_values_alpha_beta_gamma(e)), self.signs)
+        lcm, nums = _clear_denominators(_values_alpha_beta_gamma(e))
+        value = _odd_sum(nums, lcm, self.signs)
         return value is not None and value == self.value
 
     def to_record(self) -> dict:
@@ -184,13 +186,7 @@ class MinimalityVerdict:
         }
 
 
-def _over_lcm(v: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    # the values as integer numerators over their least common denominator
-    lcm = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (lcm // x.denominator) for x in v), lcm
-
-
-def _odd_sum(nums: tuple[int, ...], lcm: int, signs: tuple[int, int, int]) -> Optional[int]:
+def _odd_sum(nums: list[int], lcm: int, signs: tuple[int, int, int]) -> Optional[int]:
     # the signed sum of the values nums/lcm when it is an odd integer, else None
     total, rem = divmod(sum(s * n for s, n in zip(signs, nums)), lcm)
     return total if not rem and total % 2 else None
@@ -199,7 +195,7 @@ def _odd_sum(nums: tuple[int, ...], lcm: int, signs: tuple[int, int, int]) -> Op
 def check_condition1(e: ExponentTriple) -> Optional[Condition1Witness]:
     """First witness among the four signed sums (+++), (-++), (+-+), (++-)
     whose value is an odd integer; None when there is none."""
-    nums, lcm = _over_lcm(_values_alpha_beta_gamma(e))
+    lcm, nums = _clear_denominators(_values_alpha_beta_gamma(e))
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
         value = _odd_sum(nums, lcm, signs)
         if value is not None:

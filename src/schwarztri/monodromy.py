@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rational import Poly, RatFunc, _complex_parts
-from .series import _QUIET, _den_terms, _shift_coeffs, _solve_recurrence, poles
+from .series import _QUIET, _den_terms, _shift_coeffs, _shifted, _solve_recurrence, _table, poles
 from .triangle import AngleParams, build_r, exponent_differences
 
 # continuation: the Taylor order through which the equation coefficient
@@ -147,10 +147,7 @@ class _StepPlan:
     def compile(f: RatFunc, zs: Sequence[complex], hs: Sequence[complex]) -> "_StepPlan":
         """The plan of the steps from ``zs`` to ``zs + hs`` for ``f``'s denominator."""
         zs, hs = np.array(zs, dtype=complex), np.array(hs, dtype=complex)
-        ds = _shift_coeffs(_complex_parts(f)[1], zs)
-        if np.any(ds[0] == 0):
-            raise ZeroDivisionError("a step center is a pole")
-        den_terms, twice_d0 = _den_terms(ds)
+        den_terms, twice_d0 = _den_terms(_shifted(f, zs)[1])
         # h^0, h^1, ... by a running product, and m h^(m-1) from them
         powers = np.empty(hs.shape + (2, _TAYLOR_ORDER + 3), dtype=complex)
         powers[..., 0, 0] = 1
@@ -189,14 +186,10 @@ def _taylor_step(rs: Sequence[RatFunc], plan: _StepPlan) -> np.ndarray:
     makes one matmul of the plan's powers with the coefficients of the pair,
     a product per step and equation, so each equation's matrices are bit for
     bit those it gets alone."""
-    # the numerators' coefficients, padded with zeros to one length, each a
-    # column over the equations; at least one, which carries the equations'
-    # axis when every r is 0
-    parts = [_complex_parts(f)[0] for f in rs]
-    num = np.zeros((max(1, max(map(len, parts))), len(rs), 1), dtype=complex)
-    for k, cs in enumerate(parts):
-        num[: len(cs), k, 0] = cs
-    ns = _shift_coeffs(list(num), plan.zs)
+    # the numerators' coefficients in one table, each term a column over the
+    # equations; at least one term, which carries the equations' axis when
+    # every r is 0
+    ns = _shift_coeffs(list(_table([_complex_parts(f)[0] for f in rs])), plan.zs)
     coefficients = _solve_recurrence(plan.den_terms, plan.twice_d0, ns, _TAYLOR_ORDER + 2)
     return np.matmul(plan.powers, coefficients[..., ::-1, :])
 
@@ -358,9 +351,9 @@ def monodromy(
 # by at most 24 times it
 _TOL_FACTOR = 100.0
 _TOL_FLOOR = 1e-9
-_MAX_ORDER = 120
+_MAX_GROUP_ORDER = 120
 # half the smallest gap (1.16e-5) between the traces 2cos(pi p/q) with
-# q <= _MAX_ORDER: above it these orders are not told apart
+# q <= _MAX_GROUP_ORDER: above it these orders are not told apart
 _TOL_MAX = 5e-6
 # T5, each trace with the projective order n of the SL2 elements that have it
 _T5 = tuple((2 * math.cos(math.pi * a), a.denominator)
@@ -445,17 +438,17 @@ def classify_projective(rep: MonodromyRep) -> ProjectiveClass:
         return ProjectiveClass(kind, order, tol, min(missed, default=None))
 
     if holds(abs(kappa - 2)):
-        (q0, d0), (q1, d1) = (_order(a, _MAX_ORDER) for a in (a0, a1))
+        (q0, d0), (q1, d1) = (_order(a, _MAX_GROUP_ORDER) for a in (a0, a1))
         ab, ba = mats[2], _product(a1, a0)
         difference = [[ab[i][j] - ba[i][j] for j in (0, 1)] for i in (0, 1)]
         commutator = _norm(difference) / (_norm(a0) * _norm(a1))
-        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_ORDER:
+        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_GROUP_ORDER:
             return result("finite", math.lcm(q0, q1))
         return result("triangularizable")
     if holds(sorted(map(abs, (x, y, z)))[1]):
         # the two matrices of trace 0 are involutions: dihedral of twice the
         # order q of the third
-        q, dist = _order(max(mats, key=lambda m: abs(_trace(m))), _MAX_ORDER // 2)
+        q, dist = _order(max(mats, key=lambda m: abs(_trace(m))), _MAX_GROUP_ORDER // 2)
         return result("finite", 2 * q) if holds(dist) else result("dihedral")
     nearest = [min((abs(t - v), n) for v, n in _T5) for t in (x, y, z, x * y - z, kappa)]
     if holds(max(nearest)[0]):

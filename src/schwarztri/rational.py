@@ -119,7 +119,7 @@ def _int_eval(a: Sequence[int], x: int) -> int:
     return v
 
 
-def _strip(a: list[int]) -> list[int]:
+def _strip(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -311,10 +311,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(_strip([as_fraction(c) for c in coeffs])))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -404,11 +401,11 @@ class Poly:
         return Poly([Fraction(c) / g[-1] for c in g]) if g else Poly()
 
     def __call__(self, x):
-        """Horner evaluation; works for Fraction, int, float and complex."""
+        """Horner evaluation: exact at an exact x, else in x's floating type,
+        numpy scalars included (c + acc * x leaves the sum to a numpy acc)."""
         acc = x * 0
-        exact = _is_exact(x)
         for c in reversed(self.coeffs):
-            acc = acc * x + (c if exact else _numeric(c, x))
+            acc = c + acc * x
         return acc
 
     def __repr__(self) -> str:
@@ -420,12 +417,6 @@ def _poly_of(coeffs: list[Fraction]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "coeffs", tuple(coeffs))
     return p
-
-
-def _numeric(c: Fraction, like):
-    if isinstance(like, complex):
-        return complex(c)
-    return float(c)
 
 
 def _as_poly(x) -> Poly:
@@ -646,13 +637,10 @@ class RatFunc:
 
     def __call__(self, x):
         """Evaluate at an exact or floating point; exact poles raise."""
-        if _is_exact(x):
-            x = Fraction(x)
-            den = self.den(x)
-            if den == 0:
-                raise ZeroDivisionError(f"pole at {x}")
-            return self.num(x) / den
-        return self.num(x) / self.den(x)
+        den = self.den(x)
+        if isinstance(den, Fraction) and den == 0:
+            raise ZeroDivisionError(f"pole at {x}")
+        return self.num(x) / den
 
     # -- serialization ---------------------------------------------------------
 

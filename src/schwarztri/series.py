@@ -14,15 +14,18 @@ composition instead work on one matrix of the powers W^0..W^n of a series W
 (``_powers``), each row one numpy convolution of the row before: reversion
 is a triangular solve against it and composition one vector-matrix product
 (the powers first, as in Brent & Kung, J. ACM 25, 1978, rather than the
-term-by-term sums of Knuth, TAOCP vol. 2, section 4.7).  Residual reports
-evaluate in complex arithmetic, at all sample points at once (``_horner``).
+term-by-term sums of Knuth, TAOCP vol. 2, section 4.7).  The Schwarzian is
+q' - q^2/2 with q = t''/t' (Ovsienko & Tabachnikov, Notices AMS 56, 2009).
+Residual reports evaluate in complex arithmetic, at all sample points at
+once (``_horner``).
 
 The linear solver clears the denominator of R = N/D and runs the recurrence
 of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
 Hoeven, TCS 210, 1999): deg N + deg D + 1 terms a coefficient, so
 O(order * deg) operations, where a convolution with the Taylor series of R
 takes O(order^2).  Only this module lays out the recurrence's row of
-terms, for ``monodromy`` too, whose step plans cache its ``_den_terms``.
+terms, for ``monodromy`` too, whose step plans cache its ``_den_terms``
+and which takes its shifts (``_shifted``) and tables (``_table``) from here.
 
 Note on the Schwarz map convention: with the fundamental pair normalized to
 (psi1, psi1') = (1, 0) and (psi2, psi2') = (0, 1) at the base point, the
@@ -210,7 +213,8 @@ def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
 
 
 def ratfunc_series(f: RatFunc, base: BasePoint, order: int) -> PowerSeries:
-    return PowerSeries(_coerce_base(base), taylor_coefficients(f, base, order))
+    base = _coerce_base(base)
+    return PowerSeries(base, taylor_coefficients(f, base, order))
 
 
 def poles(f: RatFunc) -> list[complex]:
@@ -259,24 +263,7 @@ def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> 
     S that of the entries, the pair on the last axis.  The row of terms of
     the recurrence over 2 d_0 is -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0,
     ...), padded with zeros to width 2w: this adds the odd columns to the
-    even ones, and ``_run_recurrence`` runs it."""
-    zero = Fraction(0) if den_terms.dtype == object else 0j
-    shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
-    # at least 1: an empty product of object arrays is the int 0, not a Fraction
-    w = max(den_terms.shape[-1] // 2, len(ns), 1)
-    k = np.full(shape + (1, 2 * w), zero, dtype=den_terms.dtype)
-    k[..., 0, : den_terms.shape[-1]] = den_terms
-    for i, n in enumerate(ns):
-        k[..., 0, 2 * i + 1] = -(n / twice_d0)
-    pair = _run_recurrence(k.reshape(math.prod(shape), 1, 2 * w), order, zero)
-    return pair.reshape(shape + (order + 1, 2))
-
-
-def _run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
-    """The pair c_0..c_order, with (c_0, c_1) = (1, 0) and (0, 1), of each
-    of the rows of terms ``k``, an array of shape (size, 1, 2w) as
-    ``_solve_recurrence`` lays them out; the result has shape
-    (size, order + 1, 2).  ``zero`` is the zero of k's entries.
+    even ones, one row for each entry.
 
     e_m = m (m - 1) c_m and c_m sit interleaved in one buffer, e_m in row
     2w + 2m and c_m in the next, below 2w rows of zeros.  The terms of e_j,
@@ -284,7 +271,16 @@ def _run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
     read backwards, and e_j is the product of that slice with the row of
     terms: one matmul, and c_j one division, for all rows and the pair at
     once."""
-    size, _, width = k.shape
+    zero = Fraction(0) if den_terms.dtype == object else 0j
+    shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
+    # at least 1: an empty product of object arrays is the int 0, not a Fraction
+    width = 2 * max(den_terms.shape[-1] // 2, len(ns), 1)
+    k = np.full(shape + (1, width), zero, dtype=den_terms.dtype)
+    k[..., 0, : den_terms.shape[-1]] = den_terms
+    for i, n in enumerate(ns):
+        k[..., 0, 2 * i + 1] = -(n / twice_d0)
+    size = math.prod(shape)
+    k = k.reshape(size, 1, width)
     # rows outermost in memory, so that a row and the rows below it are
     # disjoint blocks, which numpy sees without copying
     rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=k.dtype)
@@ -295,7 +291,7 @@ def _run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
             e = width + 2 * j
             np.matmul(k, history[:, e - 2 : e - 2 - width : -1], out=history[:, e : e + 1])
             np.divide(rows[e], j * (j - 1), out=rows[e + 1])
-    return history[:, width + 1 :: 2]
+    return history[:, width + 1 :: 2].reshape(shape + (order + 1, 2))
 
 
 def series_solve_linear(
@@ -341,18 +337,15 @@ def schwarz_map(r: RatFunc, base: BasePoint, order: int) -> PowerSeries:
 
 
 def series_schwarzian(t: PowerSeries) -> PowerSeries:
-    """Schwarzian of a series; the truncation order drops by 3."""
+    """Schwarzian of a series as q' - q^2/2 with q = t''/t': one division,
+    where t'''/t' - (3/2) q^2 takes two.  The truncation order drops by 3."""
     if t.truncation_order < 4:
         raise ValueError("order too small for a meaningful Schwarzian")
     d1 = t.derivative()
     if d1.coefficients[0] == 0:
         raise ZeroDivisionError("series has vanishing first derivative at its base point")
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    n = t.truncation_order - 3
-    d1 = d1.truncate(n)
-    ratio = d2.truncate(n) / d1
-    return d3.truncate(n) / d1 - (ratio * ratio) * 3 / 2
+    q = d1.derivative() / d1
+    return q.derivative() - q * q / 2
 
 
 def _coefficient_array(cs: Sequence) -> np.ndarray:
@@ -450,6 +443,16 @@ def _report(pts: tuple[complex, ...], residuals: np.ndarray, order: int) -> Resi
     return ResidualReport(pts, float(values.max()), order)
 
 
+def _table(rows: Sequence[Sequence]) -> np.ndarray:
+    """The coefficient lists ``rows``, lowest first, as the complex array
+    (terms, rows, 1) with term k of row i at [k, i, 0], zero-padded to the
+    longest row and at least one term long."""
+    table = np.zeros((max(1, max(map(len, rows))), len(rows), 1), dtype=complex)
+    for i, cs in enumerate(rows):
+        table[: len(cs), i, 0] = cs
+    return table
+
+
 def _horner(rows: Sequence[Sequence], x: np.ndarray) -> np.ndarray:
     """Row i: the polynomial with coefficients rows[i], lowest first, at every
     entry of the complex array x.  Horner's rule, one pass over the
@@ -457,11 +460,8 @@ def _horner(rows: Sequence[Sequence], x: np.ndarray) -> np.ndarray:
     points.  Not a table of the powers x^k: coefficients that grow like
     2^(60k) against x^k that underflows to 0 give 0 * inf = nan there, where
     the nested form stays finite."""
-    table = np.zeros((max(map(len, rows)), len(rows), 1), dtype=complex)
-    for i, cs in enumerate(rows):
-        table[: len(cs), i, 0] = cs
     acc = np.zeros((len(rows), len(x)), dtype=complex)
-    for c in table[::-1]:
+    for c in _table(rows)[::-1]:
         acc *= x
         acc += c
     return acc

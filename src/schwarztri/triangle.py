@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .groups import Signature
-from .rational import RatFunc, _ratfunc, as_fraction, parse_fraction
+from .rational import RatFunc, _canonical, _clear_denominators, _ratfunc, _strip, as_fraction, parse_fraction
 
 
 class _Generic:
@@ -157,13 +157,11 @@ def build_r(params: AngleParams) -> RatFunc:
     ea, eb, eg = _require_exact(params)
     # the coefficients times their common denominator L^2, L the lcm of the
     # parameters' denominators: c0 L^2 = L^2 - (L b)^2 and so on
-    lcm = math.lcm(ea.denominator, eb.denominator, eg.denominator)
-    sa, sb, sg = ((e.numerator * (lcm // e.denominator)) ** 2 for e in (ea, eb, eg))
+    lcm, scaled = _clear_denominators((ea, eb, eg))
+    sa, sb, sg = (x * x for x in scaled)
     square = lcm * lcm
     c0, c1, c_mix = square - sb, square - sg, sb + sg - sa - square
-    n = [c0, -2 * c0 - c_mix, c0 + c1 + c_mix]
-    while n and n[-1] == 0:
-        n.pop()
+    n = _strip([c0, -2 * c0 - c_mix, c0 + c1 + c_mix])
     if not n:
         return RatFunc.constant(0)
     at0 = at1 = 2
@@ -177,8 +175,7 @@ def build_r(params: AngleParams) -> RatFunc:
             n[i] += n[i + 1]
         n.pop(0)
         at1 -= 1
-    content = math.gcd(*n) if n[-1] > 0 else -math.gcd(*n)
-    return _ratfunc([x // content for x in n], _POLE_POWERS[at0, at1], Fraction(content, 2 * square))
+    return _ratfunc(*_canonical(n, _POLE_POWERS[at0, at1], Fraction(1, 2 * square)))
 
 
 def exponent_differences(params: AngleParams) -> ExponentTriple:

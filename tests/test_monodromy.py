@@ -17,7 +17,7 @@ from schwarztri.cli import exponent_values
 from schwarztri.monodromy import (
     _CHUNK,
     _DEGREES,
-    _MAX_ORDER,
+    _MAX_GROUP_ORDER,
     _MIN_STEP,
     _POLE_CLEARANCE,
     _STEP_FACTOR,
@@ -252,15 +252,15 @@ def _reference_classify_projective(rep: MonodromyRep) -> ProjectiveClass:
         return ProjectiveClass(kind, order, tol, min(missed, default=None))
 
     if holds(abs(kappa - 2)):
-        (q0, d0), (q1, d1) = (_reference_order(a, _MAX_ORDER) for a in (a0, a1))
+        (q0, d0), (q1, d1) = (_reference_order(a, _MAX_GROUP_ORDER) for a in (a0, a1))
         commutator = _reference_norm(a0 @ a1 - a1 @ a0) / (_reference_norm(a0) * _reference_norm(a1))
-        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_ORDER:
+        if holds(max(commutator, d0, d1)) and math.lcm(q0, q1) <= _MAX_GROUP_ORDER:
             return result("finite", math.lcm(q0, q1))
         return result("triangularizable")
     if holds(sorted(map(abs, (x, y, z)))[1]):
         # the two matrices of trace 0 are involutions: dihedral of twice the
         # order q of the third
-        q, dist = _reference_order(max(mats, key=lambda m: abs(np.trace(m))), _MAX_ORDER // 2)
+        q, dist = _reference_order(max(mats, key=lambda m: abs(np.trace(m))), _MAX_GROUP_ORDER // 2)
         return result("finite", 2 * q) if holds(dist) else result("dihedral")
     nearest = [min((abs(t - v), n) for v, n in _T5) for t in (x, y, z, x * y - z, kappa)]
     if holds(max(nearest)[0]):
@@ -352,6 +352,11 @@ class TestContinuation:
             expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
             assert np.max(np.abs(m - expected)) <= 1e-14 * np.max(np.abs(expected)), (z, h)
             assert abs(np.linalg.det(m) - 1) < 1e-13, (z, h)
+
+    def test_step_center_at_a_pole_rejected(self):
+        r = build_r(params("1/2", "1/3", "1/7"))
+        with pytest.raises(ZeroDivisionError, match="is a pole"):
+            _StepPlan.compile(r, [0.25, 1.0], [0.1, 0.1])
 
     def test_batched_steps_match_scalar_steps(self):
         # one array call gives the stack of the one-step calls' matrices

@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from schwarztri import rational
@@ -388,3 +389,69 @@ class TestComplexParts:
             for f in (RatFunc.constant(c), c * Y + 1, (Y + c) / (Y - 1), 1 / (c * Y * Y + 1)):
                 overflowed += not self._check(f)
         assert overflowed > 0
+
+
+# -- reference: evaluation with an exact path of its own and the coefficient
+# conversion ``_numeric``, before one Horner loop served every scalar, kept
+# word for word but for the names
+
+
+def reference_poly_call(self, x):
+    acc = x * 0
+    exact = rational._is_exact(x)
+    for c in reversed(self.coeffs):
+        acc = acc * x + (c if exact else reference_numeric(c, x))
+    return acc
+
+
+def reference_numeric(c: F, like):
+    if isinstance(like, complex):
+        return complex(c)
+    return float(c)
+
+
+def reference_ratfunc_call(self, x):
+    if rational._is_exact(x):
+        x = F(x)
+        den = reference_poly_call(self.den, x)
+        if den == 0:
+            raise ZeroDivisionError(f"pole at {x}")
+        return reference_poly_call(self.num, x) / den
+    return reference_poly_call(self.num, x) / reference_poly_call(self.den, x)
+
+
+def _value_or_error(evaluate, f, x):
+    try:
+        return evaluate(f, x)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+
+
+class TestEvaluationMatchesReference:
+    def test_every_scalar_type(self):
+        # seeded functions, a third with an exact pole at a point evaluated,
+        # at int, Fraction, float, complex and numpy scalar points: the same
+        # value of the same type, or the same error
+        rng = random.Random(2024)
+        for _ in range(400):
+            pole = rng.choice((rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(2, 4))))
+            num = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))])
+            den = Poly([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))] + [1])
+            f = RatFunc(num, den * Poly([-pole, 1]) if rng.random() < 1 / 3 else den)
+            u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            points = (rng.randint(-5, 5), pole, F(rng.randint(-9, 9), rng.randint(1, 9)), u,
+                      complex(u, v), np.float64(u), np.complex128(complex(v, u)))
+            for x in points:
+                for got, want in (
+                    (_value_or_error(Poly.__call__, f.num, x), _value_or_error(reference_poly_call, f.num, x)),
+                    (_value_or_error(Poly.__call__, f.den, x), _value_or_error(reference_poly_call, f.den, x)),
+                    (_value_or_error(RatFunc.__call__, f, x), _value_or_error(reference_ratfunc_call, f, x)),
+                ):
+                    assert type(got) is type(want) and got == want, (f, x)
+
+    @pytest.mark.parametrize("x, text", [(2, "2"), (F(4, 2), "2"), (F(-1, 2), "-1/2"), (np.int64(2), "2")])
+    def test_exact_pole_raises(self, x, text):
+        # a numpy integer evaluates exactly, as an int does
+        f = (Y + 1) / ((Y - 2) * (2 * Y + 1))
+        with pytest.raises(ZeroDivisionError, match=f"^pole at {text}$"):
+            f(x)

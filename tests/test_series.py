@@ -2,22 +2,30 @@
 
 import cmath
 import functools
+import math
 import random
 import warnings
 from fractions import Fraction as F
 from math import comb
 
 import mpmath
+import numpy as np
 import pytest
 
+from schwarztri.monodromy import _CHUNK, _TAYLOR_ORDER, LoopSpec, _step_plan
 from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
 from schwarztri.series import (
+    _QUIET,
     PowerSeries,
     ResidualReport,
     _coerce_base,
+    _den_terms,
     _report,
     _sample_ring,
+    _shift_coeffs,
     _shifted,
+    _solve_recurrence,
+    _table,
     _third_order_residuals,
     default_disk_radius,
     ratfunc_series,
@@ -151,6 +159,14 @@ def reference_equations(seed, count):
     return out
 
 
+def exact_base(r: RatFunc, rng) -> F:
+    """A seeded exact base point that is not a pole of ``r``."""
+    base = F(rng.randint(1, 9), 10)
+    while r.den(base) == 0:
+        base += F(1, 7)
+    return base
+
+
 class TestLinearSolver:
     def test_zero_potential(self):
         psi1, psi2 = series_solve_linear(RatFunc.constant(0), F(0), 5)
@@ -175,9 +191,7 @@ class TestLinearSolver:
         for r in reference_equations(seed, 6):
             degrees.add(r.den.degree)
             for order in range(2, 15):
-                base = F(rng.randint(1, 9), 10)
-                while r.den(base) == 0:
-                    base += F(1, 7)
+                base = exact_base(r, rng)
                 assert series_solve_linear(r, base, order) == convolution_solve_linear(
                     r, base, order
                 ), (r, base, order)
@@ -536,6 +550,59 @@ def loop_inversion_error() -> float:
     )
 
 
+# -- reference: the recurrence in two functions and the Schwarzian by two
+# divisions, before one function ran the recurrence and the Schwarzian became
+# q' - q^2/2, kept word for word but for the names
+
+
+def reference_solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> np.ndarray:
+    zero = F(0) if den_terms.dtype == object else 0j
+    shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
+    # at least 1: an empty product of object arrays is the int 0, not a Fraction
+    w = max(den_terms.shape[-1] // 2, len(ns), 1)
+    k = np.full(shape + (1, 2 * w), zero, dtype=den_terms.dtype)
+    k[..., 0, : den_terms.shape[-1]] = den_terms
+    for i, n in enumerate(ns):
+        k[..., 0, 2 * i + 1] = -(n / twice_d0)
+    pair = reference_run_recurrence(k.reshape(math.prod(shape), 1, 2 * w), order, zero)
+    return pair.reshape(shape + (order + 1, 2))
+
+
+def reference_run_recurrence(k: np.ndarray, order: int, zero) -> np.ndarray:
+    size, _, width = k.shape
+    # rows outermost in memory, so that a row and the rows below it are
+    # disjoint blocks, which numpy sees without copying
+    rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=k.dtype)
+    rows[width + 1, :, 0] = rows[width + 3, :, 1] = zero + 1
+    history = rows.transpose(1, 0, 2)
+    with np.errstate(**_QUIET):
+        for j in range(2, order + 1):
+            e = width + 2 * j
+            np.matmul(k, history[:, e - 2 : e - 2 - width : -1], out=history[:, e : e + 1])
+            np.divide(rows[e], j * (j - 1), out=rows[e + 1])
+    return history[:, width + 1 :: 2]
+
+
+def reference_series_schwarzian(t: PowerSeries) -> PowerSeries:
+    if t.truncation_order < 4:
+        raise ValueError("order too small for a meaningful Schwarzian")
+    d1 = t.derivative()
+    if d1.coefficients[0] == 0:
+        raise ZeroDivisionError("series has vanishing first derivative at its base point")
+    d2 = d1.derivative()
+    d3 = d2.derivative()
+    n = t.truncation_order - 3
+    d1 = d1.truncate(n)
+    ratio = d2.truncate(n) / d1
+    return d3.truncate(n) / d1 - (ratio * ratio) * 3 / 2
+
+
+def assert_recurrence_matches_reference(den_terms, twice_d0, ns, order):
+    got = _solve_recurrence(den_terms, twice_d0, ns, order)
+    want = reference_solve_recurrence(den_terms, twice_d0, ns, order)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestKernelsMatchReference:
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_series_ops(self, seed):
@@ -564,9 +631,7 @@ class TestKernelsMatchReference:
     def test_exact_schwarz_maps(self, seed):
         rng = random.Random(300 + seed)
         for r in reference_equations(seed, 3):
-            base = F(rng.randint(1, 9), 10)
-            while r.den(base) == 0:
-                base += F(1, 7)
+            base = exact_base(r, rng)
             order = rng.randint(6, 12)
             assert taylor_coefficients(r, base, order) == reference_taylor_coefficients(r, base, order)
             t = schwarz_map(r, base, order)
@@ -610,6 +675,52 @@ class TestKernelsMatchReference:
         inner = PowerSeries(j.base_point, [0.5 + 1e-8] + list(j.coefficients[1:]))
         with pytest.raises(ValueError):
             series_compose(outer, inner)
+
+    def test_recurrence_at_complex_bases(self):
+        for seed in range(3):
+            for r, z in complex_map_cases(seed):
+                ns, ds = _shifted(r, z)
+                assert_recurrence_matches_reference(*_den_terms(ds), ns, 40)
+
+    def test_recurrence_on_a_step_plan_grid(self):
+        # a (T, steps) grid: _CHUNK equations that share a denominator, at
+        # every step center of a loop's plan, as _taylor_step lays them out
+        rng = random.Random(61)
+        rs = [build_r(rand_triple(rng)) for _ in range(_CHUNK)]
+        assert len({r.den for r in rs}) == 1
+        for center in (0j, 1 + 0j):
+            plan = _step_plan(rs[0]._d, LoopSpec(center=center).polyline())
+            ns = _shift_coeffs(list(_table([[complex(c) for c in r.num.coeffs] for r in rs])), plan.zs)
+            assert np.shape(ns[0]) == (_CHUNK, len(plan.zs))
+            assert_recurrence_matches_reference(plan.den_terms, plan.twice_d0, ns, _TAYLOR_ORDER + 2)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_recurrence_at_exact_bases(self, seed):
+        rng = random.Random(700 + seed)
+        for r in reference_equations(seed, 3):
+            ns, ds = _shifted(r, exact_base(r, rng))
+            assert_recurrence_matches_reference(*_den_terms(ds), ns, rng.randint(2, 14))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_series_schwarzian(self, seed):
+        rng = random.Random(800 + seed)
+        for order in range(4, 17):
+            base = F(rng.randint(-3, 3), rng.randint(1, 3))
+            cs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(order + 1)]
+            cs[1] = cs[1] or F(1, 3)
+            t = PowerSeries(base, cs)
+            assert series_schwarzian(t) == reference_series_schwarzian(t)
+        for r in reference_equations(seed, 3):
+            t = schwarz_map(r, exact_base(r, rng), rng.randint(4, 14))
+            assert series_schwarzian(t) == reference_series_schwarzian(t)
+
+    def test_complex_series_schwarzian(self):
+        # one division in place of two rounds otherwise: the two forms agree
+        # to roundoff of the coefficient scale
+        for seed in range(3):
+            for r, z in complex_map_cases(seed):
+                t = schwarz_map(r, z, 24)
+                assert_close(series_schwarzian(t), reference_series_schwarzian(t))
 
 
 # -- reference: the third-order check that the pullback along y replaced,
