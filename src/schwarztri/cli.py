@@ -65,14 +65,26 @@ _MAX_ORDER = 1000
 _MAX_DEN = 20
 
 
+_TOKEN = re.compile(r"\s*(\d+|\S|$)")
+
+
 class _ExprParser:
     """Recursive-descent parser for one-variable rational expressions:
-    integers, y, + - * / ^ and parentheses; ^ takes integer exponents."""
+    integers, y, + - * / ^ and parentheses; ^ takes integer exponents.
+    ``_TOKEN`` splits the text into runs of decimal digits and single other
+    characters; ``tok`` is the next token, "" at the end, and ``pos`` its
+    position."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        self.tokens = ((m.start(1), m[1]) for m in _TOKEN.finditer(text))
+        self.pos, self.tok = next(self.tokens)
         self.depth = 0
+
+    def advance(self) -> str:
+        """Consume the next token, which is not the end, and return it."""
+        tok = self.tok
+        self.pos, self.tok = next(self.tokens)
+        return tok
 
     def fail(self, message: str):
         raise UsageError(f"phi expression, position {self.pos}: {message}")
@@ -92,21 +104,16 @@ class _ExprParser:
         if times * degree > _MAX_PHI_DEGREE or times * bits > MAX_TEXT_BITS:
             self.fail(f"{what} exceeds degree {_MAX_PHI_DEGREE} or {MAX_TEXT_BITS}-bit coefficients")
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def parse(self) -> RatFunc:
         value = self.expr()
-        if self.peek():
-            self.fail(f"unexpected character {self.peek()!r}")
+        if self.tok:
+            self.fail(f"unexpected character {self.tok[:1]!r}")
         return value
 
     def expr(self) -> RatFunc:
         value = self.term()
-        while (op := self.peek()) in ("+", "-"):
-            self.pos += 1
+        while self.tok in ("+", "-"):
+            op = self.advance()
             rhs = self.term()
             value = value + rhs if op == "+" else value - rhs
             self.bound("sum", value)
@@ -114,8 +121,8 @@ class _ExprParser:
 
     def term(self) -> RatFunc:
         value = self.factor()
-        while (op := self.peek()) in ("*", "/"):
-            self.pos += 1
+        while self.tok in ("*", "/"):
+            op = self.advance()
             rhs = self.factor()
             # checked before the operation runs: before cancellation, a
             # product or quotient has the sum of the degrees and about the
@@ -131,13 +138,12 @@ class _ExprParser:
 
     def factor(self) -> RatFunc:
         sign = 1
-        while (c := self.peek()) in ("+", "-"):
-            if c == "-":
+        while self.tok in ("+", "-"):
+            if self.advance() == "-":
                 sign = -sign
-            self.pos += 1
         value = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.tok == "^":
+            self.advance()
             n = self.integer()
             # checked before ** runs: the power has |n| times the degree and
             # about |n| times the coefficient bits
@@ -146,40 +152,33 @@ class _ExprParser:
         return value * sign
 
     def atom(self) -> RatFunc:
-        c = self.peek()
-        if c == "(":
+        tok = self.tok
+        if tok == "(":
             if self.depth == _MAX_NESTING:
                 self.fail(f"parentheses nest deeper than {_MAX_NESTING}")
-            self.pos += 1
+            self.advance()
             self.depth += 1
             value = self.expr()
-            if self.peek() != ")":
+            if self.tok != ")":
                 self.fail("expected ')'")
-            self.pos += 1
+            self.advance()
             self.depth -= 1
             return value
-        if c == "y":
-            self.pos += 1
+        if tok == "y":
+            self.advance()
             return RatFunc.variable()
-        if c.isdigit():
-            return RatFunc.constant(self.unsigned_integer())
-        self.fail(f"expected a number, 'y' or '(', got {c!r}" if c else "unexpected end of input")
+        if tok.isdecimal():
+            return RatFunc.constant(int(self.advance()))
+        self.fail(f"expected a number, 'y' or '(', got {tok!r}" if tok else "unexpected end of input")
 
     def integer(self) -> int:
         sign = 1
-        if self.peek() == "-":
+        if self.tok == "-":
             sign = -1
-            self.pos += 1
-        return sign * self.unsigned_integer()
-
-    def unsigned_integer(self) -> int:
-        c = self.peek()
-        if not c.isdigit():
+            self.advance()
+        if not self.tok.isdecimal():
             self.fail("expected an integer")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
+        return sign * int(self.advance())
 
 
 def parse_phi(text: str) -> RatFunc:

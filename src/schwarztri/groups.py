@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import permutations
 from typing import Union
@@ -74,7 +74,7 @@ class Signature:
             try:
                 entries.append(int(part))
             except ValueError as exc:
-                raise ValueError(f"field {pos + 1} ({part!r}): not an integer or 'inf'") from exc
+                raise ValueError(f"field {pos + 1} ({part[:40]!r}): not an integer or 'inf'") from exc
         return Signature(*entries)
 
     def as_text(self) -> str:
@@ -153,14 +153,9 @@ class GroupReport:
     special_polynomials: SpecialPolynomials
 
     def to_record(self) -> dict:
-        return {
-            "geometry": self.geometry.value,
-            "arithmetic": self.arithmetic,
-            "maximal": self.maximal,
-            "in_m": self.in_m,
-            "in_w": self.in_w,
-            "special_polynomials": self.special_polynomials.value,
-        }
+        """The fields by name, an enum by its value."""
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
 
 
 def geometry(sig: Signature) -> Geometry:

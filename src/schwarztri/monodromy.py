@@ -126,15 +126,13 @@ def _polyline(center: complex, radius: float) -> tuple[complex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class _StepPlan:
-    """Everything about the Taylor steps along a path that depends only on
-    the denominator of r and the steps, never on the numerator: the step
-    centers ``zs`` and steps ``hs``; ``series._den_terms`` of the shifted
-    denominator at each center, in ``den_terms`` and ``twice_d0``; the matrix
-    of the powers h^m and derivatives m h^(m-1) of each step, highest power
-    first, in ``powers`` (steps, 2, order + 1); and the identities that pad
-    a chunk's steps to a power of two, in ``padding`` (_CHUNK, pad, 2, 2).
-    The arrays are read-only, as every caller of a cached plan shares
-    them."""
+    """The steps along a path for one denominator: the step centers ``zs``
+    and steps ``hs``; ``series._den_terms`` of the shifted denominator at
+    each center, in ``den_terms`` and ``twice_d0``; the powers h^m and
+    derivatives m h^(m-1) of each step, highest power first, in ``powers``
+    (steps, 2, order + 1); and the identities that pad a chunk's steps to a
+    power of two, in ``padding`` (_CHUNK, pad, 2, 2).  The arrays are
+    read-only, as every caller of a cached plan shares them."""
 
     zs: np.ndarray
     hs: np.ndarray
@@ -177,15 +175,8 @@ def _taylor_step(rs: Sequence[RatFunc], plan: _StepPlan) -> np.ndarray:
     ``plan``, from ``plan.zs`` to ``plan.zs + plan.hs``: the values and
     derivatives at z + h of the series pair with initial data (1, 0) and
     (0, 1) at z.  ``rs`` are T RatFuncs with the denominator the plan was
-    compiled for; the result is a (T, steps, 2, 2) stack from one run of the
-    series recurrence over all step centers and equations.
-
-    The plan holds all that the denominator and the steps fix, so a call
-    only shifts the numerators to the step centers, runs the recurrence
-    (``series._solve_recurrence``, which adds their terms to the plan's) and
-    makes one matmul of the plan's powers with the coefficients of the pair,
-    a product per step and equation, so each equation's matrices are bit for
-    bit those it gets alone."""
+    compiled for; the result is a (T, steps, 2, 2) stack, each equation's
+    matrices bit for bit those it gets alone."""
     # the numerators' coefficients in one table, each term a column over the
     # equations; at least one term, which carries the equations' axis when
     # every r is 0
@@ -197,17 +188,14 @@ def _taylor_step(rs: Sequence[RatFunc], plan: _StepPlan) -> np.ndarray:
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
     """The compiled steps along a polyline, in order, for the reduced
-    denominator ``den`` (``RatFunc._d``, integers).  Each step is
+    denominator ``den`` (``RatFunc._d``, integers), cached by ``den`` and
+    the path's nodes; a failed plan is not cached.  Each step is
     ``_STEP_FACTOR`` times the distance to the nearest pole, at most 1/2
     and at most what is left of the segment; a step that would leave less
     than ``_MIN_STEP`` runs to the segment's end node instead, so a segment
     shorter than that is one step.  Raises RuntimeError when the path comes
     within ``_POLE_CLEARANCE`` of a pole, and ValueError on a node that is
-    not finite.
-
-    The plan depends only on the poles and the path, so it is cached, keyed
-    by the denominator and the path's nodes, and compiled on first use: a
-    failed plan is not cached."""
+    not finite."""
     inverse = RatFunc(Poly([1]), Poly(den))
     pole_list = poles(inverse)
     zs: list[complex] = []
@@ -243,23 +231,8 @@ def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -
     expressing the continued pair in the starting basis.  ``r`` is one
     RatFunc, or a sequence of T RatFuncs, any denominators mixed, for which
     the result is a (T, 2, 2) stack, one matrix an equation in input order.
-
-    Two phases.  First the step plan (``_step_plan``): every step center
-    and step, each step ``_STEP_FACTOR`` times the distance to the nearest
-    pole, at most 1/2, compiled with everything else that the denominator
-    and the steps fix.  The step lengths depend only on the path and the
-    poles, never on the solution, so the whole plan is known before any
-    series is solved, and equations that share their reduced denominator
-    share it: they are grouped by it, and each group's plan is compiled once
-    (and cached, so each path is compiled once a denominator).  Then, for
-    each chunk of ``_CHUNK`` equations of a group, one batched
-    ``_taylor_step`` call solves the series at all step centers at once,
-    and each transfer is the ordered product of its matrices, taken in
-    pairs for the whole chunk: padded with the plan's identities to a power
-    of two, the stack of step matrices halves at each batched matmul.
     Raises ValueError on a node that is not finite, and RuntimeError when
-    the path comes within ``_POLE_CLEARANCE`` of a pole.
-    """
+    the path comes within ``_POLE_CLEARANCE`` of a pole."""
     rs = [r] if isinstance(r, RatFunc) else list(r)
     path = tuple(map(complex, path))
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -306,7 +279,6 @@ class MonodromyRep:
     m0: np.ndarray
     m1: np.ndarray
     estimated_error: float
-    resonant_warning: bool = False
 
 
 def monodromy(
@@ -320,9 +292,8 @@ def monodromy(
     sequence of them, which gives a list in input order; all equations are
     continued around each loop in one ``continue_solution`` call.  The loop
     around infinity is implicitly (M1 M0)^-1 and is not stored.  Local
-    exponents (1 +- e)/2 give a loop the trace -2cos(pi e).  Integer
-    exponent differences flag a resonance warning (possible logarithmic
-    local solutions).  Raises ValueError on the generic tag."""
+    exponents (1 +- e)/2 give a loop the trace -2cos(pi e).  Raises
+    ValueError on the generic tag."""
     ps = [params] if isinstance(params, AngleParams) else list(params)
     rs = [build_r(p) for p in ps]
     m0s, m1s = (
@@ -339,8 +310,7 @@ def monodromy(
             defects.append(abs(_trace(m) + 2 * math.cos(math.pi * x)))
         # max drops a nan that is not first
         error = max(defects) if all(map(math.isfinite, defects)) else math.inf
-        resonant = any(x.denominator == 1 for x in e.as_tuple())
-        reps.append(MonodromyRep(m0, m1, error, resonant_warning=resonant))
+        reps.append(MonodromyRep(m0, m1, error))
     return reps[0] if isinstance(params, AngleParams) else reps
 
 

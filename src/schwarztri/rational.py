@@ -572,13 +572,16 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def _reciprocal(self) -> "RatFunc":
+        """1/self, for self not zero: the triple with n and d swapped is
+        already canonical."""
+        return _ratfunc(self._d, self._n, 1 / self._c)
+
     def __truediv__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        n1, n2 = _cancel(self._n, other._n)
-        d2, d1 = _cancel(other._d, self._d)
-        return _ratfunc(_int_mul(n1, d2), _int_mul(d1, n2), self._c / other._c)
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _as_ratfunc(other) / self
@@ -587,7 +590,7 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return _ratfunc(_int_pow(self._d, -n), _int_pow(self._n, -n), 1 / self._c ** (-n))
+            return self._reciprocal() ** -n
         return _ratfunc(_int_pow(self._n, n), _int_pow(self._d, n), self._c**n)
 
     def derivative(self) -> "RatFunc":
@@ -652,14 +655,16 @@ class RatFunc:
 
     @staticmethod
     def from_text(text: str) -> "RatFunc":
+        """The inverse of ``to_text``; each coefficient is read by
+        ``parse_fraction``, so ValueError past ``MAX_TEXT_BITS`` bits."""
         # coefficients may themselves contain '/', so split on ' / ' only
         sep = text.find(" / ")
         if sep < 0:
             raise ValueError(f"missing ' / ' separator in {text!r}")
         num_part = text[:sep].strip()
         den_part = text[sep + 3 :].strip()
-        num = Poly([Fraction(s) for s in num_part.split(",")]) if num_part else Poly()
-        den = Poly([Fraction(s) for s in den_part.split(",")])
+        num = Poly([parse_fraction(s) for s in num_part.split(",")]) if num_part else Poly()
+        den = Poly([parse_fraction(s) for s in den_part.split(",")])
         return RatFunc(num, den)
 
     def __repr__(self) -> str:

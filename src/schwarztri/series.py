@@ -20,12 +20,11 @@ Residual reports evaluate in complex arithmetic, at all sample points at
 once (``_horner``).
 
 The linear solver clears the denominator of R = N/D and runs the recurrence
-of 2 D psi'' + N psi = 0 (the standard method for D-finite series; van der
-Hoeven, TCS 210, 1999): deg N + deg D + 1 terms a coefficient, so
-O(order * deg) operations, where a convolution with the Taylor series of R
-takes O(order^2).  Only this module lays out the recurrence's row of
-terms, for ``monodromy`` too, whose step plans cache its ``_den_terms``
-and which takes its shifts (``_shifted``) and tables (``_table``) from here.
+of 2 D psi'' + N psi = 0 (``_solve_recurrence``; the standard method for
+D-finite series, van der Hoeven, TCS 210, 1999).  Only this module lays out
+the recurrence's row of terms, for ``monodromy`` too, whose step plans cache
+its ``_den_terms`` and which takes its shifts (``_shifted``) and tables
+(``_table``) from here.
 
 Note on the Schwarz map convention: with the fundamental pair normalized to
 (psi1, psi1') = (1, 0) and (psi2, psi2') = (0, 1) at the base point, the
@@ -40,7 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -229,17 +228,6 @@ def default_disk_radius(f: RatFunc, base: BasePoint) -> float:
     return min((abs(b - p) for p in poles(f)), default=1.0) / 4.0
 
 
-# residual checks sample the equation at this many evenly spaced ring points
-_SAMPLE_POINTS = 16
-
-
-def _sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
-    return tuple(
-        center + radius * cmath.exp(2j * cmath.pi * k / _SAMPLE_POINTS)
-        for k in range(_SAMPLE_POINTS)
-    )
-
-
 # -- series solutions of the linearized equation ----------------------------
 
 
@@ -260,10 +248,18 @@ def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> 
     + N(b + x) psi = 0, (c_0, c_1) = (1, 0) and (0, 1), from ``_den_terms``
     of the shifted denominator and the shifted numerator ``ns`` (Fractions,
     complex numbers or arrays of them), in the shape S + (order + 1, 2) with
-    S that of the entries, the pair on the last axis.  The row of terms of
-    the recurrence over 2 d_0 is -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0,
-    ...), padded with zeros to width 2w: this adds the odd columns to the
-    even ones, one row for each entry.
+    S that of the entries, the pair on the last axis.
+
+    With D(b + x) = sum d_i x^i, N(b + x) = sum n_i x^i and e_j = j (j - 1) c_j
+    the coefficients of psi'', the x^k coefficient of the equation gives
+
+        2 d_0 e_{k+2} = -(2 sum_{i>=1} d_i e_{k+2-i} + sum_i n_i c_{k-i}),
+
+    deg D + deg N + 1 terms a coefficient, so O(order * deg) operations,
+    where a convolution with the Taylor series of R takes O(order^2).  The
+    row of terms over 2 d_0 is -(d_1/d_0, n_0/2d_0, d_2/d_0, n_1/2d_0, ...),
+    padded with zeros to width 2w: this adds the odd columns to the even
+    ones, one row for each entry.
 
     e_m = m (m - 1) c_m and c_m sit interleaved in one buffer, e_m in row
     2w + 2m and c_m in the next, below 2w rows of zeros.  The terms of e_j,
@@ -298,27 +294,12 @@ def series_solve_linear(
     r: RatFunc, base: BasePoint, order: int
 ) -> tuple[PowerSeries, PowerSeries]:
     """The fundamental series pair of psi'' + (1/2) r psi = 0 at an ordinary
-    point, with initial data (1, 0) and (0, 1).
-
-    With r = N/D, the coefficients come from the recurrence of the cleared
-    equation 2 D(b + x) psi'' + N(b + x) psi = 0: writing D(b + x) = sum d_i x^i,
-    N(b + x) = sum n_i x^i and e_j = j (j - 1) c_j for the coefficients of
-    psi'', the x^k coefficient gives
-
-        2 d_0 e_{k+2} = -(2 sum_{i>=1} d_i e_{k+2-i} + sum_i n_i c_{k-i}),
-
-    deg D + deg N + 1 terms a coefficient, so O(order * (deg N + deg D)) in
-    all, with no Taylor expansion of r.  Exact bases give Fraction
-    coefficients, equal to those of the Taylor expansion; floating ones give
-    complex coefficients, with r's coefficients converted once a call.  The
-    pair has unit Wronskian through the truncation order (no first-order term
-    in the equation).
-
-    The recurrence itself (``_solve_recurrence``) runs both solutions of the
-    pair at once, two numpy calls a coefficient, and is shared with
-    ``monodromy._taylor_step``, which runs it once for a whole array of step
-    centers and equations, with ``_den_terms`` from its step plan.
-    """
+    point, with initial data (1, 0) and (0, 1), from the recurrence of the
+    cleared equation (``_solve_recurrence``), with no Taylor expansion of r.
+    Exact bases give Fraction coefficients, equal to those of the Taylor
+    expansion; floating ones give complex coefficients, with r's
+    coefficients converted once a call.  The pair has unit Wronskian through
+    the truncation order (no first-order term in the equation)."""
     if order < 2:
         raise ValueError("order must be at least 2")
     base = _coerce_base(base)
@@ -430,11 +411,24 @@ class ResidualReport:
         }
 
 
-def _report(pts: tuple[complex, ...], residuals: np.ndarray, order: int) -> ResidualReport:
-    """The report of the residuals at the sample points.  A residual that is
-    not finite comes from values past the floating-point range, and is an
-    error rather than a measurement."""
-    values = np.abs(residuals)
+# residual checks sample the equation at this many evenly spaced ring points
+_SAMPLE_POINTS = 16
+
+
+def _ring_report(
+    center: complex, radius: float, order: int, residual: Callable[[np.ndarray], np.ndarray]
+) -> ResidualReport:
+    """The report of ``residual``, a function of a complex array of points
+    run under ``_QUIET``, at ``_SAMPLE_POINTS`` evenly spaced points of the
+    circle about ``center``.  A residual that is not finite comes from
+    values past the floating-point range, and is an error rather than a
+    measurement."""
+    pts = tuple(
+        center + radius * cmath.exp(2j * cmath.pi * k / _SAMPLE_POINTS)
+        for k in range(_SAMPLE_POINTS)
+    )
+    with np.errstate(**_QUIET):
+        values = np.abs(residual(np.array(pts)))
     if not np.isfinite(values).all():
         raise OverflowError(
             f"residual is not finite at order {order}: "
@@ -487,11 +481,9 @@ def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualRepor
         raise ValueError("order must be at least 4 to form the principal residual")
     b = complex(base)
     s = series_schwarzian(schwarz_map(r, b, order))
-    pts = _sample_ring(b, default_disk_radius(r, b))
-    x = np.array(pts)
-    with np.errstate(**_QUIET):
-        residuals = _series_values([s], x)[0] - _values(r, x)
-    return _report(pts, residuals, order)
+    return _ring_report(
+        b, default_disk_radius(r, b), order, lambda x: _series_values([s], x)[0] - _values(r, x)
+    )
 
 
 def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
@@ -501,24 +493,23 @@ def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     b = complex(base)
     psi1, _ = series_solve_linear(r, b, order)
     u = psi1.derivative() / psi1.truncate(order - 1)
-    pts = _sample_ring(b, default_disk_radius(r, b))
-    x = np.array(pts)
-    with np.errstate(**_QUIET):
+
+    def residual(x: np.ndarray) -> np.ndarray:
         uv, duv = _series_values([u, u.derivative()], x)
-        residuals = duv + uv * uv + 0.5 * _values(r, x)
-    return _report(pts, residuals, order)
+        return duv + uv * uv + 0.5 * _values(r, x)
+
+    return _ring_report(b, default_disk_radius(r, b), order, residual)
 
 
-def _third_order_residuals(j: PowerSeries, r: RatFunc, pts: Sequence[complex]) -> np.ndarray:
-    """S(J) + (J')^2 r(J) at every sample point: J and its first three
-    derivatives in one Horner pass (``_horner``), r at J's values from
-    complex coefficients."""
+def _third_order_residuals(j: PowerSeries, r: RatFunc, x: np.ndarray) -> np.ndarray:
+    """S(J) + (J')^2 r(J) at every entry of the complex array x: J and its
+    first three derivatives in one Horner pass (``_horner``), r at J's
+    values from complex coefficients."""
     d1 = j.derivative()
     d2 = d1.derivative()
-    with np.errstate(**_QUIET):
-        v0, v1, v2, v3 = _series_values([j, d1, d2, d2.derivative()], np.array(pts))
-        ratio = v2 / v1
-        return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * _values(r, v0)
+    v0, v1, v2, v3 = _series_values([j, d1, d2, d2.derivative()], x)
+    ratio = v2 / v1
+    return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * _values(r, v0)
 
 
 def residual_inverse(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
@@ -559,5 +550,6 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
             f"phi's value at the base, {value:.6g}, falls on the pole {pole:.6g} of r "
             "in floating point"
         )
-    pts = _sample_ring(0j, default_disk_radius(r_phi, b) / 4.0)
-    return _report(pts, _third_order_residuals(j1, r, pts), order)
+    return _ring_report(
+        0j, default_disk_radius(r_phi, b) / 4.0, order, lambda x: _third_order_residuals(j1, r, x)
+    )

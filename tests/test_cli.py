@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,8 +12,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from schwarztri.cli import _MAX_DEN, _check_max_den, main, parse_phi
-from schwarztri.rational import Poly, RatFunc
+from schwarztri.cli import _MAX_DEN, _MAX_NESTING, _MAX_PHI_DEGREE, UsageError, _check_max_den, main, parse_phi
+from schwarztri.rational import MAX_TEXT_BITS, Poly, RatFunc
 
 
 def run(capsys, *argv):
@@ -100,6 +101,229 @@ class TestPhiParser:
             parse_phi("y +* 2")
 
 
+# -- reference: the character-scanning parser that the token stream replaced,
+# kept word for word
+
+
+class ReferenceExprParser:
+    """Recursive-descent parser for one-variable rational expressions:
+    integers, y, + - * / ^ and parentheses; ^ takes integer exponents."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def fail(self, message: str):
+        raise UsageError(f"phi expression, position {self.pos}: {message}")
+
+    def bound(self, what: str, *values: RatFunc, times: int = 1) -> None:
+        """Fail unless ``times`` times the summed degrees and coefficient
+        bits of ``values`` stay within the bounds of --phi.  A value's
+        degree is that of its numerator or denominator, whichever is larger,
+        and its bits the floor of log2 of its largest coefficient numerator
+        or denominator (so 1^n is free)."""
+        degree = bits = 0
+        for value in values:
+            num, den = value.num, value.den
+            degree += max(num.degree, den.degree)
+            coeffs = num.coeffs + den.coeffs
+            bits += max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
+        if times * degree > _MAX_PHI_DEGREE or times * bits > MAX_TEXT_BITS:
+            self.fail(f"{what} exceeds degree {_MAX_PHI_DEGREE} or {MAX_TEXT_BITS}-bit coefficients")
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> RatFunc:
+        value = self.expr()
+        if self.peek():
+            self.fail(f"unexpected character {self.peek()!r}")
+        return value
+
+    def expr(self) -> RatFunc:
+        value = self.term()
+        while (op := self.peek()) in ("+", "-"):
+            self.pos += 1
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+            self.bound("sum", value)
+        return value
+
+    def term(self) -> RatFunc:
+        value = self.factor()
+        while (op := self.peek()) in ("*", "/"):
+            self.pos += 1
+            rhs = self.factor()
+            # checked before the operation runs: before cancellation, a
+            # product or quotient has the sum of the degrees and about the
+            # sum of the coefficient bits
+            self.bound("product" if op == "*" else "quotient", value, rhs)
+            if op == "*":
+                value = value * rhs
+            else:
+                if rhs.is_zero:
+                    self.fail("division by zero")
+                value = value / rhs
+        return value
+
+    def factor(self) -> RatFunc:
+        sign = 1
+        while (c := self.peek()) in ("+", "-"):
+            if c == "-":
+                sign = -sign
+            self.pos += 1
+        value = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            n = self.integer()
+            # checked before ** runs: the power has |n| times the degree and
+            # about |n| times the coefficient bits
+            self.bound("power", value, times=abs(n))
+            value = value**n
+        return value * sign
+
+    def atom(self) -> RatFunc:
+        c = self.peek()
+        if c == "(":
+            if self.depth == _MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {_MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
+            value = self.expr()
+            if self.peek() != ")":
+                self.fail("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return value
+        if c == "y":
+            self.pos += 1
+            return RatFunc.variable()
+        if c.isdigit():
+            return RatFunc.constant(self.unsigned_integer())
+        self.fail(f"expected a number, 'y' or '(', got {c!r}" if c else "unexpected end of input")
+
+    def integer(self) -> int:
+        sign = 1
+        if self.peek() == "-":
+            sign = -1
+            self.pos += 1
+        return sign * self.unsigned_integer()
+
+    def unsigned_integer(self) -> int:
+        c = self.peek()
+        if not c.isdigit():
+            self.fail("expected an integer")
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return int(self.text[start : self.pos])
+
+
+def _parse_outcome(parse, text: str):
+    """The parsed value's text, or the type and message of the error."""
+    try:
+        return parse(text).to_text()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_POSITION = re.compile(r"position (\d+): ")
+
+
+def _random_phi(rng: random.Random) -> str:
+    """A random --phi text: up to six tokens of the alphabet in any order,
+    or (three texts in ten) an expression of the grammar with random
+    whitespace, signs, powers (negative ones, and ones past the bounds) and
+    numerals up to past 4300 digits; one in 200 nested near
+    ``_MAX_NESTING`` deep, and one in four with a character inserted,
+    deleted or replaced."""
+
+    def space():
+        return rng.choice(("", "", "", " ", "  ", "\t", " \n"))
+
+    def atom(d):
+        u = rng.random()
+        if u < 0.4 or d > 0:
+            return "y"
+        if u < 0.8:
+            k = rng.choice((1, 1, 1, 2, 3, 12)) if rng.random() < 0.999 else rng.choice((3100, 4400))
+            return "".join(rng.choice("0123456789") for _ in range(k))
+        return "(" + space() + expr(d + 1) + space() + ")"
+
+    def factor(d):
+        text = rng.choice(("", "", "", "-", "+", "--", "- -")) + space() + atom(d)
+        if rng.random() < 0.3:
+            n = rng.choice((0, 1, 2, 3, -1, -2, rng.randint(4, 20), rng.randint(1001, 5000), 10**9))
+            text += space() + "^" + space() + ("-" + space() if n < 0 else "") + str(abs(n))
+        return text
+
+    def term(d):
+        text = factor(d)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            text += space() + rng.choice("*/") + space() + factor(d)
+        return text
+
+    def expr(d):
+        text = term(d)
+        for _ in range(rng.choice((0, 1))):
+            text += space() + rng.choice("+-") + space() + term(d)
+        return text
+
+    if rng.random() < 0.7:
+        # a few tokens of the alphabet, in any order
+        tokens = ("y", "2", "10", "0", "1001", "+", "-", "*", "/", "^", "^-", "(", ")", " ", "\t", "x", "1/2")
+        text = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
+    else:
+        text = expr(0)
+    if rng.random() < 0.005:
+        k = rng.randint(_MAX_NESTING - 2, _MAX_NESTING + 2)
+        text = "(" * k + text + ")" * k
+    if text and rng.random() < 0.25:
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice("y0123456789+-*/^() \tx.,")
+        text = rng.choice((text[:i] + c + text[i:], text[:i] + text[i + 1 :], text[:i] + c + text[i + 1 :]))
+    return text
+
+
+class TestPhiParserMatchesReference:
+    def test_seeded_texts(self):
+        # the same value, or the same error type and message, on 30,000
+        # seeded texts.  One position differs by design: a failure straight
+        # after an exponent is reported at the next token, where the
+        # reference reported the position just past the exponent's digits
+        rng = random.Random(2112)
+        moved = failed = 0
+        for _ in range(30_000):
+            text = _random_phi(rng)
+            got = _parse_outcome(parse_phi, text)
+            want = _parse_outcome(lambda t: ReferenceExprParser(t).parse(), text)
+            failed += isinstance(want, tuple)
+            if got == want:
+                continue
+            assert got[0] is want[0] is UsageError, text
+            assert _POSITION.sub("", got[1]) == _POSITION.sub("", want[1]), text
+            at, was = (int(_POSITION.search(m)[1]) for m in (got[1], want[1]))
+            rest = text[was:]
+            assert "^" in text[:was] and text[was - 1].isdigit(), text
+            assert at == was + len(rest) - len(rest.lstrip()) > was, text
+            moved += 1
+        assert 5_000 < failed < 25_000 and 0 < moved < failed
+
+    @pytest.mark.parametrize(
+        "text, was, at",
+        [("y^2000 + 1", 6, 7), ("y^600 * y^600 ", 13, 14), ("y^600\t/ y^600\n", 13, 14),
+         ("(y^2000 )", 7, 8), ("y^2000", 6, 6)],
+    )
+    def test_failure_after_an_exponent_is_at_the_next_token(self, text, was, at):
+        reference = _parse_outcome(lambda t: ReferenceExprParser(t).parse(), text)
+        assert reference[0] is UsageError and f"position {was}: " in reference[1]
+        with pytest.raises(UsageError, match=f"^phi expression, position {at}: "):
+            parse_phi(text)
+
+
 class TestClassifyEquation:
     def test_strongly_minimal(self, capsys):
         code, out, _ = run(capsys, "classify-equation", "--inv-angles", "1/2,1/3,1/7")
@@ -167,6 +391,15 @@ class TestClassifyGroup:
     def test_invalid_entry(self, capsys):
         code, _, err = run(capsys, "classify-group", "--sig", "1,3,7")
         assert code == 2
+
+    def test_bad_field_is_echoed_short(self, capsys):
+        # int() refuses 5,000 digits; the error line quotes 40 characters
+        code, out, err = run(capsys, "classify-group", "--sig", "2,3," + "9" * 5000)
+        assert code == 2 and not out
+        assert err.startswith("error: field 3 ('99999") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+        code, _, err = run(capsys, "classify-group", "--sig", "2, x7 ,7")
+        assert code == 2 and err == "error: field 2 ('x7'): not an integer or 'inf'\n"
 
     def test_non_hyperbolic_flagged(self, capsys):
         code, out, _ = run(capsys, "classify-group", "--sig", "2,3,6")

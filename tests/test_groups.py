@@ -208,6 +208,21 @@ class TestMaximality:
             assert is_maximal(Signature(*tri)) == reference(tri), tri
 
 
+# -- reference: the report's record as a hand-written dict, before it was
+# read from the dataclass fields, kept word for word but for the name
+
+
+def reference_to_record(self) -> dict:
+    return {
+        "geometry": self.geometry.value,
+        "arithmetic": self.arithmetic,
+        "maximal": self.maximal,
+        "in_m": self.in_m,
+        "in_w": self.in_w,
+        "special_polynomials": self.special_polynomials.value,
+    }
+
+
 class TestGroupReport:
     def test_maximal_non_arithmetic(self):
         rep = group_report(Signature(2, 3, 13))
@@ -234,6 +249,19 @@ class TestGroupReport:
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(ValueError):
             group_report(Signature(2, 3, 6))
+
+    def test_record_matches_reference(self):
+        # every hyperbolic signature with entries in 2..30 and inf, in every
+        # entry order: the same keys in the same order, with the same values
+        entries = list(range(2, 31)) + [INF]
+        compared = 0
+        for tri in itertools.product(entries, repeat=3):
+            sig = Signature(*tri)
+            if geometry(sig) is Geometry.HYPERBOLIC:
+                rep = group_report(sig)
+                assert list(rep.to_record().items()) == list(reference_to_record(rep).items()), tri
+                compared += 1
+        assert compared > 25_000
 
     def test_invariants_sweep(self):
         entries = list(range(2, 31)) + [INF]

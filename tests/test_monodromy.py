@@ -539,14 +539,12 @@ class TestMonodromy:
         rep = monodromy(params("1/2", "1/3", "1/7"))
         assert abs(np.trace(rep.m0) - (-2 * math.cos(math.pi / 3))) < 1e-6
         assert abs(np.trace(rep.m1) - (-2 * math.cos(math.pi / 7))) < 1e-6
-        assert not rep.resonant_warning
 
     def test_cusp_parabolic(self):
         rep = monodromy(params(0, 0, 0))
         for m in (rep.m0, rep.m1):
             assert abs(abs(np.trace(m)) - 2) < 1e-6
             assert np.max(np.abs(m - np.eye(2))) > 1e-3  # not the identity
-        assert rep.resonant_warning
 
     def test_determinants_within_estimated_error(self):
         rep = monodromy(params("1/3", "2/5", "1/7"))
@@ -650,7 +648,6 @@ def _same_rep(a: MonodromyRep, b: MonodromyRep) -> bool:
         a.m0.tobytes() == b.m0.tobytes()
         and a.m1.tobytes() == b.m1.tobytes()
         and a.estimated_error == b.estimated_error
-        and a.resonant_warning == b.resonant_warning
     )
 
 

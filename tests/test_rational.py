@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -298,6 +299,18 @@ class TestStructure:
         with pytest.raises(ValueError):
             RatFunc.from_text("1,2,3")
 
+    @pytest.mark.parametrize("text", ["1e10000000 / 1", "1 / 1,1e-10000000", "1e300000 / 1"])
+    def test_from_text_bounds_each_coefficient(self, text):
+        # read as Fraction(text), the first builds 10^10000000 before any
+        # check could run
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 10000 bits"):
+            RatFunc.from_text(text)
+        assert time.perf_counter() - start < 1.0
+
+    def test_from_text_reads_exponent_notation_within_the_bound(self):
+        assert RatFunc.from_text("1e3, 2.5 / 1") == 1000 + F(5, 2) * Y
+
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             Poly([0.5])
@@ -455,3 +468,59 @@ class TestEvaluationMatchesReference:
         f = (Y + 1) / ((Y - 2) * (2 * Y + 1))
         with pytest.raises(ZeroDivisionError, match=f"^pole at {text}$"):
             f(x)
+
+
+# -- reference: division and negative powers before they went through
+# ``_reciprocal``, kept word for word but for the names
+
+
+def reference_truediv(self, other):
+    other = rational._as_ratfunc(other)
+    if other.is_zero:
+        raise ZeroDivisionError("division by the zero rational function")
+    n1, n2 = rational._cancel(self._n, other._n)
+    d2, d1 = rational._cancel(other._d, self._d)
+    return rational._ratfunc(rational._int_mul(n1, d2), rational._int_mul(d1, n2), self._c / other._c)
+
+
+def reference_pow(self, n: int):
+    if n < 0:
+        if self.is_zero:
+            raise ZeroDivisionError("negative power of zero")
+        return rational._ratfunc(rational._int_pow(self._d, -n), rational._int_pow(self._n, -n), 1 / self._c ** (-n))
+    return rational._ratfunc(rational._int_pow(self._n, n), rational._int_pow(self._d, n), self._c**n)
+
+
+def _triple_or_error(operation, *args):
+    try:
+        f = operation(*args)
+    except ZeroDivisionError as exc:
+        return ZeroDivisionError, str(exc)
+    return f._n, f._d, f._c, type(f._c), tuple(map(type, f._n + f._d))
+
+
+class TestQuotientsMatchReference:
+    def test_seeded_quotients_and_negative_powers(self):
+        # seeded functions built from a few shared linear and quadratic
+        # factors, so that the crosswise gcds cancel, with zero and scalar
+        # divisors: the same (n, d, c) triple, or the same error
+        rng = random.Random(4141)
+        factors = [Poly([a, b]) for a in (-2, -1, 1, 3) for b in (1, 2)] + [Poly([1, 0, 1]), Poly([-2, 1, 1])]
+
+        def product():
+            p = Poly([F(rng.randint(-9, 9) or 1, rng.randint(1, 6))])
+            for _ in range(rng.randint(0, 3)):
+                p = p * rng.choice(factors)
+            return p
+
+        for _ in range(1500):
+            f = RatFunc(product(), product()) if rng.random() < 0.9 else RatFunc.constant(0)
+            g = rng.choice((RatFunc(product(), product()), RatFunc(product(), product()), RatFunc.constant(0),
+                            rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 5))))
+            assert _triple_or_error(RatFunc.__truediv__, f, g) == _triple_or_error(reference_truediv, f, g)
+            if not isinstance(g, RatFunc):
+                assert _triple_or_error(RatFunc.__rtruediv__, f, g) == _triple_or_error(
+                    lambda a, b: reference_truediv(rational._as_ratfunc(b), a), f, g
+                )
+            n = rng.randint(-4, 0)
+            assert _triple_or_error(RatFunc.__pow__, f, n) == _triple_or_error(reference_pow, f, n)

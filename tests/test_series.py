@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from schwarztri.cli import parse_phi
 from schwarztri.monodromy import _CHUNK, _TAYLOR_ORDER, LoopSpec, _step_plan
 from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
 from schwarztri.series import (
@@ -20,14 +21,14 @@ from schwarztri.series import (
     ResidualReport,
     _coerce_base,
     _den_terms,
-    _report,
-    _sample_ring,
     _shift_coeffs,
     _shifted,
+    _series_values,
     _solve_recurrence,
     _table,
-    _third_order_residuals,
+    _values,
     default_disk_radius,
+    poles,
     ratfunc_series,
     residual_inverse,
     residual_principal,
@@ -723,8 +724,84 @@ class TestKernelsMatchReference:
                 assert_close(series_schwarzian(t), reference_series_schwarzian(t))
 
 
-# -- reference: the third-order check that the pullback along y replaced,
-# kept word for word
+# -- reference: the residual checks before one function made their sample
+# ring and report, and the third-order check that the pullback along y
+# replaced, kept word for word but for the names (``_SAMPLE_POINTS`` is 16)
+
+
+def reference_sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
+    return tuple(
+        center + radius * cmath.exp(2j * cmath.pi * k / 16)
+        for k in range(16)
+    )
+
+
+def reference_report(pts: tuple[complex, ...], residuals: np.ndarray, order: int) -> ResidualReport:
+    values = np.abs(residuals)
+    if not np.isfinite(values).all():
+        raise OverflowError(
+            f"residual is not finite at order {order}: "
+            "the series coefficients overflow floating point"
+        )
+    return ResidualReport(pts, float(values.max()), order)
+
+
+def reference_residual_principal(r: RatFunc, base, order: int) -> ResidualReport:
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the principal residual")
+    b = complex(base)
+    s = series_schwarzian(schwarz_map(r, b, order))
+    pts = reference_sample_ring(b, default_disk_radius(r, b))
+    x = np.array(pts)
+    with np.errstate(**_QUIET):
+        residuals = _series_values([s], x)[0] - _values(r, x)
+    return reference_report(pts, residuals, order)
+
+
+def reference_residual_riccati(r: RatFunc, base, order: int) -> ResidualReport:
+    if order < 5:
+        raise ValueError("order must be at least 5 to form the Riccati residual")
+    b = complex(base)
+    psi1, _ = series_solve_linear(r, b, order)
+    u = psi1.derivative() / psi1.truncate(order - 1)
+    pts = reference_sample_ring(b, default_disk_radius(r, b))
+    x = np.array(pts)
+    with np.errstate(**_QUIET):
+        uv, duv = _series_values([u, u.derivative()], x)
+        residuals = duv + uv * uv + 0.5 * _values(r, x)
+    return reference_report(pts, residuals, order)
+
+
+def reference_third_order_residuals(j: PowerSeries, r: RatFunc, pts) -> np.ndarray:
+    d1 = j.derivative()
+    d2 = d1.derivative()
+    with np.errstate(**_QUIET):
+        v0, v1, v2, v3 = _series_values([j, d1, d2, d2.derivative()], np.array(pts))
+        ratio = v2 / v1
+        return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * _values(r, v0)
+
+
+def reference_verify_pullback(r: RatFunc, phi: RatFunc, base, order: int) -> ResidualReport:
+    if order < 4:
+        raise ValueError("order must be at least 4 to form the third-order residual")
+    dphi = phi.derivative()
+    if dphi.is_zero:
+        raise ValueError("pullback along a constant map")
+    if dphi(base) == 0:
+        raise ValueError("phi is ramified at the base point; J1 is not invertible there")
+    b = complex(base)
+    r_phi = schwarz_pullback(r, phi)
+    j2 = series_invert(schwarz_map(r_phi, b, order))
+    j1 = series_compose(ratfunc_series(phi, b, order), j2)
+    value = j1.coefficients[0]
+    if r.den(value) == 0:
+        pole = min(poles(r), key=lambda p: abs(p - value))
+        raise ZeroDivisionError(
+            f"phi's value at the base, {value:.6g}, falls on the pole {pole:.6g} of r "
+            "in floating point"
+        )
+    pts = reference_sample_ring(0j, default_disk_radius(r_phi, b) / 4.0)
+    return reference_report(pts, reference_third_order_residuals(j1, r, pts), order)
 
 
 def reference_residual_inverse(r: RatFunc, base, order: int) -> ResidualReport:
@@ -735,8 +812,50 @@ def reference_residual_inverse(r: RatFunc, base, order: int) -> ResidualReport:
         raise ValueError("order must be at least 4 to form the third-order residual")
     b = complex(base)
     j = series_invert(schwarz_map(r, b, order))
-    pts = _sample_ring(0j, default_disk_radius(r, b) / 4.0)
-    return _report(pts, _third_order_residuals(j, r, pts), order)
+    pts = reference_sample_ring(0j, default_disk_radius(r, b) / 4.0)
+    return reference_report(pts, reference_third_order_residuals(j, r, pts), order)
+
+
+def _record_or_error(check, *args):
+    try:
+        return check(*args).to_record()
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestResidualChecksMatchReference:
+    def test_seeded_records(self):
+        # seeded triples in (0, 1) and shifted ones, at exact, floating and
+        # complex bases, orders 3 to 40, and maps with a pole, a ramification
+        # point or a constant: the same record bit for bit, or the same error
+        rng = random.Random(2222)
+        phis = [parse_phi(text) for text in ("y^2", "y^3", "(y-1)/(y+1)", "1/(y+2)", "(2*y+1)/(y+3)", "y^2-y", "7")]
+        failed = 0
+        for _ in range(60):
+            if rng.random() < 0.5:
+                p = rand_triple(rng)
+            else:
+                p = AngleParams(*(F(rng.randint(-12, 12), q) for q in (rng.choice((2, 3, 5)) for _ in range(3))))
+            r = build_r(p)
+            base = rng.choice((F(1, 2), F(rng.randint(1, 9), 10), 0.4 + 0.1j, complex(0.6, -rng.random() / 5)))
+            order = rng.randint(3, 40)
+            phi = rng.choice(phis)
+            for check, reference, args in (
+                (residual_principal, reference_residual_principal, (r, base, order)),
+                (residual_riccati, reference_residual_riccati, (r, base, order)),
+                (verify_pullback, reference_verify_pullback, (r, phi, base, order)),
+            ):
+                want = _record_or_error(reference, *args)
+                assert _record_or_error(check, *args) == want, (check.__name__, p, base, order)
+                failed += isinstance(want, tuple)
+        assert 0 < failed < 60
+
+    def test_overflow_matches_reference(self):
+        # near the pole at 0 the series coefficients leave the float range
+        args = (R_HURWITZ, F(1, 1000), 120)
+        want = _record_or_error(reference_residual_principal, *args)
+        assert want[0] is OverflowError
+        assert _record_or_error(residual_principal, *args) == want
 
 
 class TestInverseIsPullbackAlongY:
