@@ -94,13 +94,16 @@ class _ExprParser:
         bits of ``values`` stay within the bounds of --phi.  A value's
         degree is that of its numerator or denominator, whichever is larger,
         and its bits the floor of log2 of its largest coefficient numerator
-        or denominator (so 1^n is free)."""
+        or denominator (so 1^n is free).  Both are read from the integer
+        triple c * n/d: a coefficient of ``num`` is c n_i/d_lead and one of
+        ``den`` is d_i/d_lead, each taken in lowest terms."""
         degree = bits = 0
         for value in values:
-            num, den = value.num, value.den
-            degree += max(num.degree, den.degree)
-            coeffs = num.coeffs + den.coeffs
-            bits += max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
+            n, d, c = value._n, value._d, value._c
+            degree += max(len(n), len(d)) - 1
+            top, lc = c.numerator, c.denominator * d[-1]
+            coeffs = [(top * x, lc) for x in n] + [(x, d[-1]) for x in d]
+            bits += max((max(abs(p), q) // math.gcd(p, q)).bit_length() for p, q in coeffs) - 1
         if times * degree > _MAX_PHI_DEGREE or times * bits > MAX_TEXT_BITS:
             self.fail(f"{what} exceeds degree {_MAX_PHI_DEGREE} or {MAX_TEXT_BITS}-bit coefficients")
 
@@ -149,7 +152,7 @@ class _ExprParser:
             # about |n| times the coefficient bits
             self.bound("power", value, times=abs(n))
             value = value**n
-        return value * sign
+        return -value if sign < 0 else value
 
     def atom(self) -> RatFunc:
         tok = self.tok

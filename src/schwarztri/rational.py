@@ -11,18 +11,27 @@ denominator, which makes equality structural.
 Arithmetic runs over Z.  A ``RatFunc`` holds c * N/D with N and D primitive
 integer polynomials of positive leading coefficient and c one rational
 content; its ``num`` and ``den`` are turned into ``Poly`` values (Fractions)
-only when read.  Reduction clears denominators once, takes the gcd by the
+only when read.  Reduction clears denominators once and takes the gcd by the
 heuristic gcd (``_int_gcd_poly``: one integer gcd of the values at a large
 point, read back as a polynomial and checked by trial division, with the
-primitive pseudo-remainder sequence as its fallback) and divides exactly
-over Z; products are single big-integer multiplications (Kronecker
-substitution).  Where the reduced form is known in advance no gcd is taken
-at all: a composition of reduced functions is reduced, a product or
-quotient cancels crosswise, and the Schwarzian of N/D with W = N'D - ND' is
+primitive pseudo-remainder sequence as its fallback).  The gcd hands back
+the cofactors a/g and b/g that its trial divisions compute, so a reduction
+does not divide again.  Products are single big-integer multiplications
+(Kronecker substitution), and three closed forms are evaluated whole in the
+same way: each operand packed once, at one width that bounds every operand
+and the result, the expression taken in Python integers and the result
+unpacked once.  They are the Wronskian W = N'D - ND', a sum's numerator
+N1 (D2/g) + N2 (D1/g) and denominator D1 D2/g with g = gcd(D1, D2)
+(Henrici), and the Schwarzian's numerator.  Where the reduced form is known
+in advance no gcd is taken at all: a composition of reduced functions is
+reduced, a product or quotient cancels crosswise, and the Schwarzian of N/D
+is
 
-    S(N/D) = (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
+    S(N/D) = (2W''W - 3W'^2 + 4W (N''D' - N'D'')) / (2W^2)
 
-whose reduced denominator is sqf(W)^2, so it is reduced by one exact division.
+(D cancels from the quotient rule's (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) /
+(2W^2 D), as W'D' - D''W = D (N''D' - N'D'')), whose reduced denominator is
+sqf(W)^2, so it is reduced by at most one exact division.
 References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
 8; Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989), for the heuristic gcd.
 """
@@ -180,26 +189,24 @@ def _int_pow(a: Sequence[int], n: int) -> list[int]:
     return result
 
 
-def _int_lincomb(terms: Iterable[tuple[int, Sequence[int]]]) -> list[int]:
-    """sum of k * p over the (k, p) pairs."""
-    out: list[int] = []
-    for k, p in terms:
-        if not k:
-            continue
-        if len(out) < len(p):
-            out.extend([0] * (len(p) - len(out)))
-        for i, c in enumerate(p):
-            out[i] += k * c
-    return _strip(out)
-
-
 def _int_deriv(a: Sequence[int]) -> list[int]:
     return [i * a[i] for i in range(1, len(a))]
 
 
+def _norm(a: Sequence[int]) -> int:
+    """The sum of the absolute coefficients, which bounds every coefficient
+    of a product: |ab|_1 <= |a|_1 |b|_1."""
+    return sum(map(abs, a))
+
+
 def _int_wronskian(n: Sequence[int], d: Sequence[int]) -> list[int]:
-    """N'D - ND', the numerator of the derivative of N/D."""
-    return _int_lincomb(((1, _int_mul(_int_deriv(n), d)), (-1, _int_mul(n, _int_deriv(d)))))
+    """N'D - ND', the numerator of the derivative of N/D, evaluated once in
+    packed form."""
+    n1, d1 = _int_deriv(n), _int_deriv(d)
+    sn, sd, sn1, sd1 = map(_norm, (n, d, n1, d1))
+    k = _width(max(sn1 * sd + sn * sd1, sn, sd, sn1, sd1))
+    w = _pack(n1, k) * _pack(d, k) - _pack(n, k) * _pack(d1, k)
+    return _unpack(w, k, max(len(n) + len(d) - 2, 0))
 
 
 def _int_exact_div(a: Sequence[int], c: Sequence[int]) -> list[int] | None:
@@ -232,10 +239,13 @@ def _int_quo(a: Sequence[int], c: Sequence[int]) -> list[int]:
     return q
 
 
-def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
-    """The gcd of two nonzero integer polynomials, primitive with a positive
-    leading coefficient, by the heuristic gcd (Char, Geddes & Gonnet, J.
-    Symbolic Comput. 7, 1989).
+def _int_gcd_poly(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for g the gcd of two nonzero integer polynomials,
+    primitive with a positive leading coefficient, by the heuristic gcd
+    (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989).  The cofactors are
+    those of the primitive parts of a and b, signed so that their leading
+    coefficients are positive; they are the quotients the trial divisions
+    compute.
 
     The balanced base-x digits of gcd(a(x), b(x)) are read as a polynomial;
     for x > 2 min(|a|_inf, |b|_inf) + 1, its primitive part is gcd(a, b) as
@@ -258,12 +268,16 @@ def _int_gcd_poly(a: list[int], b: list[int]) -> list[int]:
             g.append(c)
             h = (h - c) // x
         if len(g) == 1:
-            return [1]
+            return [1], a, b
         g = _primitive(g)
-        if _int_exact_div(a, g) is not None and _int_exact_div(b, g) is not None:
-            return g
+        qa = _int_exact_div(a, g)
+        if qa is not None:
+            qb = _int_exact_div(b, g)
+            if qb is not None:
+                return g, qa, qb
         x = x * 73794 * math.isqrt(math.isqrt(x)) // 27011
-    return _primitive(_prs_gcd(a, b))
+    g = _primitive(_prs_gcd(a, b))
+    return g, _int_quo(a, g), _int_quo(b, g)
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -299,10 +313,7 @@ def _cancel(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], Sequence
     coefficients, and so are the quotients."""
     if len(a) < 2 or len(b) < 2:
         return a, b
-    g = _int_gcd_poly(a, b)
-    if len(g) < 2:
-        return a, b
-    return _int_quo(a, g), _int_quo(b, g)
+    return _int_gcd_poly(a, b)[1:]
 
 
 class Poly:
@@ -393,7 +404,7 @@ class Poly:
         if self.degree > 0 and other.degree > 0:
             a = _clear_denominators(self.coeffs)[1]
             b = _clear_denominators(other.coeffs)[1]
-            g = _int_gcd_poly(a, b)
+            g = _int_gcd_poly(a, b)[0]
         elif self.is_zero or other.is_zero:
             g = self.coeffs or other.coeffs
         else:
@@ -481,11 +492,11 @@ class RatFunc:
 
     @staticmethod
     def constant(value: ScalarLike) -> "RatFunc":
-        return RatFunc(Poly([as_fraction(value)]))
+        return _ratfunc((1,), (1,), as_fraction(value))
 
     @staticmethod
     def variable() -> "RatFunc":
-        return RatFunc(Poly([0, 1]))
+        return _ratfunc((0, 1), (1,), Fraction(1))
 
     # -- structure -----------------------------------------------------------
 
@@ -530,25 +541,27 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         # Henrici: with g = gcd(D1, D2), only a factor of g can cancel from
-        # N1 (D2/g) + N2 (D1/g) over D1 D2/g
+        # N1 (D2/g) + N2 (D1/g) over D1 D2/g; the numerator, its scalars
+        # c1 and c2 over their common denominator, and the denominator are
+        # evaluated at one packed width
         other = _as_ratfunc(other)
         c1, c2 = self._c, other._c
+        n1, n2 = self._n, other._n
         d1, d2 = self._d, other._d
         g = [1]
         e1, e2 = d1, d2
         if len(d1) > 1 and len(d2) > 1:
-            g = _int_gcd_poly(d1, d2)
-            if len(g) > 1:
-                e1, e2 = _int_quo(d1, g), _int_quo(d2, g)
-        t = _int_lincomb(
-            (
-                (c1.numerator * c2.denominator, _int_mul(self._n, e2)),
-                (c2.numerator * c1.denominator, _int_mul(other._n, e1)),
-            )
-        )
-        den = _int_mul(d1, e2)
+            g, e1, e2 = _int_gcd_poly(d1, d2)
+        k1, k2 = c1.numerator * c2.denominator, c2.numerator * c1.denominator
+        sn1, sn2, sd1, se1, se2 = map(_norm, (n1, n2, d1, e1, e2))
+        k = _width(max(abs(k1) * sn1 * se2 + abs(k2) * sn2 * se1, sd1 * se2, sn1, sn2, sd1, se1, se2))
+        pe1, pe2 = _pack(e1, k), _pack(e2, k)
+        pd1 = pe1 if len(g) == 1 else _pack(d1, k)
+        t = k1 * _pack(n1, k) * pe2 + k2 * _pack(n2, k) * pe1
+        t = _unpack(t, k, max(len(n1) + len(e2), len(n2) + len(e1)) - 1)
+        den = _unpack(pd1 * pe2, k, len(d1) + len(e2) - 1)
         if len(g) > 1 and len(t) > 1:
-            h = _int_gcd_poly(t, g)
+            h = _int_gcd_poly(t, g)[0]
             if len(h) > 1:
                 t, den = _int_quo(t, h), _int_quo(den, h)
         return _ratfunc(*_canonical(t, den, Fraction(1, c1.denominator * c2.denominator)))
@@ -601,10 +614,12 @@ class RatFunc:
             return _ratfunc(*_canonical(num, d, self._c))
         # a pole of order k becomes one of order k + 1, so the reduced
         # denominator is d^2 / gcd(d, d') and no further gcd is needed
-        e = _int_gcd_poly(d, _int_deriv(d)) if len(d) > 2 else [1]
+        e, q = [1], d
+        if len(d) > 2:
+            e, q, _ = _int_gcd_poly(d, _int_deriv(d))
         if len(e) > 1:
-            return _ratfunc(*_canonical(_int_quo(num, e), _int_mul(d, _int_quo(d, e)), self._c))
-        return _ratfunc(*_canonical(num, _int_mul(d, d), self._c))
+            num = _int_quo(num, e)
+        return _ratfunc(*_canonical(num, _int_mul(d, q), self._c))
 
     def compose(self, inner: "RatFunc") -> "RatFunc":
         """Exact composition self(inner).
@@ -775,25 +790,31 @@ def schwarzian(f: RatFunc) -> RatFunc:
         raise ValueError("Schwarzian of a constant function")
     w1 = _int_deriv(w)
     w2 = _int_deriv(w1)
+    n1 = _int_deriv(n)
+    n2 = _int_deriv(n1)
     d1 = _int_deriv(d)
     d2 = _int_deriv(d1)
-    # (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
-    num = _int_lincomb(
-        (
-            (1, _int_mul(d, _int_lincomb(((2, _int_mul(w2, w)), (-3, _int_mul(w1, w1)))))),
-            (4, _int_mul(w, _int_lincomb(((1, _int_mul(w1, d1)), (-1, _int_mul(d2, w)))))),
-        )
-    )
+    # (2W''W - 3W'^2 + 4W (N''D' - N'D'')) / (2W^2), the numerator evaluated
+    # once in packed form; it is the quotient rule's numerator over D, of
+    # degree at most 2 deg W - 2
+    sw, sw1, sw2, sn1, sn2, sd1, sd2 = norms = list(map(_norm, (w, w1, w2, n1, n2, d1, d2)))
+    k = _width(max(2 * sw2 * sw + 3 * sw1 * sw1 + 4 * sw * (sn2 * sd1 + sn1 * sd2), *norms))
+    pw, pw1, pw2, pn1, pn2, pd1, pd2 = (_pack(p, k) for p in (w, w1, w2, n1, n2, d1, d2))
+    num = 2 * pw2 * pw - 3 * pw1 * pw1 + 4 * pw * (pn2 * pd1 - pn1 * pd2)
+    num = _unpack(num, k, max(2 * len(w) - 3, 0))
     # S has a double pole at every root of W and no other pole (f is
     # reduced), so its reduced denominator is s^2 with s = W/gcd(W, W') and
-    # the numerator divides exactly by gcd(W, W')^2 D
-    h = _int_gcd_poly(w, w1) if len(w1) > 1 else [1]
-    if len(h) > 1:
-        s = _int_quo(w, h)
-        cut = _int_mul(_int_mul(h, h), d)
+    # the numerator divides exactly by gcd(W, W')^2.  The gcd's cofactor is
+    # W's primitive part over gcd(W, W'), so W's content c goes into the
+    # scalar: 1/(2 c^2)
+    if len(w1) > 1:
+        h, s, _ = _int_gcd_poly(w, w1)
+        if len(h) > 1:
+            num = _int_quo(num, _int_mul(h, h))
     else:
-        s, cut = w, d
-    return _ratfunc(*_canonical(_int_quo(num, cut), _int_mul(s, s), Fraction(1, 2)))
+        s = _primitive(w)
+    cw = _int_content(w)
+    return _ratfunc(*_canonical(num, _int_mul(s, s), Fraction(1, 2 * cw * cw)))
 
 
 def schwarz_pullback(r: RatFunc, phi: RatFunc) -> RatFunc:

@@ -351,6 +351,14 @@ class TestClassifyEquation:
         assert code == 2
         assert "field 2" in err
 
+    def test_zero_denominator_field_is_echoed_short(self, capsys):
+        # Fraction raises ZeroDivisionError on 1/0...0; the error line quotes
+        # 40 characters of the field, not its 4,002
+        code, out, err = run(capsys, "classify-equation", "--inv-angles", "1/" + "0" * 4000 + ",1/2,1/3")
+        assert code == 2 and not out
+        assert err.startswith("error: field 1 ('1/000") and err.count("\n") == 1
+        assert len(err.encode()) < 100
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "classify-equation", "--inv-angles", "1/2,1/3,1/7")
         _, out2, _ = run(capsys, "classify-equation", "--inv-angles", "1/2,1/3,1/7")

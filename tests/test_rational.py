@@ -77,6 +77,15 @@ def _planted_pairs(count, seed):
         yield a, b
 
 
+def _checked_gcd(a, b):
+    """The gcd from ``_int_gcd_poly(a, b)``, once its cofactors are checked:
+    the gcd times each is the primitive part of that input."""
+    g, qa, qb = rational._int_gcd_poly(a, b)
+    assert rational._int_mul(g, qa) == rational._primitive(a)
+    assert rational._int_mul(g, qb) == rational._primitive(b)
+    return g
+
+
 def _count_points(monkeypatch):
     """Record how many evaluation points each heuristic gcd call uses."""
     calls = []
@@ -91,7 +100,7 @@ class TestHeuristicGcd:
         fallbacks = []
         monkeypatch.setattr(rational, "_prs_gcd", lambda a, b: fallbacks.append((a, b)) or prs(a, b))
         for a, b in _planted_pairs(300, seed=7):
-            g = rational._int_gcd_poly(a, b)
+            g = _checked_gcd(a, b)
             ref = prs(*([c // rational._int_content(p) for c in p] for p in (a, b)))
             assert g == ref or g == [-c for c in ref]
             assert g[-1] > 0 and rational._int_content(g) == 1
@@ -113,7 +122,7 @@ class TestHeuristicGcd:
     )
     def test_first_point_suffices(self, monkeypatch, a, b, gcd):
         points = _count_points(monkeypatch)
-        assert rational._int_gcd_poly(a, b) == gcd
+        assert _checked_gcd(a, b) == gcd
         assert points() == 1
 
     @pytest.mark.parametrize("a, b", [([1, 1], [31, 0, 1]), ([31, 0, 1], [1, 1])])
@@ -121,7 +130,7 @@ class TestHeuristicGcd:
         # at x = 31, a(x) = 32 divides b(x) = 992, so the first candidate is
         # y + 1, which divides y + 1 but not y^2 + 31
         points = _count_points(monkeypatch)
-        assert rational._int_gcd_poly(a, b) == [1]
+        assert _checked_gcd(a, b) == [1]
         assert points() == 2
 
 
@@ -494,8 +503,8 @@ def reference_pow(self, n: int):
 def _triple_or_error(operation, *args):
     try:
         f = operation(*args)
-    except ZeroDivisionError as exc:
-        return ZeroDivisionError, str(exc)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
     return f._n, f._d, f._c, type(f._c), tuple(map(type, f._n + f._d))
 
 
@@ -524,3 +533,169 @@ class TestQuotientsMatchReference:
                 )
             n = rng.randint(-4, 0)
             assert _triple_or_error(RatFunc.__pow__, f, n) == _triple_or_error(reference_pow, f, n)
+
+
+# -- reference: the Wronskian, the Schwarzian, the sum and the derivative
+# before their closed forms were evaluated in packed form and the gcd gave
+# its cofactors, kept word for word but for the names; the gcd they took is
+# the first entry of today's
+
+
+def reference_int_gcd_poly(a, b):
+    return rational._int_gcd_poly(a, b)[0]
+
+
+def reference_int_lincomb(terms):
+    """sum of k * p over the (k, p) pairs."""
+    out = []
+    for k, p in terms:
+        if not k:
+            continue
+        if len(out) < len(p):
+            out.extend([0] * (len(p) - len(out)))
+        for i, c in enumerate(p):
+            out[i] += k * c
+    return rational._strip(out)
+
+
+def reference_int_wronskian(n, d):
+    """N'D - ND', the numerator of the derivative of N/D."""
+    return reference_int_lincomb(
+        ((1, rational._int_mul(rational._int_deriv(n), d)), (-1, rational._int_mul(n, rational._int_deriv(d))))
+    )
+
+
+def reference_add(self, other):
+    # Henrici: with g = gcd(D1, D2), only a factor of g can cancel from
+    # N1 (D2/g) + N2 (D1/g) over D1 D2/g
+    other = rational._as_ratfunc(other)
+    c1, c2 = self._c, other._c
+    d1, d2 = self._d, other._d
+    g = [1]
+    e1, e2 = d1, d2
+    if len(d1) > 1 and len(d2) > 1:
+        g = reference_int_gcd_poly(d1, d2)
+        if len(g) > 1:
+            e1, e2 = rational._int_quo(d1, g), rational._int_quo(d2, g)
+    t = reference_int_lincomb(
+        (
+            (c1.numerator * c2.denominator, rational._int_mul(self._n, e2)),
+            (c2.numerator * c1.denominator, rational._int_mul(other._n, e1)),
+        )
+    )
+    den = rational._int_mul(d1, e2)
+    if len(g) > 1 and len(t) > 1:
+        h = reference_int_gcd_poly(t, g)
+        if len(h) > 1:
+            t, den = rational._int_quo(t, h), rational._int_quo(den, h)
+    return rational._ratfunc(*rational._canonical(t, den, F(1, c1.denominator * c2.denominator)))
+
+
+def reference_derivative(self):
+    """Exact quotient-rule derivative, reduced."""
+    n, d = self._n, self._d
+    num = reference_int_wronskian(n, d)
+    if len(d) == 1:
+        return rational._ratfunc(*rational._canonical(num, d, self._c))
+    # a pole of order k becomes one of order k + 1, so the reduced
+    # denominator is d^2 / gcd(d, d') and no further gcd is needed
+    e = reference_int_gcd_poly(d, rational._int_deriv(d)) if len(d) > 2 else [1]
+    if len(e) > 1:
+        return rational._ratfunc(
+            *rational._canonical(rational._int_quo(num, e), rational._int_mul(d, rational._int_quo(d, e)), self._c)
+        )
+    return rational._ratfunc(*rational._canonical(num, rational._int_mul(d, d), self._c))
+
+
+def reference_schwarzian(f):
+    """Schwarzian derivative f'''/f' - (3/2)(f''/f')^2.
+
+    Vanishes exactly on Mobius maps; constant input raises.
+    """
+    n, d = f._n, f._d
+    w = reference_int_wronskian(n, d)
+    if not w:
+        raise ValueError("Schwarzian of a constant function")
+    w1 = rational._int_deriv(w)
+    w2 = rational._int_deriv(w1)
+    d1 = rational._int_deriv(d)
+    d2 = rational._int_deriv(d1)
+    # (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
+    mul = rational._int_mul
+    num = reference_int_lincomb(
+        (
+            (1, mul(d, reference_int_lincomb(((2, mul(w2, w)), (-3, mul(w1, w1)))))),
+            (4, mul(w, reference_int_lincomb(((1, mul(w1, d1)), (-1, mul(d2, w)))))),
+        )
+    )
+    # S has a double pole at every root of W and no other pole (f is
+    # reduced), so its reduced denominator is s^2 with s = W/gcd(W, W') and
+    # the numerator divides exactly by gcd(W, W')^2 D
+    h = reference_int_gcd_poly(w, w1) if len(w1) > 1 else [1]
+    if len(h) > 1:
+        s = rational._int_quo(w, h)
+        cut = mul(mul(h, h), d)
+    else:
+        s, cut = w, d
+    return rational._ratfunc(*rational._canonical(rational._int_quo(num, cut), mul(s, s), F(1, 2)))
+
+
+def _closed_form_inputs(count, seed):
+    """Seeded pairs (f, g).  f is a product of a few shared linear and
+    quadratic factors, repeated ones included, over another such product or
+    over 1; an affine map a y + b with a = +-2^60 or +-2^-60 times a small
+    fraction, whose Wronskian is a constant; a function of degree up to 6
+    with coefficients of up to 60 bits; or zero.  g is another such
+    function, -f, zero, or f times another such function."""
+    rng = random.Random(seed)
+    factors = [Poly([a, b]) for a in (-2, -1, 1, 3) for b in (1, 2)] + [Poly([1, 0, 1]), Poly([-2, 1, 1])]
+
+    def product():
+        p = Poly([F(rng.randint(-9, 9) or 1, rng.randint(1, 6))])
+        for _ in range(rng.randint(0, 4)):
+            p = p * rng.choice(factors)
+        return p
+
+    def wide():
+        length = rng.randint(1, 7)
+        return Poly([rng.choice((-1, 1)) * (rng.getrandbits(rng.randint(1, 60)) or 1) for _ in range(length)])
+
+    def function():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return RatFunc(product(), product())
+        if kind == 1:
+            return RatFunc(product())
+        if kind == 2:
+            a = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) * F(2) ** rng.choice((60, -60))
+            return RatFunc(Poly([F(rng.randint(-9, 9), rng.randint(1, 9)), a]))
+        if kind == 3:
+            return RatFunc(wide(), wide() if rng.random() < 0.7 else Poly([1]))
+        return RatFunc.constant(0)
+
+    for _ in range(count):
+        f = function()
+        yield f, rng.choice((function(), -f, RatFunc.constant(0), f * function()))
+
+
+class TestClosedFormsMatchReference:
+    def test_wronskian_on_integer_lists(self):
+        # lists of either sign and any length, the empty numerator and
+        # constant lists included, with coefficients up to 2^60
+        rng = random.Random(2323)
+
+        def coeffs(length):
+            return [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 60)) for _ in range(length)]
+
+        for _ in range(2000):
+            n, d = coeffs(rng.randint(0, 7)), coeffs(rng.randint(0, 6)) + [rng.choice((-1, 1)) << 60]
+            assert rational._int_wronskian(n, d) == reference_int_wronskian(n, d)
+
+    def test_seeded_sums_derivatives_and_schwarzians(self):
+        # the same (n, d, c) triple, or the same error
+        for f, g in _closed_form_inputs(600, seed=2024):
+            assert _triple_or_error(RatFunc.__add__, f, g) == _triple_or_error(reference_add, f, g)
+            assert _triple_or_error(RatFunc.__add__, g, f) == _triple_or_error(reference_add, g, f)
+            for h in (f, g):
+                assert _triple_or_error(RatFunc.derivative, h) == _triple_or_error(reference_derivative, h)
+                assert _triple_or_error(schwarzian, h) == _triple_or_error(reference_schwarzian, h)

@@ -112,7 +112,7 @@ def test_results_are_reduced_and_monic(f, g):
         if h.is_zero:
             assert h.den == Poly([1])
         else:
-            assert _int_gcd_poly(list(h._n), list(h._d)) == [1]
+            assert _int_gcd_poly(h._n, h._d) == ([1], list(h._n), list(h._d))
 
 
 @settings(max_examples=30, deadline=None)
