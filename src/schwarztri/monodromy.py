@@ -60,10 +60,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .rational import Poly, RatFunc, _complex_parts
-from .series import _QUIET, _den_terms, _shift_coeffs, _shifted, _solve_recurrence, _table, poles
+from .series import _QUIET, _den_roots, _den_terms, _shift_coeffs, _shifted, _solve_recurrence, _table, np
 from .triangle import AngleParams, build_r, exponent_differences
 
 # continuation: the Taylor order through which the equation coefficient
@@ -75,8 +73,10 @@ _TAYLOR_ORDER = 36
 _STEP_FACTOR = 0.35
 _MIN_STEP = 1e-12
 _POLE_CLEARANCE = 1e-6
-# the factors m of the derivatives m h^(m-1) of the powers of a step
-_DEGREES = np.arange(1, _TAYLOR_ORDER + 3)
+# the factors m of the derivatives m h^(m-1) of the powers of a step: a
+# range, which numpy takes as an array, so that importing this module
+# leaves numpy unloaded
+_DEGREES = range(1, _TAYLOR_ORDER + 3)
 # equations a batched ``_taylor_step`` call solves at once: the recurrence
 # buffer holds about 170 complex entries an equation and step, so this
 # bounds its memory
@@ -196,8 +196,7 @@ def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
     shorter than that is one step.  Raises RuntimeError when the path comes
     within ``_POLE_CLEARANCE`` of a pole, and ValueError on a node that is
     not finite."""
-    inverse = RatFunc(Poly([1]), Poly(den))
-    pole_list = poles(inverse)
+    pole_list = _den_roots(den)
     zs: list[complex] = []
     hs: list[complex] = []
     for a, b in zip(path, path[1:]):
@@ -223,7 +222,7 @@ def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
                 break
             hs.append(direction * h)
             s += h
-    return _StepPlan.compile(inverse, zs, hs)
+    return _StepPlan.compile(RatFunc(Poly([1]), Poly(den)), zs, hs)
 
 
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:

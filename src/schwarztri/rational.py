@@ -116,8 +116,12 @@ def _int_content(coeffs: Sequence[int]) -> int:
 
 
 def _primitive(a: Sequence[int]) -> list[int]:
-    """a over its content, signed so that the leading coefficient is positive."""
+    """a over its content, signed so that the leading coefficient is positive;
+    a copy of a when it is already primitive with a positive leading
+    coefficient."""
     k = _int_content(a)
+    if k == 1 and a[-1] > 0:
+        return list(a)
     return [c // (k if a[-1] > 0 else -k) for c in a]
 
 

@@ -26,6 +26,13 @@ the recurrence's row of terms, for ``monodromy`` too, whose step plans cache
 its ``_den_terms`` and which takes its shifts (``_shifted``) and tables
 (``_table``) from here.
 
+numpy loads on first use, not at import.  This module binds ``np`` through
+``_numpy``, ``monodromy`` takes it from here, and nothing evaluated at import
+touches it, so ``import schwarztri`` and the exact layers (``rational``,
+``triangle``, ``minimality``, ``groups``) never execute numpy.  Numerical
+poles come from one ``np.roots`` a reduced denominator, cached by it
+(``_den_roots``).
+
 Note on the Schwarz map convention: with the fundamental pair normalized to
 (psi1, psi1') = (1, 0) and (psi2, psi2') = (0, 1) at the base point, the
 classical quotient psi1/psi2 has a pole there, so the map is built as
@@ -36,14 +43,34 @@ downstream (solutions of the principal equation form a single PSL2 orbit).
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .rational import RatFunc, _complex_parts, _is_exact, schwarz_pullback
+
+
+def _numpy():
+    """numpy itself when it is already imported, else numpy's module with a
+    ``LazyLoader``, which executes it on the first attribute access and then
+    is numpy itself (the standard library's lazy-import recipe)."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _numpy()
 
 BasePoint = Union[Fraction, int, float, complex]
 
@@ -216,9 +243,22 @@ def ratfunc_series(f: RatFunc, base: BasePoint, order: int) -> PowerSeries:
     return PowerSeries(base, taylor_coefficients(f, base, order))
 
 
+# reduced denominators whose roots are kept: the verify queries of a run
+# meet a few dozen, r for principal and riccati and r∘phi for pullback
+_ROOTS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_ROOTS_CACHE_SIZE)
+def _den_roots(den: tuple[int, ...]) -> tuple[complex, ...]:
+    """The numerical roots of the reduced denominator ``den`` (``RatFunc._d``,
+    integers), from its coefficients converted to complex as
+    ``_complex_parts`` converts them, cached by ``den``."""
+    return tuple(complex(r) for r in np.roots([complex(x / den[-1]) for x in reversed(den)]))
+
+
 def poles(f: RatFunc) -> list[complex]:
     """Numerical poles (roots of the reduced denominator)."""
-    return [complex(r) for r in np.roots(_complex_parts(f)[1][::-1])]
+    return list(_den_roots(f._d))
 
 
 def default_disk_radius(f: RatFunc, base: BasePoint) -> float:

@@ -14,12 +14,13 @@ import pytest
 
 from schwarztri.cli import parse_phi
 from schwarztri.monodromy import _CHUNK, _TAYLOR_ORDER, LoopSpec, _step_plan
-from schwarztri.rational import MobiusMap, Poly, RatFunc, schwarz_pullback
+from schwarztri.rational import MobiusMap, Poly, RatFunc, _complex_parts, schwarz_pullback
 from schwarztri.series import (
     _QUIET,
     PowerSeries,
     ResidualReport,
     _coerce_base,
+    _den_roots,
     _den_terms,
     _shift_coeffs,
     _shifted,
@@ -98,6 +99,34 @@ class TestTaylor:
         s = ratfunc_series(f, 0.5 + 0j, 30)
         z = 0.6 + 0.05j
         assert abs(s(z) - f(z)) < 1e-12
+
+
+class TestPolesCache:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            RatFunc(Poly([1]), Poly([0, 0, 2, -4, 2])),
+            RatFunc(Poly([1, 2]), Poly([3, 0, F(1, 7)])),
+            RatFunc(Poly([5])),
+        ],
+    )
+    def test_same_list_before_and_after_the_cache_fills(self, f):
+        _den_roots.cache_clear()
+        first = poles(f)
+        assert _den_roots.cache_info().misses == 1
+        second = poles(f)
+        assert _den_roots.cache_info().hits == 1
+        assert first == second and first is not second
+        # bit for bit the uncached roots of the complex denominator
+        assert first == [complex(r) for r in np.roots(_complex_parts(f)[1][::-1])]
+
+    def test_a_returned_list_is_the_callers(self):
+        f = RatFunc(Poly([1]), Poly([0, -1, 1]))
+        first = poles(f)
+        expected = list(first)
+        first.append(7j)
+        first[0] = 0j
+        assert poles(f) == expected
 
 
 class TestSeriesOps:
