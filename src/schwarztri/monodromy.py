@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .rational import Poly, RatFunc, _complex_parts
+from .rational import RatFunc, _complex_parts, _ratfunc
 from .series import _QUIET, _den_roots, _den_terms, _shift_coeffs, _shifted, _solve_recurrence, _table, np
 from .triangle import AngleParams, build_r, exponent_differences
 
@@ -222,7 +222,7 @@ def _step_plan(den: tuple[int, ...], path: tuple[complex, ...]) -> _StepPlan:
                 break
             hs.append(direction * h)
             s += h
-    return _StepPlan.compile(RatFunc(Poly([1]), Poly(den)), zs, hs)
+    return _StepPlan.compile(_ratfunc((1,), den, Fraction(1)), zs, hs)
 
 
 def continue_solution(r: RatFunc | Sequence[RatFunc], path: Sequence[complex]) -> np.ndarray:

@@ -12,20 +12,17 @@ Arithmetic runs over Z.  A ``RatFunc`` holds c * N/D with N and D primitive
 integer polynomials of positive leading coefficient and c one rational
 content; its ``num`` and ``den`` are turned into ``Poly`` values (Fractions)
 only when read.  Reduction clears denominators once and takes the gcd by the
-heuristic gcd (``_int_gcd_poly``: one integer gcd of the values at a large
-point, read back as a polynomial and checked by trial division, with the
-primitive pseudo-remainder sequence as its fallback).  The gcd hands back
-the cofactors a/g and b/g that its trial divisions compute, so a reduction
-does not divide again.  Products are single big-integer multiplications
-(Kronecker substitution), and three closed forms are evaluated whole in the
-same way: each operand packed once, at one width that bounds every operand
-and the result, the expression taken in Python integers and the result
-unpacked once.  They are the Wronskian W = N'D - ND', a sum's numerator
-N1 (D2/g) + N2 (D1/g) and denominator D1 D2/g with g = gcd(D1, D2)
-(Henrici), and the Schwarzian's numerator.  Where the reduced form is known
-in advance no gcd is taken at all: a composition of reduced functions is
-reduced, a product or quotient cancels crosswise, and the Schwarzian of N/D
-is
+heuristic gcd (``_int_gcd_poly`` says how), which hands back the cofactors
+a/g and b/g, so a reduction does not divide again.  Products are single
+big-integer multiplications (Kronecker substitution), and three closed forms
+are evaluated whole in the same way: each operand packed once, at one width
+that bounds every operand and the result, the expression taken in Python
+integers and the result unpacked once.  They are the Wronskian
+W = N'D - ND', a sum's numerator N1 (D2/g) + N2 (D1/g) and denominator
+D1 D2/g with g = gcd(D1, D2) (Henrici), and the Schwarzian's numerator.
+Where the reduced form is known in advance no gcd is taken at all: a
+composition of reduced functions is reduced, a product or quotient cancels
+crosswise, and the Schwarzian of N/D is
 
     S(N/D) = (2W''W - 3W'^2 + 4W (N''D' - N'D'')) / (2W^2)
 
@@ -34,6 +31,9 @@ is
 sqf(W)^2, so it is reduced by at most one exact division.
 References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
 8; Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989), for the heuristic gcd.
+The coefficient-list kernels here serve ``series``, ``triangle`` and
+``monodromy`` too: ``_poly_at`` (Horner at a scalar), ``_deriv``,
+``_signed_content``, ``_norm``, ``_int_quo`` and ``_ratfunc``.
 """
 
 from __future__ import annotations
@@ -108,28 +108,34 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-# -- integer polynomial kernels (ascending coefficient lists) ------------------
+# -- polynomial kernels (ascending coefficient lists) --------------------------
 
 
 def _int_content(coeffs: Sequence[int]) -> int:
     return math.gcd(*coeffs) or 1
 
 
-def _primitive(a: Sequence[int]) -> list[int]:
-    """a over its content, signed so that the leading coefficient is positive;
-    a copy of a when it is already primitive with a positive leading
-    coefficient."""
+def _signed_content(a: Sequence[int]) -> int:
+    """The content of a, signed like its leading coefficient."""
     k = _int_content(a)
-    if k == 1 and a[-1] > 0:
-        return list(a)
-    return [c // (k if a[-1] > 0 else -k) for c in a]
+    return k if a[-1] > 0 else -k
 
 
-def _int_eval(a: Sequence[int], x: int) -> int:
-    v = 0
+def _primitive(a: Sequence[int]) -> list[int]:
+    """a over its signed content, so with a positive leading coefficient; a
+    copy of a when that content is 1."""
+    k = _signed_content(a)
+    return list(a) if k == 1 else [c // k for c in a]
+
+
+def _poly_at(a: Sequence, x):
+    """Horner evaluation of the ascending coefficients a at x: exact at an
+    exact x, else in x's floating type, numpy scalars included (c + acc * x
+    leaves the sum to a numpy acc)."""
+    acc = x * 0
     for c in reversed(a):
-        v = v * x + c
-    return v
+        acc = c + acc * x
+    return acc
 
 
 def _strip(a: list) -> list:
@@ -193,7 +199,7 @@ def _int_pow(a: Sequence[int], n: int) -> list[int]:
     return result
 
 
-def _int_deriv(a: Sequence[int]) -> list[int]:
+def _deriv(a: Sequence) -> list:
     return [i * a[i] for i in range(1, len(a))]
 
 
@@ -206,7 +212,7 @@ def _norm(a: Sequence[int]) -> int:
 def _int_wronskian(n: Sequence[int], d: Sequence[int]) -> list[int]:
     """N'D - ND', the numerator of the derivative of N/D, evaluated once in
     packed form."""
-    n1, d1 = _int_deriv(n), _int_deriv(d)
+    n1, d1 = _deriv(n), _deriv(d)
     sn, sd, sn1, sd1 = map(_norm, (n, d, n1, d1))
     k = _width(max(sn1 * sd + sn * sd1, sn, sd, sn1, sd1))
     w = _pack(n1, k) * _pack(d, k) - _pack(n, k) * _pack(d1, k)
@@ -263,7 +269,7 @@ def _int_gcd_poly(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[i
     b = _primitive(b)
     x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(6):
-        h = math.gcd(_int_eval(a, x), _int_eval(b, x))
+        h = math.gcd(_poly_at(a, x), _poly_at(b, x))
         g = []
         while h:
             c = h % x
@@ -416,12 +422,8 @@ class Poly:
         return Poly([Fraction(c) / g[-1] for c in g]) if g else Poly()
 
     def __call__(self, x):
-        """Horner evaluation: exact at an exact x, else in x's floating type,
-        numpy scalars included (c + acc * x leaves the sum to a numpy acc)."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = c + acc * x
-        return acc
+        """Horner evaluation (``_poly_at``), exact at an exact x."""
+        return _poly_at(self.coeffs, x)
 
     def __repr__(self) -> str:
         return f"Poly({_poly_str(self)})"
@@ -620,7 +622,7 @@ class RatFunc:
         # denominator is d^2 / gcd(d, d') and no further gcd is needed
         e, q = [1], d
         if len(d) > 2:
-            e, q, _ = _int_gcd_poly(d, _int_deriv(d))
+            e, q, _ = _int_gcd_poly(d, _deriv(d))
         if len(e) > 1:
             num = _int_quo(num, e)
         return _ratfunc(*_canonical(num, _int_mul(d, q), self._c))
@@ -641,8 +643,8 @@ class RatFunc:
         n, d = self._n, self._d
         deg = max(len(n), len(d), 1) - 1
         size = deg * (max(len(a), len(b), 1) - 1) + 1
-        grow = max(sum(map(abs, a)), sum(map(abs, b)), 1)
-        k = _width(max(max(sum(map(abs, n)), sum(map(abs, d))) * grow**deg, grow))
+        grow = max(_norm(a), _norm(b), 1)
+        k = _width(max(max(_norm(n), _norm(d)) * grow**deg, grow))
         pa, pb = _pack(a, k), _pack(b, k)
         bpows = [1]
         for _ in range(deg):
@@ -697,12 +699,8 @@ def _canonical(n: Sequence[int], d: Sequence[int], c: Fraction):
     coefficient; no common factor is removed."""
     if not n or not c:
         return (), (1,), _ZERO
-    k = _int_content(n)
-    if n[-1] < 0:
-        k = -k
-    m = _int_content(d)
-    if d[-1] < 0:
-        m = -m
+    k = _signed_content(n)
+    m = _signed_content(d)
     if k != 1:
         n = [x // k for x in n]
     if m != 1:
@@ -792,12 +790,12 @@ def schwarzian(f: RatFunc) -> RatFunc:
     w = _int_wronskian(n, d)
     if not w:
         raise ValueError("Schwarzian of a constant function")
-    w1 = _int_deriv(w)
-    w2 = _int_deriv(w1)
-    n1 = _int_deriv(n)
-    n2 = _int_deriv(n1)
-    d1 = _int_deriv(d)
-    d2 = _int_deriv(d1)
+    w1 = _deriv(w)
+    w2 = _deriv(w1)
+    n1 = _deriv(n)
+    n2 = _deriv(n1)
+    d1 = _deriv(d)
+    d2 = _deriv(d1)
     # (2W''W - 3W'^2 + 4W (N''D' - N'D'')) / (2W^2), the numerator evaluated
     # once in packed form; it is the quotient rule's numerator over D, of
     # degree at most 2 deg W - 2

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .rational import RatFunc, _complex_parts, _is_exact, schwarz_pullback
+from .rational import RatFunc, _complex_parts, _deriv, _is_exact, _poly_at, schwarz_pullback
 
 
 def _numpy():
@@ -179,20 +179,11 @@ class PowerSeries:
         return PowerSeries(self.base_point, [c / other for c in self.coefficients])
 
     def derivative(self) -> "PowerSeries":
-        if len(self.coefficients) == 1:
-            return PowerSeries(self.base_point, [self.coefficients[0] * 0])
-        return PowerSeries(
-            self.base_point,
-            [k * c for k, c in enumerate(self.coefficients)][1:],
-        )
+        return PowerSeries(self.base_point, _deriv(self.coefficients) or [self.coefficients[0] * 0])
 
     def __call__(self, x):
         """Horner evaluation at a point (exact for exact input, else complex)."""
-        dx = x - self.base_point
-        acc = dx * 0
-        for c in reversed(self.coefficients):
-            acc = acc * dx + c
-        return acc
+        return _poly_at(self.coefficients, x - self.base_point)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coefficients[:4])
@@ -417,10 +408,8 @@ def series_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     are dropped first and only the rows up to the last c_k built, so a
     polynomial costs its degree."""
     shift = inner.coefficients[0] - outer.base_point
-    if _is_exact(inner.base_point) and _is_exact(outer.base_point):
-        if shift != 0:
-            raise ValueError("inner series does not map its base to the outer base point")
-    elif abs(complex(shift)) > 1e-9 * (1.0 + abs(complex(outer.base_point))):
+    exact = _is_exact(inner.base_point) and _is_exact(outer.base_point)
+    if shift != 0 if exact else abs(complex(shift)) > 1e-9 * (1.0 + abs(complex(outer.base_point))):
         raise ValueError("inner series does not map its base to the outer base point")
     n = min(outer.truncation_order, inner.truncation_order)
     cs = list(outer.coefficients[: n + 1])

@@ -14,20 +14,18 @@ from fractions import Fraction
 from typing import Union
 
 from .groups import Signature
-from .rational import RatFunc, _canonical, _clear_denominators, _ratfunc, _strip, as_fraction, parse_fraction
+from .rational import RatFunc, as_fraction, parse_fraction
+from .rational import _canonical, _clear_denominators, _int_quo, _ratfunc, _strip
 
 
 class _Generic:
     """Tag for a triple of algebraically independent transcendental parameters."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
+        return "GENERIC"
+
+    def __reduce__(self):
+        # pickle and copy resolve the name to the one module constant
         return "GENERIC"
 
 
@@ -170,10 +168,8 @@ def build_r(params: AngleParams) -> RatFunc:
         n.pop(0)
         at0 -= 1
     while len(n) > 1 and sum(n) == 0:
-        # y - 1 divides the numerator: the quotient by synthetic division
-        for i in range(len(n) - 2, -1, -1):
-            n[i] += n[i + 1]
-        n.pop(0)
+        # y - 1 divides the numerator
+        n = _int_quo(n, (-1, 1))
         at1 -= 1
     return _ratfunc(*_canonical(n, _POLE_POWERS[at0, at1], Fraction(1, 2 * square)))
 

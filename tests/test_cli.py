@@ -571,6 +571,16 @@ class TestVerify:
         assert code == 2 and not out
         assert err.startswith("error: --base: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("base", ["1/0", "1/" + "0" * 4000], ids=["1/0", "4000 zeros"])
+    def test_base_zero_denominator(self, capsys, base):
+        # Fraction raises ZeroDivisionError here, not ValueError: the option
+        # is named and at most 40 characters of the text are echoed
+        code, out, err = run_without_warnings(
+            capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base", base
+        )
+        assert code == 2 and not out
+        assert err == f"error: --base: not an exact fraction: {base[:40]!r}\n"
+
 
 class TestSweep:
     def test_min_denominator(self, capsys, tmp_path):

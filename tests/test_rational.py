@@ -1,5 +1,6 @@
 """Unit tests for the exact rational-function algebra."""
 
+import math
 import pickle
 import random
 import time
@@ -89,8 +90,8 @@ def _checked_gcd(a, b):
 def _count_points(monkeypatch):
     """Record how many evaluation points each heuristic gcd call uses."""
     calls = []
-    evaluate = rational._int_eval
-    monkeypatch.setattr(rational, "_int_eval", lambda a, x: calls.append(x) or evaluate(a, x))
+    evaluate = rational._poly_at
+    monkeypatch.setattr(rational, "_poly_at", lambda a, x: calls.append(x) or evaluate(a, x))
     return lambda: len(set(calls))
 
 
@@ -561,7 +562,7 @@ def reference_int_lincomb(terms):
 def reference_int_wronskian(n, d):
     """N'D - ND', the numerator of the derivative of N/D."""
     return reference_int_lincomb(
-        ((1, rational._int_mul(rational._int_deriv(n), d)), (-1, rational._int_mul(n, rational._int_deriv(d))))
+        ((1, rational._int_mul(rational._deriv(n), d)), (-1, rational._int_mul(n, rational._deriv(d))))
     )
 
 
@@ -599,7 +600,7 @@ def reference_derivative(self):
         return rational._ratfunc(*rational._canonical(num, d, self._c))
     # a pole of order k becomes one of order k + 1, so the reduced
     # denominator is d^2 / gcd(d, d') and no further gcd is needed
-    e = reference_int_gcd_poly(d, rational._int_deriv(d)) if len(d) > 2 else [1]
+    e = reference_int_gcd_poly(d, rational._deriv(d)) if len(d) > 2 else [1]
     if len(e) > 1:
         return rational._ratfunc(
             *rational._canonical(rational._int_quo(num, e), rational._int_mul(d, rational._int_quo(d, e)), self._c)
@@ -616,10 +617,10 @@ def reference_schwarzian(f):
     w = reference_int_wronskian(n, d)
     if not w:
         raise ValueError("Schwarzian of a constant function")
-    w1 = rational._int_deriv(w)
-    w2 = rational._int_deriv(w1)
-    d1 = rational._int_deriv(d)
-    d2 = rational._int_deriv(d1)
+    w1 = rational._deriv(w)
+    w2 = rational._deriv(w1)
+    d1 = rational._deriv(d)
+    d2 = rational._deriv(d1)
     # (2W''WD - 3W'^2 D - 4D''W^2 + 4W'D'W) / (2W^2 D)
     mul = rational._int_mul
     num = reference_int_lincomb(
@@ -699,3 +700,100 @@ class TestClosedFormsMatchReference:
             for h in (f, g):
                 assert _triple_or_error(RatFunc.derivative, h) == _triple_or_error(reference_derivative, h)
                 assert _triple_or_error(schwarzian, h) == _triple_or_error(reference_schwarzian, h)
+
+
+# -- reference: the coefficient-list kernels before one statement of each
+# served ``rational``, ``series``, ``triangle`` and ``monodromy``, kept word
+# for word but for the names
+
+
+def reference_int_eval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def reference_poly_horner(self, x):
+    acc = x * 0
+    for c in reversed(self.coeffs):
+        acc = c + acc * x
+    return acc
+
+
+def reference_primitive(a):
+    k = rational._int_content(a)
+    if k == 1 and a[-1] > 0:
+        return list(a)
+    return [c // (k if a[-1] > 0 else -k) for c in a]
+
+
+def reference_canonical(n, d, c):
+    if not n or not c:
+        return (), (1,), rational._ZERO
+    k = rational._int_content(n)
+    if n[-1] < 0:
+        k = -k
+    m = rational._int_content(d)
+    if d[-1] < 0:
+        m = -m
+    if k != 1:
+        n = [x // k for x in n]
+    if m != 1:
+        d = [x // m for x in d]
+        c = c * F(k, m)
+    elif k != 1:
+        c = c * k
+    return n, d, c
+
+
+def _signed_lists(count, seed):
+    """Seeded integer lists of 1 to 9 coefficients up to 200 bits, either
+    sign, the leading one nonzero and negative in about half, times a
+    content of 1, a small one or a wide one."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(0, 200)) for _ in range(rng.randint(1, 9))]
+        a[-1] = rng.choice((-1, 1)) * (abs(a[-1]) or 1)
+        k = rng.choice((1, 1, rng.randint(2, 12), rng.getrandbits(64) | 1))
+        yield [k * c for c in a]
+
+
+class TestCoefficientKernelsMatchReference:
+    def test_horner_on_integer_lists_at_gcd_points(self):
+        # the first evaluation point of the heuristic gcd and the next two it
+        # grows to, as _int_gcd_poly computes them
+        for a in _signed_lists(500, seed=2525):
+            x = 2 * max(map(abs, a)) + 29
+            for _ in range(3):
+                got = rational._poly_at(a, x)
+                assert type(got) is int and got == reference_int_eval(a, x)
+                x = x * 73794 * math.isqrt(math.isqrt(x)) // 27011
+        assert rational._poly_at([], 7) == reference_int_eval([], 7) == 0
+
+    def test_horner_on_fraction_complex_and_numpy_points(self):
+        # Poly.__call__ is _poly_at: the same value of the same type as the
+        # loop it replaced, bit for bit at floating points
+        rng = random.Random(2626)
+        for _ in range(400):
+            p = Poly([F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(rng.randint(0, 9))])
+            u, v = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            for x in (F(rng.randint(-9, 9), rng.randint(1, 9)), complex(u, v), np.complex128(complex(v, u))):
+                want = reference_poly_horner(p, x)
+                for got in (p(x), rational._poly_at(p.coeffs, x)):
+                    assert type(got) is type(want)
+                    assert got == want if isinstance(x, F) else _bits([got]) == _bits([want])
+
+    def test_primitive_and_canonical(self):
+        rng = random.Random(2727)
+        lists = list(_signed_lists(800, seed=2828))
+        for a in lists:
+            assert rational._primitive(a) == reference_primitive(a)
+            assert rational._signed_content(a) * rational._primitive(a)[-1] == a[-1]
+        for n, d in zip(lists, reversed(lists)):
+            c = rng.choice((F(0), F(1), F(rng.randint(-9, 9) or 1, rng.randint(1, 9))))
+            n = rng.choice((n, []))
+            got, want = rational._canonical(n, d, c), reference_canonical(n, d, c)
+            assert (tuple(got[0]), tuple(got[1]), got[2], type(got[2])) == (
+                tuple(want[0]), tuple(want[1]), want[2], type(want[2])
+            )

@@ -908,3 +908,72 @@ class TestInverseIsPullbackAlongY:
             for check in (residual_inverse, reference_residual_inverse):
                 with pytest.raises(error):
                     check(R_HURWITZ, base, order)
+
+
+# -- reference: PowerSeries evaluation and derivative before they went
+# through rational's Horner (``_poly_at``) and derivative (``_deriv``), kept
+# word for word but for the names
+
+
+def reference_power_series_call(self, x):
+    dx = x - self.base_point
+    acc = dx * 0
+    for c in reversed(self.coefficients):
+        acc = acc * dx + c
+    return acc
+
+
+def reference_power_series_derivative(self):
+    if len(self.coefficients) == 1:
+        return PowerSeries(self.base_point, [self.coefficients[0] * 0])
+    return PowerSeries(
+        self.base_point,
+        [k * c for k, c in enumerate(self.coefficients)][1:],
+    )
+
+
+def _parts(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+class TestSeriesKernelsMatchReference:
+    def test_call_and_derivative_on_seeded_series(self):
+        # exact series at Fraction, complex and numpy.complex128 points,
+        # complex series at complex points: the same value bit for bit, of
+        # the same type; the one exception is a complex base with Fraction
+        # coefficients at a numpy point, where the sum is left to numpy and
+        # gives numpy.complex128, a subclass of complex, where the loop gave
+        # complex
+        rng = random.Random(3131)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            exact = PowerSeries(F(rng.randint(-3, 3), rng.randint(1, 4)),
+                                [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            floating = PowerSeries(z, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)])
+            mixed = PowerSeries(z, exact.coefficients)
+            u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            fx, cx, nx = F(rng.randint(-9, 9), rng.randint(1, 9)), complex(u, v), np.complex128(complex(v, u))
+            for s, x in ((exact, fx), (exact, cx), (exact, nx), (floating, cx), (floating, nx), (mixed, nx)):
+                got, want = s(x), reference_power_series_call(s, x)
+                assert isinstance(got, type(want)) and (type(got) is type(want) or s is mixed)
+                assert got == want if isinstance(got, F) else _parts(got) == _parts(want)
+            for s in (exact, floating):
+                got, want = s.derivative(), reference_power_series_derivative(s)
+                assert got == want and list(map(type, got.coefficients)) == list(map(type, want.coefficients))
+
+    @pytest.mark.parametrize("c", [F(3, 2), 5, 2.5, 1 + 2j, np.complex128(1 - 1j)])
+    def test_one_term_derivative_is_zero_of_its_type(self, c):
+        d = PowerSeries(F(1, 2), [c]).derivative()
+        assert d.coefficients == (0,) and type(d.coefficients[0]) is type(c)
+
+    def test_exact_bases_must_match_exactly(self):
+        # no tolerance between exact bases, however small the shift; 1e-9
+        # between floating ones
+        outer = PowerSeries(F(1, 2), [F(1), F(2), F(3)])
+        with pytest.raises(ValueError, match="does not map its base"):
+            series_compose(outer, PowerSeries(F(0), [F(1, 2) + F(1, 10**30), F(1)]))
+        assert series_compose(outer, PowerSeries(F(0), [F(1, 2), F(1)])) == PowerSeries(F(0), [F(1), F(2)])
+        floating = PowerSeries(0.5 + 0j, [1 + 0j, 2 + 0j, 3 + 0j])
+        assert series_compose(floating, PowerSeries(0j, [0.5 + 1e-10, 1 + 0j])).coefficients[1] == 2

@@ -1,6 +1,9 @@
 """Tests for the triangle-equation construction and hypergeometric reduction."""
 
+import copy
+import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -8,8 +11,9 @@ from fractions import Fraction as F
 import pytest
 
 from schwarztri.groups import Signature
-from schwarztri.rational import Poly, RatFunc
+from schwarztri.rational import Poly, RatFunc, _canonical, _clear_denominators, _ratfunc, _strip
 from schwarztri.triangle import (
+    _POLE_POWERS,
     GENERIC,
     AngleParams,
     ExponentTriple,
@@ -140,6 +144,59 @@ class TestBuildR:
             expected = by_gcd(*(F(v) for v in triple))
             assert r == expected, triple
             assert (r._n, r._d, r._c) == (expected._n, expected._d, expected._c), triple
+
+
+# -- reference: build_r with its own synthetic division by y - 1, before it
+# took rational's exact division (``_int_quo``), kept word for word but for
+# the names
+
+
+def reference_build_r(params: AngleParams) -> RatFunc:
+    ea, eb, eg = params.e_alpha, params.e_beta, params.e_gamma
+    lcm, scaled = _clear_denominators((ea, eb, eg))
+    sa, sb, sg = (x * x for x in scaled)
+    square = lcm * lcm
+    c0, c1, c_mix = square - sb, square - sg, sb + sg - sa - square
+    n = _strip([c0, -2 * c0 - c_mix, c0 + c1 + c_mix])
+    if not n:
+        return RatFunc.constant(0)
+    at0 = at1 = 2
+    while n[0] == 0:
+        n.pop(0)
+        at0 -= 1
+    while len(n) > 1 and sum(n) == 0:
+        for i in range(len(n) - 2, -1, -1):
+            n[i] += n[i + 1]
+        n.pop(0)
+        at1 -= 1
+    return _ratfunc(*_canonical(n, _POLE_POWERS[at0, at1], F(1, 2 * square)))
+
+
+class TestBuildRMatchesReference:
+    def test_small_exponents(self):
+        # every triple of exponents 0, +-1/2, +-1, +-3/2 and +-2: those of
+        # modulus 1 at 1 put y - 1 in the numerator, once or, with equal
+        # moduli at infinity and 0, twice, and 0 at 0 puts y there
+        values = [F(k, 2) for k in range(-4, 5)]
+        pole_orders_at_1 = set()
+        for triple in itertools.product(values, repeat=3):
+            p = AngleParams(*triple)
+            got, want = build_r(p), reference_build_r(p)
+            assert (got._n, got._d, got._c) == (want._n, want._d, want._c), triple
+            assert list(map(type, got._n + got._d)) == list(map(type, want._n + want._d)), triple
+            d = want._d
+            pole_orders_at_1.add((sum(d) == 0) + (sum(d) == 0 and sum(i * c for i, c in enumerate(d)) == 0))
+        # y - 1 divided out of the numerator twice, once and not at all
+        assert pole_orders_at_1 == {0, 1, 2}
+
+
+class TestGenericIdentity:
+    def test_pickle_and_copy_resolve_to_the_module_constant(self):
+        assert pickle.loads(pickle.dumps(GENERIC)) is GENERIC
+        assert copy.copy(GENERIC) is GENERIC and copy.deepcopy(GENERIC) is GENERIC
+        assert copy.deepcopy(AngleParams.generic()).e_alpha is GENERIC
+        p = pickle.loads(pickle.dumps(AngleParams.generic()))
+        assert p == AngleParams.generic() and p.is_generic and p.e_gamma is GENERIC
 
 
 class TestLinearODE:
