@@ -300,8 +300,6 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
     r = build_r(params)
     try:
         base = parse_fraction(args.base)
-    except ZeroDivisionError as exc:
-        raise UsageError(f"--base: not an exact fraction: {args.base[:40]!r}") from exc
     except ValueError as exc:
         raise UsageError(f"--base: {exc}") from exc
     phi = None

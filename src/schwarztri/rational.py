@@ -60,7 +60,8 @@ _EXPONENT_TEXT = re.compile(r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?[eE]
 
 def parse_fraction(text: str) -> Fraction:
     """``Fraction(text)``, its numerator and denominator each of at most
-    ``MAX_TEXT_BITS`` bits; ValueError otherwise.
+    ``MAX_TEXT_BITS`` bits; ValueError otherwise, a zero denominator
+    included, with at most 40 characters of the text in the message.
 
     Fraction multiplies an exponent out, so '1e10000000' would build
     10^10000000, and Python's limit on the digits of an integer does not
@@ -83,7 +84,10 @@ def parse_fraction(text: str) -> Fraction:
         e = int(exponent)
         if max(len(int_digits) + len(frac_digits) + e, len(frac_digits) - e + 1) > _MAX_TEXT_DIGITS:
             raise ValueError(f"numerator or denominator exceeds {MAX_TEXT_BITS} bits: {text[:40]!r}")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact fraction: {text[:40]!r}") from None
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_TEXT_BITS:
         raise ValueError(f"numerator or denominator exceeds {MAX_TEXT_BITS} bits: {text[:40]!r}")
     return value
@@ -298,13 +302,10 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     while b:
         r = list(a)
         lb = b[-1]
-        for _ in range(len(a) - len(b) + 1):
-            if not r:
-                break
+        # one step can cancel more than the leading term, so the loop runs
+        # on the degree of r, not a count of steps
+        while len(r) >= len(b):
             lr = r[-1]
-            if lr == 0:
-                r.pop()
-                continue
             r = [c * lb for c in r]
             off = len(r) - len(b)
             for i, c in enumerate(b):
@@ -313,8 +314,6 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
             _strip(r)
         cont = _int_content(r)
         a, b = b, [c // cont for c in r]
-        if len(a) < len(b):
-            a, b = b, a
     return a
 
 

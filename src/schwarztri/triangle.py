@@ -84,8 +84,6 @@ class AngleParams:
         for pos, part in enumerate(parts):
             try:
                 values.append(parse_fraction(part))
-            except ZeroDivisionError as exc:
-                raise ValueError(f"field {pos + 1} ({part.strip()[:40]!r}): not an exact fraction") from exc
             except ValueError as exc:
                 raise ValueError(f"field {pos + 1}: {exc}") from exc
         return AngleParams(*values)

@@ -1,0 +1,84 @@
+"""The rules that exact outputs follow, each stated by its definition.
+
+Ints, Fractions and canonical ``RatFunc`` triples have one canonical form,
+so a check of an exact output against the rule's definition, taken by
+schoolbook integer arithmetic, is as strict as a comparison with any earlier
+implementation of the rule.  Floating-point kernels keep one bit-for-bit
+reference each in their test modules, since no definition pins rounding;
+``horner`` is the one such reference for evaluation at a point.
+"""
+
+import math
+from fractions import Fraction
+
+from schwarztri.rational import _int_gcd_poly
+
+
+def mul(a, b) -> list:
+    """The schoolbook product of two coefficient lists."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def lincomb(k, a, m, b) -> list:
+    """k a + m b for integer lists a and b, without trailing zeros."""
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += k * x
+    for i, x in enumerate(b):
+        out[i] += m * x
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def deriv(a) -> list:
+    """The derivative of the polynomial with ascending coefficients a."""
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def horner(cs, x):
+    """The polynomial with ascending coefficients cs at x, by Horner's rule
+    in the order acc = c + acc * x; bit for bit the package's evaluation at
+    floating points, of the same type at every scalar."""
+    acc = x * 0
+    for c in reversed(cs):
+        acc = c + acc * x
+    return acc
+
+
+def bits(values) -> list[tuple[str, str]]:
+    """Each number as the hex forms of its real and imaginary parts: equal
+    lists are equal bits, and -0.0 differs from 0.0."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def assert_primitive(p) -> None:
+    """p is a nonzero integer list of content 1 and positive leading
+    coefficient."""
+    assert p and all(type(x) is int for x in p) and p[-1] > 0 and math.gcd(*p) == 1, p
+
+
+def assert_same_value(c, n, d, c2, n2, d2) -> None:
+    """c n/d = c2 n2/d2, by cross-multiplying the integer lists."""
+    c, c2 = Fraction(c), Fraction(c2)
+    k, m = c.numerator * c2.denominator, -c2.numerator * c.denominator
+    assert not lincomb(k, mul(n, d2), m, mul(n2, d)), (c, n, d, c2, n2, d2)
+
+
+def assert_value(f, c, num, den) -> None:
+    """f is a canonical RatFunc equal to c num/den, for integer lists num and
+    den.  Canonical: int entries and a Fraction content; n and d primitive
+    of positive leading coefficient and coprime; zero as ((), (1,), 0)."""
+    n, d, fc = f._n, f._d, f._c
+    assert type(fc) is Fraction, f
+    if not n or not fc:
+        assert (n, d, fc) == ((), (1,), 0), f
+    else:
+        assert_primitive(n)
+        assert_primitive(d)
+        assert len(d) == 1 or _int_gcd_poly(n, d)[0] == [1], f
+    assert_same_value(fc, n, d, c, num, den)

@@ -352,12 +352,13 @@ class TestClassifyEquation:
         assert "field 2" in err
 
     def test_zero_denominator_field_is_echoed_short(self, capsys):
-        # Fraction raises ZeroDivisionError on 1/0...0; the error line quotes
-        # 40 characters of the field, not its 4,002
-        code, out, err = run(capsys, "classify-equation", "--inv-angles", "1/" + "0" * 4000 + ",1/2,1/3")
-        assert code == 2 and not out
-        assert err.startswith("error: field 1 ('1/000") and err.count("\n") == 1
-        assert len(err.encode()) < 100
+        # a zero denominator and text that is no fraction: the error line
+        # quotes 40 characters of the field, not its 4,002 or 300
+        for field in ("1/" + "0" * 4000, "x" * 300):
+            code, out, err = run(capsys, "classify-equation", "--inv-angles", field + ",1/2,1/3")
+            assert code == 2 and not out
+            assert err == f"error: field 1: not an exact fraction: {field[:40]!r}\n"
+            assert len(err.encode()) < 100
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "classify-equation", "--inv-angles", "1/2,1/3,1/7")
@@ -571,10 +572,10 @@ class TestVerify:
         assert code == 2 and not out
         assert err.startswith("error: --base: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("base", ["1/0", "1/" + "0" * 4000], ids=["1/0", "4000 zeros"])
+    @pytest.mark.parametrize("base", ["1/0", "1/" + "0" * 4000, "x" * 300], ids=["1/0", "4000 zeros", "300 x"])
     def test_base_zero_denominator(self, capsys, base):
-        # Fraction raises ZeroDivisionError here, not ValueError: the option
-        # is named and at most 40 characters of the text are echoed
+        # a zero denominator or text that is no fraction: the option is named
+        # and at most 40 characters of the text are echoed
         code, out, err = run_without_warnings(
             capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7", "--base", base
         )

@@ -99,66 +99,6 @@ def _reference_continue_solution(r, path):
     return transfer
 
 
-# -- reference: the batched Taylor step with the element-wise recurrence and
-# the Horner pass that the two-call recurrence and the power matrix
-# replaced, kept word for word but for the names
-
-
-def _reference_solve_recurrence(ns: list, ds: list, order: int, c0, c1) -> list:
-    # the recurrence divided by 2 d_0, as (i, d_i / d_0) and (i, n_i / 2 d_0)
-    d_terms = [(i, d / ds[0]) for i, d in enumerate(ds)][1:]
-    n_terms = [(i, n / (2 * ds[0])) for i, n in enumerate(ns)]
-    zero = c0 * 0
-    c, e = [c0, c1], [zero, zero]
-    # e_j and c_j from the x^(j-2) coefficient; only i <= j - 2 contribute,
-    # since e_0 = e_1 = 0.  The sums are rebound, never added to in place:
-    # with array entries an in-place add would write into ``zero``.
-    for j in range(2, order + 1):
-        s = zero
-        for i, d in d_terms:
-            if i > j - 2:
-                break
-            s = s + d * e[j - i]
-        for i, n in n_terms:
-            if i > j - 2:
-                break
-            s = s + n * c[j - 2 - i]
-        e.append(-s)
-        c.append(-s / (j * (j - 1)))
-    return c
-
-
-def _reference_batched_taylor_step(r, z, h) -> np.ndarray:
-    rs = [r] if isinstance(r, RatFunc) else r
-    # a trailing axis of length 2 runs the pair side by side, a leading one
-    # the equations; every operand gets the full shape, as broadcasting
-    # costs numpy more than the arithmetic
-    z = np.asarray(z, dtype=complex)
-    shape = (len(rs),) + z.shape + (2,)
-    z = z[..., None] + np.zeros(shape)
-    h = np.asarray(h, dtype=complex)[..., None] + np.zeros(shape)
-    # the numerators' coefficients, padded with zeros to one length, each a
-    # column over the equations
-    width = max(len(f.num.coeffs) for f in rs)
-    num = np.zeros((width, len(rs)) + (1,) * (z.ndim - 1), dtype=complex)
-    for k, f in enumerate(rs):
-        for i, c in enumerate(f.num.coeffs):
-            num[i, k] = c.numerator / c.denominator
-    den = [complex(c.numerator / c.denominator) for c in rs[0].den.coeffs]
-    ns, ds = _shift_coeffs(list(num), z), _shift_coeffs(den, z)
-    if np.any(ds[0] == 0):
-        raise ZeroDivisionError("a step center is a pole")
-    coefficients = _reference_solve_recurrence(
-        ns, ds, _TAYLOR_ORDER + 2, z * 0 + [1, 0], z * 0 + [0, 1]
-    )
-    value = slope = 0j
-    for c in reversed(coefficients):
-        slope = slope * h + value
-        value = value * h + c
-    stack = np.stack([value, slope], axis=-2)
-    return stack[0] if isinstance(r, RatFunc) else stack
-
-
 # -- reference: the Taylor step that compiled step plans replaced, kept word
 # for word but for the names, the recurrence's call and the conversion of
 # the coefficients to complex, by the integer ratio
@@ -384,27 +324,6 @@ class TestContinuation:
         assert stack.shape == (3, len(plan.zs), 2, 2)
         for r, got in zip(rs, stack):
             assert np.array_equal(got, _taylor_step([r], plan)[0])
-
-    def test_taylor_step_matches_elementwise_reference(self):
-        # the two-call recurrence and the power matrix against the
-        # element-wise recurrence and Horner pass they replaced, on shifted
-        # triples and the step plans of the default and of radius-0.125
-        # loops, one equation at a time and as one chunk of equations: each
-        # step matrix within 1e-14 of the reference's size (they agree to
-        # 3.4e-16 of it)
-        triples = _non_resonant_triples(seed=13, count=_CHUNK)
-        rs = [build_r(p) for p in triples]
-        assert len({r.den for r in rs}) == 1
-        for radius in (0.25, 0.125):
-            for center in (0j, 1 + 0j):
-                plan = plan_of(rs[0], LoopSpec(center=center, radius=radius).polyline())
-                expected = _reference_batched_taylor_step(rs, plan.zs, plan.hs)
-                singles = np.stack([_taylor_step([r], plan)[0] for r in rs])
-                for got in (_taylor_step(rs, plan), singles):
-                    assert got.shape == expected.shape == (_CHUNK, len(plan.zs), 2, 2)
-                    diff = np.max(np.abs(got - expected), axis=(-2, -1))
-                    size = np.max(np.abs(expected), axis=(-2, -1))
-                    assert np.all(diff <= 1e-14 * size), (radius, center, np.max(diff / size))
 
     def test_batched_continuation_matches_per_step_reference(self):
         # the batched continuation against the per-step one it replaced, on
@@ -838,14 +757,14 @@ class TestClassifyProjective:
 class TestCompiledPlanMatchesReference:
     def test_step_matrices_bit_for_bit(self):
         # a compiled plan's step matrices against the uncompiled Taylor step,
-        # bit for bit, in a chunk of _CHUNK shifted triples and one equation
-        # at a time, on the default and radius-0.125 loops; and for the
-        # denominators of an exponent 1 at 0 and at 1, the lower-degree
+        # bit for bit, in two chunks of _CHUNK shifted triples and one
+        # equation at a time, on the default and radius-0.125 loops; and for
+        # the denominators of an exponent 1 at 0 and at 1, the lower-degree
         # numerator of an exponent 1 at infinity, and r = 0
-        chunk = [build_r(p) for p in _non_resonant_triples(seed=16, count=_CHUNK)]
+        chunks = [[build_r(p) for p in _non_resonant_triples(seed=seed, count=_CHUNK)] for seed in (16, 13)]
         special = [params("1/3", 1, "1/5"), params("1/3", "2/5", 1), params(1, "1/3", "1/7"), params(1, 1, 1)]
-        groups = [chunk] + [[build_r(p)] for p in special]
-        assert len({r._d for r in chunk}) == 1
+        groups = chunks + [[build_r(p)] for p in special]
+        assert all(len({r._d for r in chunk}) == 1 for chunk in chunks)
         assert len({rs[0]._d for rs in groups}) == 4
         for rs in groups:
             for radius in (0.25, 0.125):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from definitions import mul
 from hypothesis import assume, given, settings, strategies as st
 
 from schwarztri.rational import (
@@ -131,10 +132,7 @@ def test_poly_product_matches_schoolbook(a, b):
     denominators gives equals the coefficient convolution.  The factors are
     stripped of trailing zeros first, as every integer polynomial of the
     package is: a zero factor is empty."""
-    expected = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            expected[i + j] += x * y
+    expected = mul(a, b)
     da, ia = _clear_denominators(_strip([Fraction(x) for x in a]))
     db, ib = _clear_denominators(_strip([Fraction(y) for y in b]))
     assert _strip([Fraction(c, da * db) for c in _int_mul(ia, ib)]) == _strip(expected)

@@ -11,6 +11,7 @@ from math import comb
 import mpmath
 import numpy as np
 import pytest
+from definitions import bits, deriv, horner
 
 from schwarztri.cli import parse_phi
 from schwarztri.monodromy import _CHUNK, _TAYLOR_ORDER, LoopSpec, _step_plan
@@ -910,41 +911,12 @@ class TestInverseIsPullbackAlongY:
                     check(R_HURWITZ, base, order)
 
 
-# -- reference: PowerSeries evaluation and derivative before they went
-# through rational's Horner (``_poly_at``) and derivative (``_deriv``), kept
-# word for word but for the names
-
-
-def reference_power_series_call(self, x):
-    dx = x - self.base_point
-    acc = dx * 0
-    for c in reversed(self.coefficients):
-        acc = acc * dx + c
-    return acc
-
-
-def reference_power_series_derivative(self):
-    if len(self.coefficients) == 1:
-        return PowerSeries(self.base_point, [self.coefficients[0] * 0])
-    return PowerSeries(
-        self.base_point,
-        [k * c for k, c in enumerate(self.coefficients)][1:],
-    )
-
-
-def _parts(z) -> tuple[str, str]:
-    z = complex(z)
-    return z.real.hex(), z.imag.hex()
-
-
 class TestSeriesKernelsMatchReference:
     def test_call_and_derivative_on_seeded_series(self):
         # exact series at Fraction, complex and numpy.complex128 points,
-        # complex series at complex points: the same value bit for bit, of
-        # the same type; the one exception is a complex base with Fraction
-        # coefficients at a numpy point, where the sum is left to numpy and
-        # gives numpy.complex128, a subclass of complex, where the loop gave
-        # complex
+        # complex series at complex points: Horner's rule at x - base, the
+        # same value bit for bit, of the same type; the derivative is
+        # sum k c_k x^(k-1), zero of the coefficients' type for one term
         rng = random.Random(3131)
         for _ in range(300):
             n = rng.randint(1, 12)
@@ -956,11 +928,11 @@ class TestSeriesKernelsMatchReference:
             u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
             fx, cx, nx = F(rng.randint(-9, 9), rng.randint(1, 9)), complex(u, v), np.complex128(complex(v, u))
             for s, x in ((exact, fx), (exact, cx), (exact, nx), (floating, cx), (floating, nx), (mixed, nx)):
-                got, want = s(x), reference_power_series_call(s, x)
-                assert isinstance(got, type(want)) and (type(got) is type(want) or s is mixed)
-                assert got == want if isinstance(got, F) else _parts(got) == _parts(want)
+                got, want = s(x), horner(s.coefficients, x - s.base_point)
+                assert type(got) is type(want)
+                assert got == want if isinstance(got, F) else bits([got]) == bits([want])
             for s in (exact, floating):
-                got, want = s.derivative(), reference_power_series_derivative(s)
+                got, want = s.derivative(), PowerSeries(s.base_point, deriv(s.coefficients) or [s.coefficients[0] * 0])
                 assert got == want and list(map(type, got.coefficients)) == list(map(type, want.coefficients))
 
     @pytest.mark.parametrize("c", [F(3, 2), 5, 2.5, 1 + 2j, np.complex128(1 - 1j)])
