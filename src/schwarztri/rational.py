@@ -5,19 +5,18 @@ with its composition (cocycle) and pullback laws.  ``Poly`` is a read-only
 view of Fraction coefficients, in and out of a ``RatFunc``.  Every value is
 immutable and every operation is pure, so objects can be shared by workers.
 
-Canonical form: a ``RatFunc`` always stores a gcd-reduced pair with a monic
-denominator, which makes equality structural.
+Canonical form: a ``RatFunc`` stores c * N/D, with N and D coprime primitive
+integer lists of positive leading coefficient and c one rational content,
+which makes equality structural.  Only its ``num`` and ``den`` views, turned
+into ``Poly`` values (Fractions) when read, have a monic denominator.
 
-Arithmetic runs over Z.  A ``RatFunc`` holds c * N/D with N and D primitive
-integer polynomials of positive leading coefficient and c one rational
-content; its ``num`` and ``den`` are turned into ``Poly`` values (Fractions)
-only when read.  Reduction clears denominators once and takes the gcd by the
-heuristic gcd (``_int_gcd_poly`` says how), which hands back the cofactors
-a/g and b/g, so a reduction does not divide again.  Products are single
-big-integer multiplications (Kronecker substitution), and three closed forms
-are evaluated whole in the same way: each operand packed once, at one width
-that bounds every operand and the result, the expression taken in Python
-integers and the result unpacked once.  They are the Wronskian
+Arithmetic runs over Z.  Reduction clears denominators once and takes the
+gcd by the heuristic gcd (``_int_gcd_poly`` says how), which hands back the
+cofactors a/g and b/g, so a reduction does not divide again.  Products are
+single big-integer multiplications (Kronecker substitution), and three
+closed forms are evaluated whole in the same way: each operand packed once,
+at one width that bounds every operand and the result, the expression taken
+in Python integers and the result unpacked once.  They are the Wronskian
 W = N'D - ND', a sum's numerator N1 (D2/g) + N2 (D1/g) and denominator
 D1 D2/g with g = gcd(D1, D2) (Henrici), and the Schwarzian's numerator.
 Where the reduced form is known in advance no gcd is taken at all: a
@@ -32,7 +31,7 @@ sqf(W)^2, so it is reduced by at most one exact division.
 References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
 8; Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989), for the heuristic gcd.
 The coefficient-list kernels here serve ``series``, ``triangle`` and
-``monodromy`` too: ``_poly_at`` (Horner at a scalar), ``_deriv``,
+``monodromy`` too: ``_poly_at`` (Horner at a scalar or an array), ``_deriv``,
 ``_signed_content``, ``_norm``, ``_int_quo`` and ``_ratfunc``.
 """
 
@@ -135,7 +134,8 @@ def _primitive(a: Sequence[int]) -> list[int]:
 def _poly_at(a: Sequence, x):
     """Horner evaluation of the ascending coefficients a at x: exact at an
     exact x, else in x's floating type, numpy scalars included (c + acc * x
-    leaves the sum to a numpy acc)."""
+    leaves the sum to a numpy acc).  It serves arrays too: at an array x,
+    coefficients of shape (rows, 1) (``series._table``) give a row each."""
     acc = x * 0
     for c in reversed(a):
         acc = c + acc * x

@@ -17,7 +17,8 @@ is a triangular solve against it and composition one vector-matrix product
 term-by-term sums of Knuth, TAOCP vol. 2, section 4.7).  The Schwarzian is
 q' - q^2/2 with q = t''/t' (Ovsienko & Tabachnikov, Notices AMS 56, 2009).
 Residual reports evaluate in complex arithmetic, at all sample points at
-once (``_horner``).
+once: ``rational._poly_at``, the one Horner, over a ``_table`` of the
+coefficients.
 
 The linear solver clears the denominator of R = N/D and runs the recurrence
 of 2 D psi'' + N psi = 0 (``_solve_recurrence``; the standard method for
@@ -476,31 +477,21 @@ def _table(rows: Sequence[Sequence]) -> np.ndarray:
     return table
 
 
-def _horner(rows: Sequence[Sequence], x: np.ndarray) -> np.ndarray:
-    """Row i: the polynomial with coefficients rows[i], lowest first, at every
-    entry of the complex array x.  Horner's rule, one pass over the
-    coefficients of all rows (zero-padded at the top) with numpy over the
-    points.  Not a table of the powers x^k: coefficients that grow like
-    2^(60k) against x^k that underflows to 0 give 0 * inf = nan there, where
-    the nested form stays finite."""
-    acc = np.zeros((len(rows), len(x)), dtype=complex)
-    for c in _table(rows)[::-1]:
-        acc *= x
-        acc += c
-    return acc
-
-
+# values at an array of points: Horner's rule (``_poly_at``) over a
+# ``_table``, one pass over the coefficients of all rows.  Not a table of the
+# powers x^k: coefficients that grow like 2^(60k) against x^k that underflows
+# to 0 give 0 * inf = nan there, where the nested form stays finite
 def _values(f: RatFunc, x: np.ndarray) -> np.ndarray:
     """f at every entry of the complex array x, from f's coefficients
     converted to complex once."""
-    num, den = _horner(_complex_parts(f), x)
+    num, den = _poly_at(_table(_complex_parts(f)), x)
     return num / den
 
 
 def _series_values(series: Sequence[PowerSeries], x: np.ndarray) -> np.ndarray:
     """Row i: series[i] at every entry of the complex array x (the series
     share a base point)."""
-    return _horner([s.coefficients for s in series], x - series[0].base_point)
+    return _poly_at(_table([s.coefficients for s in series]), x - series[0].base_point)
 
 
 def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
@@ -532,7 +523,7 @@ def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
 
 def _third_order_residuals(j: PowerSeries, r: RatFunc, x: np.ndarray) -> np.ndarray:
     """S(J) + (J')^2 r(J) at every entry of the complex array x: J and its
-    first three derivatives in one Horner pass (``_horner``), r at J's
+    first three derivatives in one Horner pass (``_series_values``), r at J's
     values from complex coefficients."""
     d1 = j.derivative()
     d2 = d1.derivative()

@@ -6,12 +6,17 @@ schoolbook integer arithmetic, is as strict as a comparison with any earlier
 implementation of the rule.  Floating-point kernels keep one bit-for-bit
 reference each in their test modules, since no definition pins rounding;
 ``horner`` is the one such reference for evaluation at a point.
-"""
+
+The linear equation's series by its definition, the convolution with the
+Taylor series of r (``convolution_solve_linear``), is here too: the series
+tests and the continuation's accuracy tests check against it, not the
+recurrence the package runs."""
 
 import math
 from fractions import Fraction
 
 from schwarztri.rational import _int_gcd_poly
+from schwarztri.series import PowerSeries, taylor_coefficients
 
 
 def mul(a, b) -> list:
@@ -82,3 +87,18 @@ def assert_value(f, c, num, den) -> None:
         assert_primitive(d)
         assert len(d) == 1 or _int_gcd_poly(n, d)[0] == [1], f
     assert_same_value(fc, n, d, c, num, den)
+
+
+def convolution_solve_linear(r, base, order):
+    """The fundamental pair of psi'' + (1/2) r psi = 0 at ``base``, (1, 0)
+    and (0, 1), by its definition: the Taylor coefficients q of r/2, then
+    c_{k+2} = -sum_j q_j c_{k-j} / ((k+1)(k+2)), O(order^2)."""
+    q = [c / 2 for c in taylor_coefficients(r, base, order)]
+    one = Fraction(1) if isinstance(base, Fraction) else complex(1)
+    c1, c2 = [one * 0] * (order + 1), [one * 0] * (order + 1)
+    c1[0] = c2[1] = one
+    for k in range(order - 1):
+        s1 = sum((q[j] * c1[k - j] for j in range(k + 1)), one * 0)
+        s2 = sum((q[j] * c2[k - j] for j in range(k + 1)), one * 0)
+        c1[k + 2], c2[k + 2] = -s1 / ((k + 1) * (k + 2)), -s2 / ((k + 1) * (k + 2))
+    return PowerSeries(base, c1), PowerSeries(base, c2)

@@ -12,13 +12,16 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-R, S, T = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle"))
+R, S, T, M = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy"))
 RAT, SER = "tests/test_rational.py::", "tests/test_series.py::"
 EVAL = RAT + "TestEvaluationMatchesReference::test_every_scalar_type"
 CLOSED = RAT + "TestClosedFormsMatchReference::test_seeded_sums_derivatives_and_schwarzians"
 KERNELS = RAT + "TestCoefficientKernelsMatchReference::test_primitive_and_canonical"
 SERIES_CALL = SER + "TestSeriesKernelsMatchReference::test_call_and_derivative_on_seeded_series"
 STEP = "tests/test_monodromy.py::TestContinuation::"
+CONTINUATION = STEP + "test_continuation_matches_reference_bit_for_bit"
+LOOPS = [STEP + "test_batched_continuation_matches_per_step_reference",
+         "tests/test_monodromy.py::TestCompiledPlanMatchesReference::test_step_matrices_bit_for_bit"]
 MUTANTS = [
     (R, "acc = c + acc * x", "acc = acc * x + c", [EVAL, SERIES_CALL]),
     (R, "    m = _signed_content(d)", "    m = _int_content(d)", [KERNELS]),
@@ -36,9 +39,14 @@ MUTANTS = [
     (R, "while len(r) >= len(b):", "for _ in range(len(a) - len(b) + 1):",
      [RAT + "TestHeuristicGcd::test_matches_prs_on_planted_factors"]),
     (S, "= -(n / twice_d0)", "= n / twice_d0",
-     [SER + "TestKernelsMatchReference::test_recurrence_on_a_step_plan_grid", STEP + "test_hurwitz_loop_trace"]),
+     [SER + "TestKernelsMatchReference::test_recurrence_on_a_step_plan_grid",
+      "tests/test_monodromy.py::TestMonodromy::test_trace_law_hurwitz", STEP + "test_taylor_step_matches_series_evaluation"]),
     (S, "= -(d / ds[0])", "= d / ds[0]",
      [SER + "TestLinearSolver::test_matches_convolution_solver[0]", STEP + "test_segment_transport_matches_series"]),
+    (M, "_STEP_FACTOR = 0.35", "_STEP_FACTOR = 0.36", [CONTINUATION, *LOOPS]),
+    (M, "_STEP_FACTOR, 0.5)", "_STEP_FACTOR, 0.4)", [CONTINUATION]),
+    (M, "< _MIN_STEP:", "< 1e-9:", [CONTINUATION]),
+    (M, "steps[:, 1::2] @ steps[:, ::2]", "steps[:, ::2] @ steps[:, 1::2]", [CONTINUATION, *LOOPS]),
 ]
 
 

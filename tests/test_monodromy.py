@@ -12,15 +12,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from definitions import convolution_solve_linear
 
 from schwarztri.cli import exponent_values
 from schwarztri.monodromy import (
     _CHUNK,
     _DEGREES,
     _MAX_GROUP_ORDER,
-    _MIN_STEP,
-    _POLE_CLEARANCE,
-    _STEP_FACTOR,
     _T5,
     _TAYLOR_ORDER,
     _TOL_FACTOR,
@@ -40,13 +38,7 @@ from schwarztri.monodromy import (
     monodromy,
 )
 from schwarztri.rational import RatFunc
-from schwarztri.series import (
-    _den_terms,
-    _shift_coeffs,
-    _solve_recurrence,
-    poles,
-    series_solve_linear,
-)
+from schwarztri.series import _den_terms, _shift_coeffs, _solve_recurrence, poles
 from schwarztri.triangle import AngleParams, build_r, exponent_differences
 
 
@@ -58,50 +50,13 @@ def params(a, b, c):
     return AngleParams(F(a), F(b), F(c))
 
 
-# -- reference: the per-step continuation that the batched one replaced, kept
-# word for word but for the names
-
-
-def _reference_taylor_step(r: RatFunc, z: complex, h: complex) -> np.ndarray:
-    columns = []
-    for s in series_solve_linear(r, z, _TAYLOR_ORDER + 2):
-        value = slope = 0j
-        for c in reversed(s.coefficients):
-            slope = slope * h + value
-            value = value * h + c
-        columns.append((value, slope))
-    return np.array(columns).T
-
-
-def _reference_continue_solution(r, path):
-    pole_list = poles(r)
-    transfer = np.eye(2, dtype=complex)
-    for a, b in zip(path, path[1:]):
-        a, b = complex(a), complex(b)
-        seg = b - a
-        length = abs(seg)
-        if length == 0:
-            continue
-        direction = seg / length
-        s = 0.0
-        while s < length:
-            z = a + direction * s
-            dist = min((abs(p - z) for p in pole_list), default=math.inf)
-            if dist < _POLE_CLEARANCE:
-                raise RuntimeError(f"path passes within {_POLE_CLEARANCE} of a pole near {z}")
-            h = min(length - s, dist * _STEP_FACTOR, 0.5)
-            if h < _MIN_STEP:
-                raise RuntimeError(
-                    f"step size underflow at {z}: path passes too close to a pole"
-                )
-            transfer = _reference_taylor_step(r, z, direction * h) @ transfer
-            s += h
-    return transfer
-
-
-# -- reference: the Taylor step that compiled step plans replaced, kept word
-# for word but for the names, the recurrence's call and the conversion of
-# the coefficients to complex, by the integer ratio
+# -- reference: the continuation end to end, its step constants written out:
+# steps of 0.35 times the distance to the nearest pole, at most 1/2 and what
+# is left of the segment, and a step that would leave less than 1e-12 runs to
+# the segment's end; the Taylor step that compiled step plans replaced, kept
+# word for word but for the names, the recurrence's call and the conversion
+# of the coefficients to complex, by the integer ratio; and the pairwise
+# product of the step matrices, padded with identities to a power of two
 
 
 def _complex_coeffs(coeffs) -> list[complex]:
@@ -131,6 +86,36 @@ def _reference_uncompiled_taylor_step(rs, zs: np.ndarray, hs: np.ndarray) -> np.
     # summed from the highest power down, the smallest terms first, which
     # rounds less than summing up
     return np.matmul(powers[..., ::-1], coefficients[..., ::-1, :])
+
+
+def _reference_continuation(rs, path) -> tuple[np.ndarray, np.ndarray]:
+    """The step matrices (T, steps, 2, 2) and the loop matrices (T, 2, 2) of
+    the T equations ``rs``, which share a denominator, along ``path``."""
+    pole_list = poles(rs[0])
+    zs, hs = [], []
+    for a, b in zip(path, path[1:]):
+        seg = b - a
+        length = abs(seg)
+        if length == 0:
+            continue
+        direction = seg / length
+        s = 0.0
+        while True:
+            z = a + direction * s
+            dist = min((abs(p - z) for p in pole_list), default=math.inf)
+            h = min(length - s, dist * 0.35, 0.5)
+            zs.append(z)
+            if length - s - h < 1e-12:
+                hs.append(b - z)
+                break
+            hs.append(direction * h)
+            s += h
+    steps = _reference_uncompiled_taylor_step(rs, np.array(zs), np.array(hs))
+    pad = (1 << (len(zs) - 1).bit_length()) - len(zs)
+    product = np.concatenate([steps, np.broadcast_to(np.eye(2, dtype=complex), (len(rs), pad, 2, 2))], axis=1)
+    while product.shape[1] > 1:
+        product = product[:, 1::2] @ product[:, ::2]
+    return steps, product[:, 0]
 
 
 # -- reference: the projective classification on numpy 2x2 matrices that
@@ -228,16 +213,43 @@ def _non_resonant_triples(seed: int, count: int) -> list[AngleParams]:
     return out
 
 
-def _conditioning(r: RatFunc, path) -> float:
-    """max_k |T_k|^2 over the partial transfers T_k along the path (max-abs
-    norm).  T_k is unimodular, so |T_k^-1| = |T_k|: a relative rounding
-    error made at step k reaches the end of the path amplified by up to
-    |T_k| |T_k^-1| = |T_k|^2."""
-    transfer, worst = np.eye(2, dtype=complex), 1.0
-    for m in _taylor_step([r], plan_of(r, path))[0]:
-        transfer = m @ transfer
-        worst = max(worst, float(np.max(np.abs(transfer))) ** 2)
-    return worst
+def _seed9_group() -> list[RatFunc]:
+    return [build_r(p) for p in _non_resonant_triples(seed=9, count=24)]
+
+
+def _plan_groups() -> list[list[RatFunc]]:
+    """Two chunks of _CHUNK shifted triples (seeds 16 and 13), and the
+    denominators of an exponent 1 at 0 and at 1, the lower-degree numerator
+    of an exponent 1 at infinity, and r = 0, one equation each."""
+    chunks = [[build_r(p) for p in _non_resonant_triples(seed=seed, count=_CHUNK)] for seed in (16, 13)]
+    special = [params("1/3", 1, "1/5"), params("1/3", "2/5", 1), params(1, "1/3", "1/7"), params(1, 1, 1)]
+    return chunks + [[build_r(p)] for p in special]
+
+
+def _loops() -> list[tuple[complex, ...]]:
+    """The default and radius-0.125 loops around 0 and 1."""
+    return [LoopSpec(center=c, radius=radius).polyline() for radius in (0.25, 0.125) for c in (0j, 1 + 0j)]
+
+
+def _assert_matches_reference(groups, paths) -> None:
+    """Each group's step matrices and loop matrices along each path equal
+    ``_reference_continuation``'s byte for byte, shapes included; a chunk of
+    _CHUNK also one equation at a time."""
+    assert all(len({r._d for r in rs}) == 1 for rs in groups)
+    for rs in groups:
+        for path in paths:
+            plan = plan_of(rs[0], path)
+            steps, loops = _reference_continuation(rs, path)
+            got = _taylor_step(rs, plan)
+            assert got.shape == steps.shape == (len(rs), len(plan.zs), 2, 2)
+            assert got.tobytes() == steps.tobytes(), (rs[0], path)
+            got = continue_solution(rs, path)
+            assert got.shape == loops.shape == (len(rs), 2, 2)
+            assert got.tobytes() == loops.tobytes(), (rs[0], path)
+            if len(rs) == _CHUNK:
+                for r, want_steps, want in zip(rs, steps, loops):
+                    assert _taylor_step([r], plan)[0].tobytes() == want_steps.tobytes()
+                    assert continue_solution(r, path).tobytes() == want.tobytes()
 
 
 class TestLoopSpec:
@@ -269,7 +281,7 @@ class TestContinuation:
         # 0.5 -> 0.6 is one step, 0.5 -> 0.7 two, so there the product of the
         # transfer matrices is compared
         r = build_r(params("1/2", "1/3", "1/7"))
-        psi1, psi2 = series_solve_linear(r, 0.5 + 0j, 40)
+        psi1, psi2 = convolution_solve_linear(r, 0.5 + 0j, 40)
         for end in (0.6, 0.7):
             m = continue_solution(r, [0.5 + 0j, end + 0j])
             expected = np.array(
@@ -287,7 +299,7 @@ class TestContinuation:
         steps = ((0.5, 0.1), (0.5, 0.125j), (0.25, -0.0875), (0.7 - 0.2j, 0.05 + 0.05j))
         for z, h in steps:
             m = _taylor_step([r], _StepPlan.compile(r, [z], [h]))[0, 0]
-            pair = series_solve_linear(r, z, _TAYLOR_ORDER + 2)
+            pair = convolution_solve_linear(r, z, _TAYLOR_ORDER + 2)
             w = z + h
             expected = np.array([[s(w) for s in pair], [s.derivative()(w) for s in pair]])
             assert np.max(np.abs(m - expected)) <= 1e-14 * np.max(np.abs(expected)), (z, h)
@@ -326,22 +338,17 @@ class TestContinuation:
             assert np.array_equal(got, _taylor_step([r], plan)[0])
 
     def test_batched_continuation_matches_per_step_reference(self):
-        # the batched continuation against the per-step one it replaced, on
-        # the default loops and on radius-0.125 loops.  The two round
-        # differently (numpy's complex multiply and divide round otherwise
-        # than Python's), so they are compared relative to the path's
-        # conditioning, at least 1: 1e-13 of it is 1e-11 on paths whose
-        # partial transfers stay below 10 in size, and the two agree to
-        # 7e-16 of it on these triples (plain relative: up to 9e-11)
-        for p in _non_resonant_triples(seed=9, count=24):
-            r = build_r(p)
-            for radius in (0.25, 0.125):
-                for center in (0j, 1 + 0j):
-                    path = LoopSpec(center=center, radius=radius).polyline()
-                    expected = _reference_continue_solution(r, path)
-                    got = continue_solution(r, path)
-                    rel = np.max(np.abs(got - expected)) / np.max(np.abs(expected))
-                    assert rel <= 1e-13 * _conditioning(r, path), (p, radius, center, rel)
+        # the seed-9 set of 24 triples on the default and radius-0.125 loops
+        _assert_matches_reference([_seed9_group()], _loops())
+
+    def test_continuation_matches_reference_bit_for_bit(self):
+        # every group of the two reference tests along a path whose steps
+        # reach the cap of 1/2 and a segment whose first step leaves 5e-11
+        groups = [_seed9_group(), *_plan_groups()]
+        cap, remainder = (0.5 + 0j, 0.5 + 3j, 0.5 + 0j), (0.5 + 0j, 0.675 + 5e-11 + 0j)
+        assert np.abs(plan_of(groups[0][0], cap).hs).max() == 0.5
+        assert len(plan_of(groups[0][0], remainder).hs) == 2
+        _assert_matches_reference(groups, [cap, remainder])
 
     def test_step_rounding_short_of_segment_end(self):
         # 0.35 * 0.2 falls one ulp short of the segment's length 0.07: the
@@ -350,7 +357,7 @@ class TestContinuation:
         plan = plan_of(r, [0.2 + 0j, 0.27 + 0j])
         assert plan.zs[-1] + plan.hs[-1] == 0.27
         m = continue_solution(r, [0.2 + 0j, 0.27 + 0j])
-        psi1, psi2 = series_solve_linear(r, 0.2 + 0j, 40)
+        psi1, psi2 = convolution_solve_linear(r, 0.2 + 0j, 40)
         expected = np.array(
             [[psi1(0.27), psi2(0.27)], [psi1.derivative()(0.27), psi2.derivative()(0.27)]]
         )
@@ -442,11 +449,6 @@ class TestContinuation:
             assert stack.shape == (len(rs), 2, 2)
             for r, m in zip(rs, stack):
                 assert m.tobytes() == continue_solution(r, path).tobytes()
-
-    def test_hurwitz_loop_trace(self):
-        r = build_r(params("1/2", "1/3", "1/7"))
-        m0 = continue_solution(r, LoopSpec(center=0j).polyline())
-        assert abs(np.trace(m0) - (-2 * math.cos(math.pi / 3))) < 1e-6
 
 
 class TestMonodromy:
@@ -756,29 +758,12 @@ class TestClassifyProjective:
 
 class TestCompiledPlanMatchesReference:
     def test_step_matrices_bit_for_bit(self):
-        # a compiled plan's step matrices against the uncompiled Taylor step,
-        # bit for bit, in two chunks of _CHUNK shifted triples and one
-        # equation at a time, on the default and radius-0.125 loops; and for
-        # the denominators of an exponent 1 at 0 and at 1, the lower-degree
-        # numerator of an exponent 1 at infinity, and r = 0
-        chunks = [[build_r(p) for p in _non_resonant_triples(seed=seed, count=_CHUNK)] for seed in (16, 13)]
-        special = [params("1/3", 1, "1/5"), params("1/3", "2/5", 1), params(1, "1/3", "1/7"), params(1, 1, 1)]
-        groups = chunks + [[build_r(p)] for p in special]
-        assert all(len({r._d for r in chunk}) == 1 for chunk in chunks)
+        # compiled plans against the uncompiled Taylor step, through the one
+        # continuation reference: two chunks, also one equation at a time,
+        # and four special denominators, on the default and radius-0.125 loops
+        groups = _plan_groups()
         assert len({rs[0]._d for rs in groups}) == 4
-        for rs in groups:
-            for radius in (0.25, 0.125):
-                for center in (0j, 1 + 0j):
-                    plan = plan_of(rs[0], LoopSpec(center=center, radius=radius).polyline())
-                    expected = _reference_uncompiled_taylor_step(rs, plan.zs, plan.hs)
-                    got = _taylor_step(rs, plan)
-                    assert got.shape == expected.shape == (len(rs), len(plan.zs), 2, 2)
-                    assert got.tobytes() == expected.tobytes(), (rs[0], radius, center)
-                    for r, want in zip(rs, expected):
-                        single = _taylor_step([r], plan)[0]
-                        assert single.tobytes() == want.tobytes()
-                        ref = _reference_uncompiled_taylor_step([r], plan.zs, plan.hs)[0]
-                        assert ref.tobytes() == want.tobytes()
+        _assert_matches_reference(groups, _loops())
 
 
 def _same_class(rep: MonodromyRep, rounding: float = 0.0) -> None:
