@@ -215,7 +215,7 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
     values = exponent_values(max_den)
     records = []
     triples = list(itertools.combinations_with_replacement(values, 3))
-    all_params = [AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1) for t0, t1, t2 in triples]
+    all_params = [AngleParams.from_exponent_differences(*t) for t in triples]
     for (t0, t1, t2), params, rep in zip(triples, all_params, monodromy(all_params)):
         verdict = classify(params)
         witness = verdict.witness.to_record() if verdict.witness else None

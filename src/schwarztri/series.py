@@ -209,11 +209,13 @@ def _shifted(f: RatFunc, base) -> tuple[list, list]:
     """Coefficients of N(base + x) and D(base + x) for f = N/D, Fractions for
     an exact base, else complex.  A numpy array of bases gives array
     coefficients, one entry a base.  Raises ZeroDivisionError when a base is
-    a pole."""
-    num, den = (f.num.coeffs, f.den.coeffs) if _is_exact(base) else _complex_parts(f)
+    a pole, for a floating base when the denominator rounds to 0 there."""
+    exact = _is_exact(base)
+    num, den = (f.num.coeffs, f.den.coeffs) if exact else _complex_parts(f)
     ns, ds = _shift_coeffs(num, base), _shift_coeffs(den, base)
     if np.any(ds[0] == 0):
-        raise ZeroDivisionError(f"base point {base} is a pole")
+        where = "" if exact else " in floating point: the denominator evaluates to 0 there"
+        raise ZeroDivisionError(f"base point {base} is a pole{where}")
     return ns, ds
 
 

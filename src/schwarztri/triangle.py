@@ -72,6 +72,12 @@ class AngleParams:
         return AngleParams(*(Fraction(0) if e == math.inf else Fraction(1, e) for e in entries))
 
     @staticmethod
+    def from_exponent_differences(at0, at1, at_inf) -> "AngleParams":
+        """The parameters whose exponent differences at 0, 1 and infinity are
+        the given values: the inverse of :func:`exponent_differences`."""
+        return AngleParams(e_alpha=at_inf, e_beta=at0, e_gamma=at1)
+
+    @staticmethod
     def parse(text: str) -> "AngleParams":
         """Parse ``"1/2,1/3,1/7"`` or the literal ``"generic"``."""
         text = text.strip()

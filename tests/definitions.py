@@ -10,13 +10,21 @@ reference each in their test modules, since no definition pins rounding;
 The linear equation's series by its definition, the convolution with the
 Taylor series of r (``convolution_solve_linear``), is here too: the series
 tests and the continuation's accuracy tests check against it, not the
-recurrence the package runs."""
+recurrence the package runs.
 
+It also builds the seeded corpora that several test modules share: the
+den <= 8 sweep (``den8_params``) and acceptance criterion 9's shifted
+exponents (``shifted_params``)."""
+
+import itertools
 import math
+import random
 from fractions import Fraction
 
+from schwarztri.cli import exponent_values
 from schwarztri.rational import _int_gcd_poly
 from schwarztri.series import PowerSeries, taylor_coefficients
+from schwarztri.triangle import AngleParams
 
 
 def mul(a, b) -> list:
@@ -102,3 +110,26 @@ def convolution_solve_linear(r, base, order):
         s2 = sum((q[j] * c2[k - j] for j in range(k + 1)), one * 0)
         c1[k + 2], c2[k + 2] = -s1 / ((k + 1) * (k + 2)), -s2 / ((k + 1) * (k + 2))
     return PowerSeries(base, c1), PowerSeries(base, c2)
+
+
+def den8_params() -> list[AngleParams]:
+    """Every unordered reduced triple of exponent differences in (0, 1) with
+    denominators <= 8, in the sweep's order (1771 triples)."""
+    triples = itertools.combinations_with_replacement(exponent_values(8), 3)
+    return [AngleParams.from_exponent_differences(*t) for t in triples]
+
+
+def shifted_params() -> list[AngleParams]:
+    """Acceptance criterion 9's 400 triples: seed 9, exponent differences
+    p/q at 0, 1 and infinity, drawn in that order, with q in 2..5,
+    |p/q| <= 6 and gcd(p, q) = 1."""
+    rng = random.Random(9)
+
+    def exponent():
+        q = rng.randint(2, 5)
+        while True:
+            p = rng.randint(-6 * q, 6 * q)
+            if math.gcd(p, q) == 1:
+                return Fraction(p, q)
+
+    return [AngleParams.from_exponent_differences(exponent(), exponent(), exponent()) for _ in range(400)]

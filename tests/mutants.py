@@ -47,6 +47,9 @@ MUTANTS = [
     (M, "_STEP_FACTOR, 0.5)", "_STEP_FACTOR, 0.4)", [CONTINUATION]),
     (M, "< _MIN_STEP:", "< 1e-9:", [CONTINUATION]),
     (M, "steps[:, 1::2] @ steps[:, ::2]", "steps[:, ::2] @ steps[:, 1::2]", [CONTINUATION, *LOOPS]),
+    (S, "return num / den", "return num * (1 / den)", [SER + "TestResidualChecksMatchReference::test_seeded_records"]),
+    (T, "e_beta=at0, e_gamma=at1", "e_beta=at1, e_gamma=at0",
+     ["tests/test_triangle.py::TestExponentDifferences::test_from_exponent_differences_is_the_inverse"]),
 ]
 
 

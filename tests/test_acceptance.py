@@ -10,8 +10,9 @@ import random
 from fractions import Fraction as F
 
 import numpy as np
+from definitions import den8_params, shifted_params
 
-from schwarztri.cli import exponent_values, sweep_records
+from schwarztri.cli import sweep_records
 from schwarztri.groups import ARITHMETIC_SIGNATURES, INF, Geometry, Signature, geometry, is_maximal
 from schwarztri.minimality import Verdict, classify
 from schwarztri.monodromy import InconclusiveError, LoopSpec, classify_projective, monodromy
@@ -249,21 +250,10 @@ def test_criterion_9_shifted_exponent_agreement():
     |p/q| <= 6, non-integer: no disagreements, nothing inconclusive, and
     every finite order is that of a finite subgroup of PSL2(C) generated by
     elements of the local orders q."""
-    rng = random.Random(9)
-
-    def exponent():
-        q = rng.randint(2, 5)
-        while True:
-            p = rng.randint(-6 * q, 6 * q)
-            if math.gcd(p, q) == 1:
-                return F(p, q)
-
     disagreements, inconclusive, impossible = [], [], []
     kinds = {}
-    for _ in range(400):
-        t0, t1, t2 = exponent(), exponent(), exponent()
-        # exponent differences at 0, 1 and infinity, placed as the sweep places them
-        params = AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+    for params in shifted_params():
+        t0, t1, t2 = exponent_differences(params).as_tuple()
         try:
             oracle = classify_projective(monodromy(params))
         except InconclusiveError:
@@ -293,8 +283,7 @@ def test_criterion_10_batched_oracle_with_cusps_and_integer_exponents():
     values = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
     triples = list(itertools.combinations_with_replacement(values, 3))
     assert len(triples) == 18424
-    # exponent differences at 0, 1 and infinity, placed as the sweep places them
-    ps = [AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1) for t0, t1, t2 in triples]
+    ps = [AngleParams.from_exponent_differences(*t) for t in triples]
     disagreements, inconclusive = [], []
     worst = 0.0
     for triple, params, rep in zip(triples, ps, monodromy(ps)):
@@ -320,23 +309,7 @@ def test_criterion_11_signed_trace_law():
     tr M0 M1 are -2cos(pi e) at 0, 1 and infinity, each within 1e-7, on
     every reduced triple with denominators <= 8 and on the 400 triples of
     criterion 9, drawn as it draws them."""
-    sweep = [
-        AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
-        for t0, t1, t2 in itertools.combinations_with_replacement(exponent_values(8), 3)
-    ]
-    rng = random.Random(9)
-
-    def exponent():
-        q = rng.randint(2, 5)
-        while True:
-            p = rng.randint(-6 * q, 6 * q)
-            if math.gcd(p, q) == 1:
-                return F(p, q)
-
-    shifted = []
-    for _ in range(400):
-        t0, t1, t2 = exponent(), exponent(), exponent()
-        shifted.append(AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1))
+    sweep, shifted = den8_params(), shifted_params()
     worst = {}
     for label, ps in (("den <= 8", sweep), ("criterion 9", shifted)):
         defects = []

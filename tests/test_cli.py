@@ -582,6 +582,16 @@ class TestVerify:
         assert code == 2 and not out
         assert err == f"error: --base: not an exact fraction: {base[:40]!r}\n"
 
+    @pytest.mark.parametrize("check", [["principal"], ["riccati"], ["pullback", "--phi", "y"]], ids=lambda c: c[0])
+    def test_base_where_the_denominator_underflows(self, capsys, check):
+        # r's poles are 0 and 1, but its denominator y^2 (y - 1)^2 underflows
+        # to 0 at 1e-300: the error says that it vanishes in floating point
+        code, out, err = run_without_warnings(
+            capsys, "verify", *check, "--inv-angles", "1/2,1/3,1/7", "--base", "1e-300"
+        )
+        assert code == 2 and not out
+        assert err == "error: base point (1e-300+0j) is a pole in floating point: the denominator evaluates to 0 there\n"
+
 
 class TestSweep:
     def test_min_denominator(self, capsys, tmp_path):

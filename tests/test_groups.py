@@ -115,16 +115,6 @@ class TestArithmeticity:
         with pytest.raises(ValueError):
             is_arithmetic(Signature(2, 3, 5))
 
-    def test_table_counts(self):
-        assert len(ARITHMETIC_SIGNATURES) == 85
-        cusped = {s for s in ARITHMETIC_SIGNATURES if INF in s}
-        assert len(cusped) == 9
-        assert len(ARITHMETIC_SIGNATURES - cusped) == 76
-
-    def test_table_is_hyperbolic(self):
-        for key in ARITHMETIC_SIGNATURES:
-            assert geometry(Signature(*key)) is Geometry.HYPERBOLIC
-
     def test_table_keys_sorted(self):
         for key in ARITHMETIC_SIGNATURES:
             assert tuple(sorted(key)) == key

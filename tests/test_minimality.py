@@ -7,9 +7,9 @@ from fractions import Fraction as F
 from typing import Optional
 
 import pytest
+from definitions import den8_params
 from hypothesis import given, settings, strategies as st
 
-from schwarztri.cli import exponent_values
 from schwarztri.minimality import (
     Condition1Witness,
     Condition2Witness,
@@ -27,7 +27,7 @@ def triple(a, b, c):
 
 
 def angle_params(e: ExponentTriple) -> AngleParams:
-    return AngleParams(e_alpha=e.at_inf, e_beta=e.at0, e_gamma=e.at1)
+    return AngleParams.from_exponent_differences(*e.as_tuple())
 
 
 class TestCondition1:
@@ -155,17 +155,6 @@ class TestClassify:
         for k, l, m in [(2, 3, 6), (2, 4, 4), (3, 3, 3)]:
             v = classify(AngleParams.from_signature_entries(k, l, m))
             assert v.verdict is Verdict.NOT_STRONGLY_MINIMAL, (k, l, m)
-
-    def test_hyperbolic_corpus_small(self):
-        import math
-
-        entries = list(range(2, 21)) + [math.inf]
-        for k, l, m in itertools.combinations_with_replacement(entries, 3):
-            s = sum(0 if e == math.inf else F(1, int(e)) for e in [k, l, m])
-            if s >= 1:
-                continue
-            v = classify(AngleParams.from_signature_entries(k, l, m))
-            assert v.verdict is Verdict.STRONGLY_MINIMAL, (k, l, m)
 
 
 fractions_strategy = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -477,16 +466,15 @@ def test_condition_searches_match_reference_with_integers_in_every_slot():
 
 
 def test_classify_matches_reference_on_the_den8_sweep():
-    """The verdict records of the 1771 den <= 8 sweep triples, placed as the
-    sweep places them, against the reference searches."""
-    triples = list(itertools.combinations_with_replacement(exponent_values(8), 3))
-    assert len(triples) == 1771
-    for t0, t1, t2 in triples:
-        params = AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
+    """The verdict records of the 1771 den <= 8 sweep triples against the
+    reference searches."""
+    ps = den8_params()
+    assert len(ps) == 1771
+    for params in ps:
         e = exponent_differences(params)
         w = reference_check_condition1(e) or reference_check_condition2(e)
         expected = {
             "verdict": (Verdict.NOT_STRONGLY_MINIMAL if w else Verdict.STRONGLY_MINIMAL).value,
             "witness": w.to_record() if w else None,
         }
-        assert classify(params).to_record() == expected, (t0, t1, t2)
+        assert classify(params).to_record() == expected, e

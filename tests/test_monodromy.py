@@ -2,7 +2,6 @@
 
 import cmath
 import importlib
-import itertools
 import math
 import random
 import warnings
@@ -12,9 +11,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from definitions import convolution_solve_linear
+from definitions import convolution_solve_linear, den8_params, shifted_params
 
-from schwarztri.cli import exponent_values
 from schwarztri.monodromy import (
     _CHUNK,
     _DEGREES,
@@ -480,17 +478,6 @@ class TestMonodromy:
             assert abs(_det(m) - np.linalg.det(m)) <= 1e-14 * np.max(np.abs(m)) ** 2
             assert abs(_det(_normalize(m)) - 1) < 1e-14
 
-    def test_loop_radius_independence(self):
-        p = params("1/2", "1/3", "1/7")
-        rep1 = monodromy(p)
-        rep2 = monodromy(
-            p,
-            loop0=LoopSpec(center=0j, radius=0.125),
-            loop1=LoopSpec(center=1 + 0j, radius=0.125),
-        )
-        assert np.max(np.abs(rep1.m0 - rep2.m0)) < 1e-8
-        assert np.max(np.abs(rep1.m1 - rep2.m1)) < 1e-8
-
     def test_loops_with_rounding_short_of_nodes(self):
         # on radius-0.325 loops a step rounds one ulp short of a node; the
         # trace law holds as on the default loops
@@ -574,13 +561,9 @@ def _same_rep(a: MonodromyRep, b: MonodromyRep) -> bool:
 
 class TestBatchedMonodromy:
     def test_matches_one_triple_at_a_time_on_the_sweep(self):
-        # every reduced triple with denominators <= 8, as the sweep places
-        # them: one denominator, so 148 chunks in each of two calls
-        values = exponent_values(8)
-        ps = [
-            AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
-            for t0, t1, t2 in itertools.combinations_with_replacement(values, 3)
-        ]
+        # every reduced triple with denominators <= 8: one denominator, so
+        # 148 chunks in each of two calls
+        ps = den8_params()
         reps = monodromy(ps)
         assert len(reps) == len(ps) == 1771
         assert all(_same_rep(rep, monodromy(p)) for p, rep in zip(ps, reps))
@@ -787,30 +770,12 @@ def _same_class(rep: MonodromyRep, rounding: float = 0.0) -> None:
 
 class TestClassifyProjectiveMatchesReference:
     def test_on_the_sweep(self):
-        values = exponent_values(8)
-        ps = [
-            AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1)
-            for t0, t1, t2 in itertools.combinations_with_replacement(values, 3)
-        ]
-        for rep in monodromy(ps):
+        for rep in monodromy(den8_params()):
             _same_class(rep)
 
     def test_on_shifted_exponents(self):
-        # the 400 triples of acceptance criterion 9, drawn as it draws them
-        rng = random.Random(9)
-
-        def exponent():
-            q = rng.randint(2, 5)
-            while True:
-                p = rng.randint(-6 * q, 6 * q)
-                if math.gcd(p, q) == 1:
-                    return F(p, q)
-
-        ps = []
-        for _ in range(400):
-            t0, t1, t2 = exponent(), exponent(), exponent()
-            ps.append(AngleParams(e_alpha=t2, e_beta=t0, e_gamma=t1))
-        for rep in monodromy(ps):
+        # the 400 triples of acceptance criterion 9
+        for rep in monodromy(shifted_params()):
             # loop matrices with entries up to 7e4: z = tr A0 A1 sums
             # products of that size, which numpy rounds otherwise (its
             # complex division, and fused multiply-adds in the BLAS matmul),

@@ -25,10 +25,8 @@ from schwarztri.series import (
     _den_terms,
     _shift_coeffs,
     _shifted,
-    _series_values,
     _solve_recurrence,
     _table,
-    _values,
     default_disk_radius,
     poles,
     ratfunc_series,
@@ -373,19 +371,11 @@ class TestRiccati:
         with pytest.raises(ValueError):
             residual_riccati(R_CUSP, F(1, 2), 3)
 
-    def test_triangle_residual(self):
-        report = residual_riccati(R_HURWITZ, F(1, 2), 40)
-        assert report.max_abs_residual < 1e-8
-
 
 class TestPullback:
     def test_mobius_coordinate_change(self):
         phi = MobiusMap(1, 1, 0, 2).as_ratfunc()  # (y + 1)/2
         report = verify_pullback(R_CUSP, phi, F(1, 2), 40)
-        assert report.max_abs_residual < 1e-8
-
-    def test_square_map(self):
-        report = verify_pullback(R_CUSP, Y * Y, F(1, 2), 40)
         assert report.max_abs_residual < 1e-8
 
     def test_ramified_base_rejected(self):
@@ -727,6 +717,23 @@ class TestKernelsMatchReference:
 # -- reference: the residual checks before one function made their sample
 # ring and report, and the third-order check that the pullback along y
 # replaced, kept word for word but for the names (``_SAMPLE_POINTS`` is 16)
+# and their own evaluation at the sample points: Horner's rule per row,
+# acc = c + acc * x, over the whole point array at once, which numpy's
+# vectorized loop rounds as it rounds the package's table (one point at a
+# time rounds differently)
+
+
+def reference_horner(rows, x) -> list:
+    return [functools.reduce(lambda acc, c: c + acc * x, reversed(cs), x * 0) for cs in rows]
+
+
+def reference_values(r: RatFunc, x) -> np.ndarray:
+    num, den = reference_horner([[complex(c) for c in f.coeffs] for f in (r.num, r.den)], x)
+    return num / den
+
+
+def reference_series_values(series, x) -> list:
+    return reference_horner([s.coefficients for s in series], x - series[0].base_point)
 
 
 def reference_sample_ring(center: complex, radius: float) -> tuple[complex, ...]:
@@ -754,7 +761,7 @@ def reference_residual_principal(r: RatFunc, base, order: int) -> ResidualReport
     pts = reference_sample_ring(b, default_disk_radius(r, b))
     x = np.array(pts)
     with np.errstate(**_QUIET):
-        residuals = _series_values([s], x)[0] - _values(r, x)
+        residuals = reference_series_values([s], x)[0] - reference_values(r, x)
     return reference_report(pts, residuals, order)
 
 
@@ -767,8 +774,8 @@ def reference_residual_riccati(r: RatFunc, base, order: int) -> ResidualReport:
     pts = reference_sample_ring(b, default_disk_radius(r, b))
     x = np.array(pts)
     with np.errstate(**_QUIET):
-        uv, duv = _series_values([u, u.derivative()], x)
-        residuals = duv + uv * uv + 0.5 * _values(r, x)
+        uv, duv = reference_series_values([u, u.derivative()], x)
+        residuals = duv + uv * uv + 0.5 * reference_values(r, x)
     return reference_report(pts, residuals, order)
 
 
@@ -776,9 +783,9 @@ def reference_third_order_residuals(j: PowerSeries, r: RatFunc, pts) -> np.ndarr
     d1 = j.derivative()
     d2 = d1.derivative()
     with np.errstate(**_QUIET):
-        v0, v1, v2, v3 = _series_values([j, d1, d2, d2.derivative()], np.array(pts))
+        v0, v1, v2, v3 = reference_series_values([j, d1, d2, d2.derivative()], np.array(pts))
         ratio = v2 / v1
-        return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * _values(r, v0)
+        return v3 / v1 - 1.5 * ratio * ratio + v1 * v1 * reference_values(r, v0)
 
 
 def reference_verify_pullback(r: RatFunc, phi: RatFunc, base, order: int) -> ResidualReport:

@@ -164,6 +164,12 @@ class TestExponentDifferences:
         with pytest.raises(ValueError):
             exponent_differences(AngleParams.generic())
 
+    def test_from_exponent_differences_is_the_inverse(self):
+        rng = random.Random(31)
+        triples = [(0, 1, -2)] + [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)] for _ in range(200)]
+        for a, b, c in triples:
+            assert exponent_differences(AngleParams.from_exponent_differences(a, b, c)) == ExponentTriple(a, b, c)
+
 
 class TestHypergeometricReduction:
     def test_cusp_case(self):
