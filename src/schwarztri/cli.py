@@ -9,8 +9,9 @@ newline-delimited records):
     sweep  --max-den 6 [--out results.ndjson]
 
 Exit codes: 0 pass/success, 1 verification failure or sweep disagreement,
-2 usage or parse error, or an input too large for floating point.  Output is
-deterministic for fixed flags apart from the elapsed_ms field.
+2 usage or parse error, an input too large for floating point, or output
+that cannot be written.  Output is deterministic for fixed flags apart from
+the elapsed_ms field.
 """
 
 from __future__ import annotations
@@ -253,21 +254,25 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
 # before main writes the document, so elapsed_ms covers the writing.
 
 
-def _write(sink, values) -> None:
+def _write(sink, values, what: str = "output") -> None:
     """Write each value to ``sink`` as one JSON line, and flush.
 
-    When the reader has closed the pipe, as ``| head`` does, the rest of the
-    output is dropped, and the sink goes to the null device, so that later
-    writes and the interpreter's last flush do not fail on the closed pipe.
+    When a write fails, the rest of the output is dropped, and the sink goes
+    to the null device, so that later writes, its close and the
+    interpreter's last flush do not fail again.  A reader that has closed
+    the pipe, as ``| head`` does, ends the output quietly; any other failure,
+    such as a full device, is a UsageError that names ``what``.
     """
     try:
         for value in values:
             sink.write(json.dumps(value, sort_keys=True, allow_nan=False) + "\n")
         sink.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sink.fileno())
         os.close(null)
+        if not isinstance(exc, BrokenPipeError):
+            raise UsageError(f"cannot write {what}: {exc}") from exc
 
 
 def _cmd_classify_equation(args) -> tuple[dict, dict, int]:
@@ -340,7 +345,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, int]:
         raise UsageError(f"cannot write --out path: {exc}") from exc
     with sink as out:
         records, summary = sweep_records(args.max_den)
-        _write(out, records)
+        _write(out, records, "--out path" if args.out else "output")
     summary["out_path"] = args.out or None
     code = 0 if summary["disagreements"] == 0 else 1
     return {"max_den": args.max_den}, summary, code
@@ -430,19 +435,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         inputs, result, code = args.func(args)
+        elapsed_ms = int(1000 * (time.perf_counter() - start))
+        document = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            "elapsed_ms": elapsed_ms,
+        }
+        _write(sys.stdout, [document])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         # UsageError is a ValueError; OverflowError is an input too large
         # for floating point
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed_ms = int(1000 * (time.perf_counter() - start))
-    document = {
-        "command": args.command,
-        "inputs": inputs,
-        "result": result,
-        "elapsed_ms": elapsed_ms,
-    }
-    _write(sys.stdout, [document])
     return code
 
 

@@ -469,6 +469,14 @@ def _ring_report(
     return ResidualReport(pts, float(values.max()), order)
 
 
+def _check_exact_base(f: RatFunc, base: BasePoint, of: str = "") -> None:
+    """Raise ZeroDivisionError when ``base`` is exact and a pole of ``f``.
+    The residual checks run on the base rounded to complex, where an exact
+    pole reads as a floating-point accident, so they call this first."""
+    if _is_exact(base) and f.den(base) == 0:
+        raise ZeroDivisionError(f"base point {base} is a pole{of}")
+
+
 def _table(rows: Sequence[Sequence]) -> np.ndarray:
     """The coefficient lists ``rows``, lowest first, as the complex array
     (terms, rows, 1) with term k of row i at [k, i, 0], zero-padded to the
@@ -501,6 +509,7 @@ def residual_principal(r: RatFunc, base: BasePoint, order: int) -> ResidualRepor
     map.  Raises ValueError below order 4, too short a series for S(t)."""
     if order < 4:
         raise ValueError("order must be at least 4 to form the principal residual")
+    _check_exact_base(r, base)
     b = complex(base)
     s = series_schwarzian(schwarz_map(r, b, order))
     return _ring_report(
@@ -512,6 +521,7 @@ def residual_riccati(r: RatFunc, base: BasePoint, order: int) -> ResidualReport:
     """Residual |u' + u^2 + r/2| for the logarithmic derivative u = psi1'/psi1."""
     if order < 5:
         raise ValueError("order must be at least 5 to form the Riccati residual")
+    _check_exact_base(r, base)
     b = complex(base)
     psi1, _ = series_solve_linear(r, b, order)
     u = psi1.derivative() / psi1.truncate(order - 1)
@@ -550,17 +560,22 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
     series composition, and measures S(J1) + (J1')^2 r(J1) near t = 0.
     Raises ValueError below order 4, where the third derivative of J1 is
     constant, and when phi' vanishes at the base point as given (exactly for
-    an exact base), and ZeroDivisionError when phi's value at the base,
-    rounded to floating point, lands on a pole of ``r``: the denominator of
-    ``r`` evaluates to 0 there.
+    an exact base).  Raises ZeroDivisionError when an exact base is a pole of
+    phi or phi maps it onto a pole of ``r``, and when phi's value at the
+    base, rounded to floating point, lands on a pole of ``r``: the
+    denominator of ``r`` evaluates to 0 there.
     """
     if order < 4:
         raise ValueError("order must be at least 4 to form the third-order residual")
     dphi = phi.derivative()
     if dphi.is_zero:
         raise ValueError("pullback along a constant map")
+    # before phi' is evaluated there, which fails on a pole with a bare "pole at"
+    _check_exact_base(phi, base, " of phi")
     if dphi(base) == 0:
         raise ValueError("phi is ramified at the base point; J1 is not invertible there")
+    if _is_exact(base) and r.den(phi(base)) == 0:
+        raise ZeroDivisionError(f"phi maps the base point {base} to {phi(base)}, a pole of r")
     b = complex(base)
     r_phi = schwarz_pullback(r, phi)
     j2 = series_invert(schwarz_map(r_phi, b, order))

@@ -426,32 +426,6 @@ class TestClassifyGroup:
 
 
 class TestVerify:
-    def test_principal_passes(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "principal", "--inv-angles", "1/2,1/3,1/7",
-            "--order", "40", "--tol", "1e-8",
-        )
-        doc = last_json(out)
-        assert code == 0
-        assert doc["result"]["passed"] is True
-        assert doc["result"]["report"]["max_abs_residual"] < 1e-8
-
-    def test_riccati_passes(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "riccati", "--inv-angles", "0,0,0",
-            "--order", "40", "--tol", "1e-8",
-        )
-        assert code == 0
-        assert last_json(out)["result"]["passed"] is True
-
-    def test_pullback_passes(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "pullback", "--inv-angles", "0,0,0",
-            "--phi", "y^2", "--tol", "1e-8",
-        )
-        assert code == 0
-        assert last_json(out)["result"]["passed"] is True
-
     @pytest.mark.parametrize("phi", ["2^-40*y", "2^-60*y+1/3"])
     def test_pullback_along_small_affine_map(self, capsys, phi):
         # an affine phi is ramified nowhere, however small its slope
@@ -592,6 +566,23 @@ class TestVerify:
         assert code == 2 and not out
         assert err == "error: base point (1e-300+0j) is a pole in floating point: the denominator evaluates to 0 there\n"
 
+    @pytest.mark.parametrize(
+        "check, message",
+        [
+            (["principal", "--base", "1"], "base point 1 is a pole"),
+            (["riccati", "--base", "0"], "base point 0 is a pole"),
+            (["pullback", "--phi", "2*y", "--base", "1/2"], "phi maps the base point 1/2 to 1, a pole of r"),
+            (["pullback", "--phi", "1/(y-1/3)", "--base", "1/3"], "base point 1/3 is a pole of phi"),
+        ],
+        ids=["principal", "riccati", "pullback-value", "pullback-phi"],
+    )
+    def test_exact_pole_at_the_base(self, capsys, check, message):
+        # an exact base is tested against the poles exactly, before it is
+        # rounded to complex, and the points are named exactly
+        code, out, err = run_without_warnings(capsys, "verify", *check, "--inv-angles", "1/2,1/3,1/7")
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
 
 class TestSweep:
     def test_min_denominator(self, capsys, tmp_path):
@@ -724,17 +715,20 @@ class TestOneCommandPath:
         assert last_json(out)["result"]["out_path"] is None
 
 
+def _cli_process(argv: list[str], stdout) -> subprocess.Popen:
+    """The CLI in a subprocess that imports the package from this
+    checkout's ``src/``, its stdout to ``stdout`` and its stderr to a pipe."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.Popen(
+        [sys.executable, "-m", "schwarztri", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
 def _run_with_closed_stdout(argv: list[str], lines_before_close: int) -> tuple[int, str]:
     """Run the CLI in a subprocess, read ``lines_before_close`` lines of its
     stdout and close the pipe; returns the exit code and stderr."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "schwarztri", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
+    proc = _cli_process(argv, subprocess.PIPE)
     for _ in range(lines_before_close):
         assert proc.stdout.readline()
     proc.stdout.close()
@@ -765,3 +759,24 @@ class TestClosedStdout:
         code, err = _run_with_closed_stdout(argv, 0)
         assert err == ""
         assert code == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, sink",
+    [
+        (["classify-group", "--sig", "2,3,7"], "output"),
+        (["sweep", "--max-den", "3"], "output"),
+        (["sweep", "--max-den", "3", "--out", "/dev/full"], "--out path"),
+    ],
+    ids=["classify-group", "sweep", "sweep-out"],
+)
+def test_write_to_a_full_device(argv, sink):
+    # one error line and exit 2: no traceback with exit 1, and no failed
+    # last flush, which would print "Exception ignored" and exit 120
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, full if sink == "output" else subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+    assert not out
+    assert err.decode() == f"error: cannot write {sink}: [Errno 28] No space left on device\n"
+    assert proc.returncode == 2
