@@ -29,14 +29,14 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .groups import Geometry, GroupReport, Signature, geometry, group_report
 from .minimality import classify
 from .monodromy import InconclusiveError, classify_projective, monodromy
 from .rational import MAX_TEXT_BITS, RatFunc, parse_fraction
 from .series import residual_principal, residual_riccati, verify_pullback
-from .triangle import AngleParams, build_r
+from .triangle import AngleParams, build_r, exponent_differences
 
 
 class UsageError(ValueError):
@@ -205,20 +205,17 @@ def _check_max_den(max_den: int) -> None:
         raise UsageError(f"--max-den must lie in 2..{_MAX_DEN}, not {max_den}")
 
 
-def sweep_records(max_den: int) -> tuple[list[dict], dict]:
-    """Compare the exact classifier with the monodromy oracle on every
-    unordered reduced exponent triple with denominators <= max_den.
-
-    Both sides are permutation invariant, so unordered triples cover the full
-    ordered sweep; the records come out in canonical ascending order.
+def sweep_records(params: Iterable[AngleParams]) -> tuple[list[dict], dict]:
+    """Compare the exact classifier with the monodromy oracle on each of
+    ``params``, in one batched ``monodromy`` call: a record each, in input
+    order, whose triple is the exponent differences at 0, 1 and infinity,
+    and a summary of the counts.  Where the oracle cannot separate the loci
+    the record is inconclusive, and its ``agree`` None.
     """
-    _check_max_den(max_den)
-    values = exponent_values(max_den)
+    params = list(params)
     records = []
-    triples = list(itertools.combinations_with_replacement(values, 3))
-    all_params = [AngleParams.from_exponent_differences(*t) for t in triples]
-    for (t0, t1, t2), params, rep in zip(triples, all_params, monodromy(all_params)):
-        verdict = classify(params)
+    for p, rep in zip(params, monodromy(params)):
+        verdict = classify(p)
         witness = verdict.witness.to_record() if verdict.witness else None
         try:
             oracle = classify_projective(rep)
@@ -230,7 +227,7 @@ def sweep_records(max_den: int) -> tuple[list[dict], dict]:
             agree = None
         records.append(
             {
-                "triple": [str(t0), str(t1), str(t2)],
+                "triple": [str(t) for t in exponent_differences(p).as_tuple()],
                 "verdict": verdict.verdict.value,
                 "witness": witness,
                 "oracle": oracle_record,
@@ -344,7 +341,9 @@ def _cmd_sweep(args) -> tuple[dict, dict, int]:
     except OSError as exc:
         raise UsageError(f"cannot write --out path: {exc}") from exc
     with sink as out:
-        records, summary = sweep_records(args.max_den)
+        # both sides are permutation invariant: unordered triples cover all
+        triples = itertools.combinations_with_replacement(exponent_values(args.max_den), 3)
+        records, summary = sweep_records(AngleParams.from_exponent_differences(*t) for t in triples)
         _write(out, records, "--out path" if args.out else "output")
     summary["out_path"] = args.out or None
     code = 0 if summary["disagreements"] == 0 else 1
@@ -406,20 +405,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose value is exact fractions and may start with '-'
-_FRACTION_OPTIONS = ("--inv-angles", "--base")
-_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+# options whose value may start with '-', as -3/2,-2,5/2 and -y^2+2 do
+_SIGNED_OPTIONS = ("--inv-angles", "--base", "--phi")
+_NEGATIVE_VALUE = re.compile(r"-[0-9y(]")
 
 
-def _attach_fraction_values(argv: list[str]) -> list[str]:
+def _attach_signed_values(argv: list[str]) -> list[str]:
     """Rewrite ``--inv-angles -3/2,...`` as ``--inv-angles=-3/2,...``.
 
     argparse reads a separate value with a leading minus as an option unless
-    it is a plain number, and ``-3/2,-2,5/2`` is not.
+    it is a plain number, and ``-3/2,-2,5/2`` and ``-y^2+2`` are not.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _FRACTION_OPTIONS and _NEGATIVE_VALUE.match(token):
+        if out and out[-1] in _SIGNED_OPTIONS and _NEGATIVE_VALUE.match(token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -429,7 +428,7 @@ def _attach_fraction_values(argv: list[str]) -> list[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_fraction_values(argv))
+        args = build_parser().parse_args(_attach_signed_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     start = time.perf_counter()

@@ -82,7 +82,7 @@ _DEGREES = range(1, _TAYLOR_ORDER + 3)
 # bounds its memory
 _CHUNK = 12
 # step plans kept: one a loop and denominator, and a sweep has two loops
-# and a few denominators; as many loop polylines are kept
+# and a few denominators
 _PLAN_CACHE_SIZE = 32
 
 # polyline nodes on a loop circle, before the closing node, and the base
@@ -110,18 +110,18 @@ class LoopSpec:
             raise ValueError("the base point 1/2 must lie outside the loop circle")
 
     def polyline(self) -> tuple[complex, ...]:
-        return _polyline(complex(self.center), self.radius)
+        center = complex(self.center)
+        u = (_BASE_POINT - center) / abs(_BASE_POINT - center)
+        theta0 = cmath.phase(u)
+        circle = [
+            center + self.radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
+            for k in range(_LOOP_STEPS + 1)
+        ]
+        return (_BASE_POINT, *circle, _BASE_POINT)
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _polyline(center: complex, radius: float) -> tuple[complex, ...]:
-    u = (_BASE_POINT - center) / abs(_BASE_POINT - center)
-    theta0 = cmath.phase(u)
-    circle = [
-        center + radius * cmath.exp(1j * (theta0 + 2 * math.pi * k / _LOOP_STEPS))
-        for k in range(_LOOP_STEPS + 1)
-    ]
-    return (_BASE_POINT, *circle, _BASE_POINT)
+# the loops of every monodromy representation, around 0 and 1
+_LOOPS = (LoopSpec(center=0j).polyline(), LoopSpec(center=1 + 0j).polyline())
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,25 +280,19 @@ class MonodromyRep:
     estimated_error: float
 
 
-def monodromy(
-    params: AngleParams | Sequence[AngleParams],
-    loop0: Optional[LoopSpec] = None,
-    loop1: Optional[LoopSpec] = None,
-) -> MonodromyRep | list[MonodromyRep]:
+def monodromy(params: AngleParams | Sequence[AngleParams]) -> MonodromyRep | list[MonodromyRep]:
     """Monodromy matrices of the linearized triangle equation around 0 and 1.
 
     ``params`` is one AngleParams, which gives one MonodromyRep, or a
     sequence of them, which gives a list in input order; all equations are
-    continued around each loop in one ``continue_solution`` call.  The loop
+    continued around the default ``LoopSpec`` of 0 and that of 1, each in
+    one ``continue_solution`` call, which takes any other loop too.  The loop
     around infinity is implicitly (M1 M0)^-1 and is not stored.  Local
     exponents (1 +- e)/2 give a loop the trace -2cos(pi e).  Raises
     ValueError on the generic tag."""
     ps = [params] if isinstance(params, AngleParams) else list(params)
     rs = [build_r(p) for p in ps]
-    m0s, m1s = (
-        continue_solution(rs, loop.polyline())
-        for loop in (loop0 or LoopSpec(center=0j), loop1 or LoopSpec(center=1 + 0j))
-    )
+    m0s, m1s = (continue_solution(rs, loop) for loop in _LOOPS)
     reps = []
     # the defects in Python complex arithmetic, which costs less than numpy
     # calls on 2x2 matrices

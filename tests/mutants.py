@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-R, S, T, M = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy"))
+R, S, T, M, C = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy", "cli"))
 RAT, SER = "tests/test_rational.py::", "tests/test_series.py::"
 EVAL = RAT + "TestEvaluationMatchesReference::test_every_scalar_type"
 CLOSED = RAT + "TestClosedFormsMatchReference::test_seeded_sums_derivatives_and_schwarzians"
@@ -50,6 +50,8 @@ MUTANTS = [
     (S, "return num / den", "return num * (1 / den)", [SER + "TestResidualChecksMatchReference::test_seeded_records"]),
     (T, "e_beta=at0, e_gamma=at1", "e_beta=at1, e_gamma=at0",
      ["tests/test_triangle.py::TestExponentDifferences::test_from_exponent_differences_is_the_inverse"]),
+    (C, '("finite", "dihedral", "triangularizable")', '("finite", "dihedral")',
+     ["tests/test_cli.py::TestSweepComparison::test_agreement_rule[triangularizable]"]),
 ]
 
 

@@ -7,6 +7,7 @@ lines; the whole suite is also part of the default ``pytest`` run.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,7 +16,7 @@ from definitions import den8_params, shifted_params
 from schwarztri.cli import sweep_records
 from schwarztri.groups import ARITHMETIC_SIGNATURES, INF, Geometry, Signature, geometry, is_maximal
 from schwarztri.minimality import Verdict, classify
-from schwarztri.monodromy import InconclusiveError, LoopSpec, classify_projective, monodromy
+from schwarztri.monodromy import LoopSpec, continue_solution, monodromy
 from schwarztri.rational import (
     Poly,
     RatFunc,
@@ -41,7 +42,7 @@ def _report(criterion: str, detail: str):
 def test_criterion_1_classifier_oracle_agreement():
     """Exact classifier vs monodromy oracle over all reduced exponent triples
     with denominators <= 8; no disagreements, inconclusive < 5%."""
-    records, summary = sweep_records(8)
+    records, summary = sweep_records(den8_params())
     assert summary["disagreements"] == 0, [r for r in records if r["agree"] is False][:5]
     assert summary["inconclusive"] < 0.05 * summary["cases"]
     _report(
@@ -177,16 +178,9 @@ def test_criterion_7_monodromy_trace_law():
     assert worst_trace < 1e-6
     assert worst_det < 1e-8
     p = AngleParams(F(1, 2), F(1, 3), F(1, 7))
-    rep1 = monodromy(p)
-    rep2 = monodromy(
-        p,
-        loop0=LoopSpec(center=0j, radius=0.125),
-        loop1=LoopSpec(center=1 + 0j, radius=0.125),
-    )
-    drift = max(
-        float(np.max(np.abs(rep1.m0 - rep2.m0))),
-        float(np.max(np.abs(rep1.m1 - rep2.m1))),
-    )
+    rep = monodromy(p)
+    halved = (continue_solution(build_r(p), LoopSpec(center=c, radius=0.125).polyline()) for c in (0j, 1 + 0j))
+    drift = max(float(np.max(np.abs(m - h))) for m, h in zip((rep.m0, rep.m1), halved))
     assert drift < 1e-8
     _report(
         "criterion 7 (monodromy traces)",
@@ -250,28 +244,21 @@ def test_criterion_9_shifted_exponent_agreement():
     |p/q| <= 6, non-integer: no disagreements, nothing inconclusive, and
     every finite order is that of a finite subgroup of PSL2(C) generated by
     elements of the local orders q."""
-    disagreements, inconclusive, impossible = [], [], []
-    kinds = {}
-    for params in shifted_params():
-        t0, t1, t2 = exponent_differences(params).as_tuple()
-        try:
-            oracle = classify_projective(monodromy(params))
-        except InconclusiveError:
-            inconclusive.append((t0, t1, t2))
-            continue
-        kinds[oracle.kind] = kinds.get(oracle.kind, 0) + 1
-        integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
-        if integrable == classify(params).strongly_minimal:
-            disagreements.append((t0, t1, t2, oracle.kind))
-        local = [t.denominator for t in (t0, t1, t2)]
-        if oracle.kind == "finite" and not _possible_finite_order(oracle.order, local):
-            impossible.append((t0, t1, t2, oracle.order))
+    records, summary = sweep_records(shifted_params())
+    disagreements = [r for r in records if r["agree"] is False]
+    inconclusive = [r for r in records if r["agree"] is None]
+    impossible = [
+        r for r in records
+        if r["oracle"]["kind"] == "finite"
+        and not _possible_finite_order(r["oracle"]["order"], [F(t).denominator for t in r["triple"]])
+    ]
     assert not disagreements, disagreements[:5]
     assert not inconclusive, inconclusive[:5]
     assert not impossible, impossible[:5]
+    kinds = Counter(r["oracle"]["kind"] for r in records)
     _report(
         "criterion 9 (oracle agreement, shifted and negative exponents)",
-        f"400 cases, all agree; kinds {dict(sorted(kinds.items()))}",
+        f"{summary['cases']} cases, all agree; kinds {dict(sorted(kinds.items()))}",
     )
 
 
@@ -283,24 +270,13 @@ def test_criterion_10_batched_oracle_with_cusps_and_integer_exponents():
     values = sorted({F(p, q) for q in range(1, 13) for p in range(q + 1)})
     triples = list(itertools.combinations_with_replacement(values, 3))
     assert len(triples) == 18424
-    ps = [AngleParams.from_exponent_differences(*t) for t in triples]
-    disagreements, inconclusive = [], []
-    worst = 0.0
-    for triple, params, rep in zip(triples, ps, monodromy(ps)):
-        worst = max(worst, rep.estimated_error)
-        try:
-            oracle = classify_projective(rep)
-        except InconclusiveError:
-            inconclusive.append(triple)
-            continue
-        integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
-        if integrable == classify(params).strongly_minimal:
-            disagreements.append((triple, oracle.kind))
-    assert not disagreements, disagreements[:5]
-    assert not inconclusive, inconclusive[:5]
+    records, summary = sweep_records([AngleParams.from_exponent_differences(*t) for t in triples])
+    assert summary["disagreements"] == 0, [r for r in records if r["agree"] is False][:5]
+    assert summary["inconclusive"] == 0, [r for r in records if r["agree"] is None][:5]
+    worst = max(r["oracle"]["tolerance_used"] for r in records)
     _report(
         "criterion 10 (batched oracle agreement, den <= 12 with cusps)",
-        f"{len(triples)} cases, all agree; worst estimated error {worst:.2e}",
+        f"{summary['cases']} cases, all agree; largest tolerance used {worst:.2e}",
     )
 
 

@@ -12,8 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from schwarztri import cli
 from schwarztri.cli import _MAX_DEN, _MAX_NESTING, _MAX_PHI_DEGREE, UsageError, _check_max_den, main, parse_phi
+from schwarztri.monodromy import InconclusiveError, ProjectiveClass
 from schwarztri.rational import MAX_TEXT_BITS, Poly, RatFunc
+from schwarztri.triangle import AngleParams
 
 
 def run(capsys, *argv):
@@ -651,6 +654,47 @@ class TestSweep:
         assert main([]) == 2
 
 
+class TestSweepComparison:
+    """The agreement rule of ``sweep_records`` and its negative paths, with
+    the oracle's verdict forced."""
+
+    # verdicts (1/2, 1/2, 1/2): not strongly minimal; (1/2, 1/3, 1/7): strongly minimal
+    PARAMS = [AngleParams.from_exponent_differences(*t) for t in ((F(1, 2),) * 3, (F(1, 2), F(1, 3), F(1, 7)))]
+
+    @pytest.mark.parametrize("kind", ["finite", "dihedral", "triangularizable", "dense"])
+    def test_agreement_rule(self, monkeypatch, kind):
+        # each integrable kind agrees with a verdict of not strongly
+        # minimal, and dense with strongly minimal; the triples may come
+        # from any iterable, which is read once
+        monkeypatch.setattr(cli, "classify_projective", lambda rep: ProjectiveClass(kind, None, 1e-9, None))
+        records, summary = cli.sweep_records(iter(self.PARAMS))
+        integrable = kind != "dense"
+        assert [r["agree"] for r in records] == [integrable, not integrable]
+        assert [r["oracle"]["kind"] for r in records] == [kind, kind]
+        assert summary == {"cases": 2, "agreements": 1, "disagreements": 1, "inconclusive": 0}
+
+    def test_inconclusive_records(self, capsys, monkeypatch):
+        def inconclusive(rep):
+            raise InconclusiveError("loci not separated")
+
+        monkeypatch.setattr(cli, "classify_projective", inconclusive)
+        code, out, _ = run(capsys, "sweep", "--max-den", "3")
+        *records, doc = map(json.loads, out.splitlines())
+        assert code == 0 and len(records) == 10
+        assert all(r["oracle"] == {"kind": "inconclusive", "detail": "loci not separated"} for r in records)
+        assert all(r["agree"] is None for r in records)
+        summary = doc["result"]
+        assert (summary["agreements"], summary["disagreements"], summary["inconclusive"]) == (0, 0, 10)
+
+    def test_disagreement_exits_1(self, capsys, monkeypatch):
+        # the one triple of --max-den 2 is not strongly minimal
+        monkeypatch.setattr(cli, "classify_projective", lambda rep: ProjectiveClass("dense", None, 1e-9, None))
+        code, out, _ = run(capsys, "sweep", "--max-den", "2")
+        record, doc = map(json.loads, out.splitlines())
+        assert code == 1 and record["agree"] is False
+        assert (doc["result"]["cases"], doc["result"]["disagreements"]) == (1, 1)
+
+
 class TestNegativeFractionValues:
     """A value with a leading minus is accepted as a separate argument and
     gives the same output as the ``--option=value`` form."""
@@ -669,6 +713,13 @@ class TestNegativeFractionValues:
             (
                 ("verify", "pullback", "--inv-angles", "-3/2,-2,5/2", "--phi", "y^2", "--base", "-1/2"),
                 ("verify", "pullback", "--inv-angles=-3/2,-2,5/2", "--phi", "y^2", "--base=-1/2"),
+            ),
+            *(
+                (
+                    ("verify", "pullback", "--inv-angles", "1/2,1/3,1/7", "--phi", phi),
+                    ("verify", "pullback", "--inv-angles", "1/2,1/3,1/7", f"--phi={phi}"),
+                )
+                for phi in ("-y^2+2", "-3*y+2", "-(y-1)/2+1")
             ),
         ],
     )

@@ -370,12 +370,23 @@ class TestContinuation:
         expected = continue_solution(r, [0.5 + 0j, 0.7 + 0j])
         assert np.max(np.abs(m - expected)) < 1e-12 * np.max(np.abs(expected))
 
+    def test_degenerate_segments_are_skipped(self):
+        # a repeated node is a zero-length segment, which takes no step: the
+        # path without it gives the same matrix, bit for bit, and a path of
+        # no segment of positive length gives the identity
+        r = build_r(params("1/2", "1/3", "1/7"))
+        path = LoopSpec(center=0j).polyline()
+        repeated = path[:3] + path[2:]
+        assert continue_solution(r, repeated).tobytes() == continue_solution(r, path).tobytes()
+        for path in ([], [0.5], [0.5, 0.5]):
+            assert continue_solution(r, path).tobytes() == np.eye(2, dtype=complex).tobytes(), path
+
     def test_non_finite_node_rejected(self):
         r = build_r(params("1/2", "1/3", "1/7"))
         with pytest.raises(ValueError):
             continue_solution(r, [0.5 + 0j, complex("nan")])
         with pytest.raises(ValueError):
-            monodromy(params("1/2", "1/3", "1/7"), loop0=LoopSpec(center=complex("inf")))
+            continue_solution(r, LoopSpec(center=complex("inf")).polyline())
 
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))
@@ -482,15 +493,16 @@ class TestMonodromy:
         # on radius-0.325 loops a step rounds one ulp short of a node; the
         # trace law holds as on the default loops
         p = params("1/2", "1/3", "1/7")
-        rep = monodromy(
-            p,
-            loop0=LoopSpec(center=0j, radius=0.325),
-            loop1=LoopSpec(center=1 + 0j, radius=0.325),
-        )
+        m0, m1 = (continue_solution(build_r(p), LoopSpec(center=c, radius=0.325).polyline()) for c in (0j, 1 + 0j))
         default = monodromy(p)
-        assert np.max(np.abs(rep.m0 - default.m0)) < 1e-8
-        assert np.max(np.abs(rep.m1 - default.m1)) < 1e-8
-        assert rep.estimated_error < 1e-12
+        assert np.max(np.abs(m0 - default.m0)) < 1e-8
+        assert np.max(np.abs(m1 - default.m1)) < 1e-8
+        # the determinant and signed trace-law defects that make up an
+        # estimated error
+        defects = [abs(np.linalg.det(m) - 1) for m in (m0, m1)]
+        for m, x in zip((m0, m1, m0 @ m1), exponent_differences(p).as_tuple()):
+            defects.append(abs(np.trace(m) + 2 * math.cos(math.pi * x)))
+        assert max(defects) < 1e-12
 
     def test_trace_law_checks_the_sign(self, monkeypatch):
         # a loop matrix of the wrong sign has the right |trace| and
@@ -614,19 +626,22 @@ class TestBatchedMonodromy:
         for den, n in sizes.items():
             for start in range(0, n, _CHUNK):
                 expected[den, min(_CHUNK, n - start)] += 2
-        loops = {
-            "loop0": LoopSpec(center=0j, radius=0.2),
-            "loop1": LoopSpec(center=1 + 0j, radius=0.3),
-        }
-        for kwargs in ({}, loops):
-            calls.clear()
+        reps = monodromy(ps)
+        assert calls == [len(ps), len(ps)]
+        assert Counter(plans) == {den: 2 for den in sizes}
+        assert Counter(chunks) == expected
+        assert all(_same_rep(rep, monodromy(p)) for p, rep in zip(ps, reps))
+        # as on other loops, which ``monodromy`` continues through the same
+        # ``continue_solution``
+        rs = [build_r(p) for p in ps]
+        for loop in (LoopSpec(center=0j, radius=0.2), LoopSpec(center=1 + 0j, radius=0.3)):
+            path = loop.polyline()
             plans.clear()
             chunks.clear()
-            reps = monodromy(ps, **kwargs)
-            assert calls == [len(ps), len(ps)]
-            assert Counter(plans) == {den: 2 for den in sizes}
-            assert Counter(chunks) == expected
-            assert all(_same_rep(rep, monodromy(p, **kwargs)) for p, rep in zip(ps, reps))
+            stack = original(rs, path)
+            assert Counter(plans) == {den: 1 for den in sizes}
+            assert Counter(chunks) == {key: n // 2 for key, n in expected.items()}
+            assert all(m.tobytes() == original(r, path).tobytes() for r, m in zip(rs, stack))
 
     def test_input_order_and_empty_input(self):
         ps = [params("1/2", "1/3", "1/7"), params(1, "1/3", "1/7"), params("1/2", "1/2", "1/2")]

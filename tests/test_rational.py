@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -331,6 +332,33 @@ class TestStructure:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             Poly([0.5])
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda: RatFunc(1, 0), ZeroDivisionError, "zero denominator"),
+            (lambda: rational.as_fraction(True), TypeError, "booleans are not exact scalars"),
+            (lambda: rational.parse_fraction("1e5x"), ValueError, "not an exact fraction: '1e5x'"),
+            (lambda: Y + object(), TypeError, "cannot interpret object as a rational function"),
+            (lambda: RatFunc(object()), TypeError, "cannot interpret object as a polynomial"),
+            (lambda: setattr(Poly([1]), "coeffs", (2,)), AttributeError, "Poly is immutable"),
+            (lambda: setattr(Y, "_n", (2,)), AttributeError, "RatFunc is immutable"),
+        ],
+        ids=["zero-denominator", "bool", "fraction-text", "sum-with-object", "object", "poly-setattr", "setattr"],
+    )
+    def test_error_messages(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_sum_with_a_poly(self):
+        assert Y + Poly([1, 2]) == RatFunc(Poly([1, 3]))
+
+    def test_repr(self):
+        assert repr(Poly([])) == "Poly(0)"
+        assert repr(Poly([1, F(-1, 2), 3])) == "Poly(3*y^2 - 1/2*y + 1)"
+        assert repr(Poly([-1, 0, -1])) == "Poly(-y^2 - 1)"
+        assert repr(Y + Poly([1, 2])) == "RatFunc(3*y + 1)"
+        assert repr(RatFunc(Poly([1, 2]), Poly([3, 0, 1]))) == "RatFunc((2*y + 1) / (y^2 + 3))"
 
 
 class TestParseFraction:

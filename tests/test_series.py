@@ -160,6 +160,20 @@ class TestSeriesOps:
         r = s.reciprocal()
         assert (s * r).coefficients == (F(1), F(0), F(0), F(0))
 
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^a power series needs at least its constant term$"):
+            PowerSeries(F(0), [])
+        with pytest.raises(ValueError, match="^order must be non-negative$"):
+            PowerSeries(F(0), [1, 2]).truncate(-1)
+        with pytest.raises(ZeroDivisionError, match="^series has a zero constant term$"):
+            PowerSeries(F(0), [1, 2]) / PowerSeries(F(0), [0, 1])
+        with pytest.raises(ValueError, match="^order too small for a meaningful Schwarzian$"):
+            series_schwarzian(PowerSeries(F(0), [0, 1, 0, 0]))
+
+    def test_repr(self):
+        assert repr(PowerSeries(F(1, 2), [1, 2, 3, 4, 5])) == "PowerSeries(base=1/2, [1, 2, 3, 4, ...], order=4)"
+        assert repr(PowerSeries(0j, [1.5, 2j])) == "PowerSeries(base=0j, [1.5, 2j], order=1)"
+
 
 def reference_equations(seed, count):
     """r = 0, seeded build_r triples and their pullbacks along polynomial maps

@@ -53,6 +53,10 @@ class TestAngleParams:
         assert AngleParams.parse(p.as_text()) == p
         assert AngleParams.parse("generic").is_generic
 
+    def test_generic_text_and_repr(self):
+        assert AngleParams.generic().as_text() == "generic"
+        assert repr(GENERIC) == "GENERIC"
+
     def test_parse_errors_carry_position(self):
         with pytest.raises(ValueError, match="field 2"):
             AngleParams.parse("1/2,x,1/3")
