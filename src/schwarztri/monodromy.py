@@ -21,8 +21,10 @@ denominator's terms of the recurrence at every step center, the matrix of
 the powers of every step and the identities that pad the steps to a power
 of two.  Then one batched solve: the numerators shifted to the step
 centers, the recurrence that ``series_solve_linear`` runs, row of terms
-and all (O(order * deg) operations a step, two numpy calls a coefficient),
-on arrays over all step centers, one matmul with the plan's powers, which
+and all (O(order * deg) operations a step, two numpy calls a coefficient,
+in a buffer with its views compiled once a shape and kept, whose
+coefficients are read by the next matmul before any other solve), on
+arrays over all step centers, one matmul with the plan's powers, which
 gives each value and derivative at the end of its step, and log2(steps)
 batched matmuls that multiply the step matrices in pairs.
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,8 +80,9 @@ _POLE_CLEARANCE = 1e-6
 # leaves numpy unloaded
 _DEGREES = range(1, _TAYLOR_ORDER + 3)
 # equations a batched ``_taylor_step`` call solves at once: the recurrence
-# buffer holds about 170 complex entries an equation and step, so this
-# bounds its memory
+# buffer holds about 170 complex entries an equation and step, and
+# ``series`` keeps it for the next solve of its shape, so this bounds the
+# memory of the kept buffers too
 _CHUNK = 12
 # step plans kept: one a loop and denominator, and a sweep has two loops
 # and a few denominators
@@ -104,6 +107,8 @@ class LoopSpec:
     radius: float = 0.25
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.center)):
+            raise ValueError(f"loop center must be finite, not {self.center}")
         if not 0 < self.radius < 0.5:
             raise ValueError("loop radius must lie in (0, 1/2) to avoid the other singularity")
         if abs(_BASE_POINT - complex(self.center)) <= self.radius:
@@ -342,7 +347,12 @@ class ProjectiveClass:
     margin: Optional[float]
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return {
+            "kind": self.kind,
+            "order": self.order,
+            "tolerance_used": self.tolerance_used,
+            "margin": self.margin,
+        }
 
 
 def _normalize(m) -> tuple:

@@ -25,7 +25,12 @@ of 2 D psi'' + N psi = 0 (``_solve_recurrence``; the standard method for
 D-finite series, van der Hoeven, TCS 210, 1999).  Only this module lays out
 the recurrence's row of terms, for ``monodromy`` too, whose step plans cache
 its ``_den_terms`` and which takes its shifts (``_shifted``) and tables
-(``_table``) from here.
+(``_table``) from here.  The recurrence runs in a ``_workspace``, a buffer
+with its per-coefficient views and divisors compiled once a shape and kept,
+so a solve is two numpy calls a coefficient.  It returns a read-only view
+into that buffer, not a copy, valid until the next solve of the same shape:
+both callers, ``series_solve_linear`` and ``monodromy._taylor_step``, read
+it at once.  The kernel is not thread-safe; the package starts no threads.
 
 numpy loads on first use, not at import.  This module binds ``np`` through
 ``_numpy``, ``monodromy`` takes it from here, and nothing evaluated at import
@@ -277,6 +282,39 @@ def _den_terms(ds: list) -> tuple[np.ndarray, object]:
     return terms, 2 * ds[0]
 
 
+# recurrence workspaces kept, one a shape: an oracle call meets a chunk of
+# ``monodromy._CHUNK`` equations, a remainder chunk and single equations,
+# over two loops' steps, and single bases meet one a numerator width
+_WORKSPACE_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_WORKSPACE_CACHE_SIZE)
+def _workspace(size: int, width: int, order: int, dtype) -> tuple[np.ndarray, tuple]:
+    """``_solve_recurrence``'s buffer for ``size`` rows, its zero rows and
+    unit initial entries set; the read-only view of its coefficients; and
+    for each j in 2..order the operands of e_j's matmul and c_j's division.
+    A complex divisor is a 0-d array, which divides as the int j (j - 1)
+    does, without converting it each call."""
+    zero = Fraction(0) if dtype == object else 0j
+    # rows outermost in memory, so that a row and the rows below it are
+    # disjoint blocks, which numpy sees without copying
+    rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=dtype)
+    rows[width + 1, :, 0] = rows[width + 3, :, 1] = zero + 1
+    history = rows.transpose(1, 0, 2)
+    schedule = []
+    for j in range(2, order + 1):
+        e = width + 2 * j
+        divisor = j * (j - 1)
+        if dtype != object:
+            divisor = np.array(divisor, dtype=dtype)
+        schedule.append(
+            (history[:, e - 2 : e - 2 - width : -1], history[:, e : e + 1], rows[e], divisor, rows[e + 1])
+        )
+    coefficients = history[:, width + 1 :: 2]
+    coefficients.flags.writeable = False
+    return coefficients, tuple(schedule)
+
+
 def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> np.ndarray:
     """Coefficients c_0..c_order of the fundamental pair of 2 D(b + x) psi''
     + N(b + x) psi = 0, (c_0, c_1) = (1, 0) and (0, 1), from ``_den_terms``
@@ -300,7 +338,14 @@ def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> 
     e_{j-1}, c_{j-2}, e_{j-2}, c_{j-3}, ..., are then the 2w rows below e_j
     read backwards, and e_j is the product of that slice with the row of
     terms: one matmul, and c_j one division, for all rows and the pair at
-    once."""
+    once.
+
+    The buffer, its views and the divisors are a ``_workspace``, compiled
+    once a shape and kept, so a solve runs two numpy calls a coefficient
+    and nothing else.  The result is a read-only view into that buffer, not
+    a copy: the next solve of the same size, width, order and dtype
+    overwrites it, so a caller uses it before solving again.  Two threads
+    must not solve the same shape at once; the package starts no threads."""
     zero = Fraction(0) if den_terms.dtype == object else 0j
     shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
     # at least 1: an empty product of object arrays is the int 0, not a Fraction
@@ -311,17 +356,13 @@ def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> 
         k[..., 0, 2 * i + 1] = -(n / twice_d0)
     size = math.prod(shape)
     k = k.reshape(size, 1, width)
-    # rows outermost in memory, so that a row and the rows below it are
-    # disjoint blocks, which numpy sees without copying
-    rows = np.full((width + 2 * (order + 1), size, 2), zero, dtype=k.dtype)
-    rows[width + 1, :, 0] = rows[width + 3, :, 1] = zero + 1
-    history = rows.transpose(1, 0, 2)
+    coefficients, schedule = _workspace(size, width, order, k.dtype)
+    matmul, divide = np.matmul, np.divide
     with np.errstate(**_QUIET):
-        for j in range(2, order + 1):
-            e = width + 2 * j
-            np.matmul(k, history[:, e - 2 : e - 2 - width : -1], out=history[:, e : e + 1])
-            np.divide(rows[e], j * (j - 1), out=rows[e + 1])
-    return history[:, width + 1 :: 2].reshape(shape + (order + 1, 2))
+        for terms, e_out, e_row, divisor, c_row in schedule:
+            matmul(k, terms, out=e_out)
+            divide(e_row, divisor, out=c_row)
+    return coefficients.reshape(shape + (order + 1, 2))
 
 
 def series_solve_linear(

@@ -20,6 +20,7 @@ KERNELS = RAT + "TestCoefficientKernelsMatchReference::test_primitive_and_canoni
 SERIES_CALL = SER + "TestSeriesKernelsMatchReference::test_call_and_derivative_on_seeded_series"
 STEP = "tests/test_monodromy.py::TestContinuation::"
 CONTINUATION = STEP + "test_continuation_matches_reference_bit_for_bit"
+REUSE = SER + "TestKernelsMatchReference::test_recurrence_reuses_workspaces_across_shapes"
 LOOPS = [STEP + "test_batched_continuation_matches_per_step_reference",
          "tests/test_monodromy.py::TestCompiledPlanMatchesReference::test_step_matrices_bit_for_bit"]
 MUTANTS = [
@@ -52,6 +53,11 @@ MUTANTS = [
      ["tests/test_triangle.py::TestExponentDifferences::test_from_exponent_differences_is_the_inverse"]),
     (C, '("finite", "dihedral", "triangularizable")', '("finite", "dihedral")',
      ["tests/test_cli.py::TestSweepComparison::test_agreement_rule[triangularizable]"]),
+    (S, "divisor = j * (j - 1)", "divisor = (j + 1) * j",
+     [REUSE, SER + "TestKernelsMatchReference::test_recurrence_at_complex_bases",
+      SER + "TestKernelsMatchReference::test_recurrence_at_exact_bases[0]",
+      "tests/test_monodromy.py::TestMonodromy::test_trace_law_hurwitz"]),
+    (S, "    coefficients.flags.writeable = False\n", "", [REUSE]),
 ]
 
 

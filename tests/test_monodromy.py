@@ -6,7 +6,7 @@ import math
 import random
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +16,7 @@ from definitions import convolution_solve_linear, den8_params, shifted_params
 from schwarztri.monodromy import (
     _CHUNK,
     _DEGREES,
+    _LOOPS,
     _MAX_GROUP_ORDER,
     _T5,
     _TAYLOR_ORDER,
@@ -268,6 +269,14 @@ class TestLoopSpec:
         path = LoopSpec(center=0j).polyline()
         assert path[0] == path[-1] == 0.5 + 0j
 
+    @pytest.mark.parametrize("center", [complex("inf"), complex("nan"), complex(math.nan, 0)], ids=str)
+    def test_non_finite_center_rejected(self, center):
+        # such a center would give nan nodes, which fail only later, in
+        # continue_solution, with a message that names no loop
+        with pytest.raises(ValueError) as info:
+            LoopSpec(center=center)
+        assert str(info.value) == f"loop center must be finite, not {center}"
+
 
 class TestContinuation:
     def test_trivial_equation_identity_loop(self):
@@ -339,6 +348,17 @@ class TestContinuation:
         # the seed-9 set of 24 triples on the default and radius-0.125 loops
         _assert_matches_reference([_seed9_group()], _loops())
 
+    def test_interleaved_batch_sizes_match_reference(self):
+        # batches of 1, _CHUNK, a remainder and _CHUNK plus a remainder, on
+        # both default loops in turn, then the first again: each solve
+        # reuses the recurrence workspace of its shape, which another shape
+        # may have used since, and every matrix is still the reference's
+        group = _seed9_group()
+        batches = [group[:1], group[:_CHUNK], group[_CHUNK : _CHUNK + 5], group[3 : _CHUNK + 8], group[:1]]
+        got = [(rs, path, continue_solution(rs, path)) for rs in batches for path in _LOOPS]
+        for rs, path, loops in got:
+            assert loops.tobytes() == _reference_continuation(rs, path)[1].tobytes(), (len(rs), path)
+
     def test_continuation_matches_reference_bit_for_bit(self):
         # every group of the two reference tests along a path whose steps
         # reach the cap of 1/2 and a segment whose first step leaves 5e-11
@@ -386,7 +406,7 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continue_solution(r, [0.5 + 0j, complex("nan")])
         with pytest.raises(ValueError):
-            continue_solution(r, LoopSpec(center=complex("inf")).polyline())
+            continue_solution(r, [0.5 + 0j, complex("inf"), 0.5 + 0j])
 
     def test_path_through_pole_raises(self):
         r = build_r(params("1/2", "1/3", "1/7"))
@@ -750,7 +770,9 @@ class TestClassifyProjective:
     def test_record_reports_tolerance_and_margin(self):
         cls = classify_projective(monodromy(params("1/2", "1/3", "1/7")))
         rec = cls.to_record()
-        assert set(rec) == {"kind", "order", "tolerance_used", "margin"}
+        # the fields in their order, as dataclasses.asdict gives them
+        assert list(rec.items()) == list(asdict(cls).items())
+        assert list(rec) == ["kind", "order", "tolerance_used", "margin"]
         assert rec["margin"] > 1000 * rec["tolerance_used"]
 
 

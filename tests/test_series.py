@@ -699,6 +699,36 @@ class TestKernelsMatchReference:
             assert np.shape(ns[0]) == (_CHUNK, len(plan.zs))
             assert_recurrence_matches_reference(plan.den_terms, plan.twice_d0, ns, _TAYLOR_ORDER + 2)
 
+    def test_recurrence_reuses_workspaces_across_shapes(self):
+        # solves of many shapes in turn, each in its kept workspace, the
+        # first shape again after the others: T = 1, _CHUNK and a remainder
+        # of equations over a plan's steps, two numerator widths (the
+        # numerators padded with zero terms), orders 38 and 40, and an exact
+        # base, whose Fractions take a workspace of their own
+        rng = random.Random(62)
+        rs = [build_r(rand_triple(rng)) for _ in range(_CHUNK)]
+        assert len({r.den for r in rs}) == 1
+        plan = _step_plan(rs[0]._d, LoopSpec(center=0j).polyline())
+        ns = _shift_coeffs(list(_table([[complex(c) for c in r.num.coeffs] for r in rs])), plan.zs)
+        r = reference_equations(0, 1)[1]
+        exact_ns, exact_ds = _shifted(r, exact_base(r, rng))
+        cases = [
+            (plan.den_terms, plan.twice_d0, [n[:t] for n in ns] + [0 * ns[0][:t]] * extra, order)
+            for t in (1, _CHUNK, 5)
+            for extra in (0, 3)
+            for order in (_TAYLOR_ORDER + 2, 40)
+        ]
+        cases += [(*_den_terms(exact_ds), exact_ns, order) for order in (_TAYLOR_ORDER + 2, 40)]
+        # every case a shape of its own: entries, width, order and dtype
+        shapes = {(np.shape(ns[0]), max(d.shape[-1] // 2, len(ns)), order, d.dtype) for d, _, ns, order in cases}
+        assert len(shapes) == len(cases) == 14
+        for case in cases + cases[:1]:
+            got = _solve_recurrence(*case)
+            assert not got.flags.writeable
+            want = reference_solve_recurrence(*case)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == object or got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("seed", range(2))
     def test_recurrence_at_exact_bases(self, seed):
         rng = random.Random(700 + seed)
