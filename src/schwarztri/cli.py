@@ -95,16 +95,13 @@ class _ExprParser:
         bits of ``values`` stay within the bounds of --phi.  A value's
         degree is that of its numerator or denominator, whichever is larger,
         and its bits the floor of log2 of its largest coefficient numerator
-        or denominator (so 1^n is free).  Both are read from the integer
-        triple c * n/d: a coefficient of ``num`` is c n_i/d_lead and one of
-        ``den`` is d_i/d_lead, each taken in lowest terms."""
+        or denominator (so 1^n is free), read from the lowest-terms
+        coefficients of its ``num`` and ``den``."""
         degree = bits = 0
         for value in values:
-            n, d, c = value._n, value._d, value._c
-            degree += max(len(n), len(d)) - 1
-            top, lc = c.numerator, c.denominator * d[-1]
-            coeffs = [(top * x, lc) for x in n] + [(x, d[-1]) for x in d]
-            bits += max((max(abs(p), q) // math.gcd(p, q)).bit_length() for p, q in coeffs) - 1
+            num, den = value.num.coeffs, value.den.coeffs
+            degree += max(len(num), len(den)) - 1
+            bits += max(max(abs(x.numerator), x.denominator).bit_length() for x in num + den) - 1
         if times * degree > _MAX_PHI_DEGREE or times * bits > MAX_TEXT_BITS:
             self.fail(f"{what} exceeds degree {_MAX_PHI_DEGREE} or {MAX_TEXT_BITS}-bit coefficients")
 
@@ -216,7 +213,6 @@ def sweep_records(params: Iterable[AngleParams]) -> tuple[list[dict], dict]:
     records = []
     for p, rep in zip(params, monodromy(params)):
         verdict = classify(p)
-        witness = verdict.witness.to_record() if verdict.witness else None
         try:
             oracle = classify_projective(rep)
             oracle_record = oracle.to_record()
@@ -228,8 +224,7 @@ def sweep_records(params: Iterable[AngleParams]) -> tuple[list[dict], dict]:
         records.append(
             {
                 "triple": [str(t) for t in exponent_differences(p).as_tuple()],
-                "verdict": verdict.verdict.value,
-                "witness": witness,
+                **verdict.to_record(),
                 "oracle": oracle_record,
                 "agree": agree,
             }
@@ -315,14 +310,7 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         phi = parse_phi(args.phi)
         report = verify_pullback(r, phi, base, args.order)
     passed = report.max_abs_residual < args.tol
-    inputs = {
-        "kind": args.kind,
-        "inv_angles": args.inv_angles,
-        "phi": args.phi,
-        "order": args.order,
-        "base": args.base,
-        "tol": args.tol,
-    }
+    inputs = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
     result = {
         "equation": r.to_text(),
         "phi": phi.to_text() if phi is not None else None,

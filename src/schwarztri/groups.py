@@ -199,7 +199,7 @@ def group_report(sig: Signature) -> GroupReport:
     geo = geometry(sig)
     if geo is not Geometry.HYPERBOLIC:
         raise ValueError(f"group reports are defined for hyperbolic signatures only, got {sig.as_text()}")
-    arith = sig.key in ARITHMETIC_SIGNATURES
+    arith = is_arithmetic(sig)
     maximal = is_maximal(sig)
     in_m = not maximal
     if arith:

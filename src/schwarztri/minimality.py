@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .rational import _clear_denominators
-from .triangle import AngleParams, ExponentTriple, exponent_differences
+from .triangle import AngleParams, ExponentTriple, _inverse_angles, exponent_differences
 
 _SIGN_CHOICES = tuple(itertools.product((1, -1), repeat=3))
 _PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
@@ -94,11 +94,6 @@ def _rows_by_residues() -> dict[tuple, list[int]]:
 _ROWS_BY_RESIDUES = _rows_by_residues()
 
 
-def _values_alpha_beta_gamma(e: ExponentTriple) -> tuple[Fraction, Fraction, Fraction]:
-    # the inverse angle parameters, in (alpha, beta, gamma) order
-    return (e.at_inf, e.at0, e.at1)
-
-
 @dataclass(frozen=True)
 class Condition1Witness:
     """A signed sum of the inverse angle parameters that is an odd integer.
@@ -112,7 +107,7 @@ class Condition1Witness:
     def verify(self, e: ExponentTriple) -> bool:
         if self.signs not in _SIGN_CHOICES:
             return False
-        lcm, nums = _clear_denominators(_values_alpha_beta_gamma(e))
+        lcm, nums = _clear_denominators(_inverse_angles(e.at0, e.at1, e.at_inf))
         value = _odd_sum(nums, lcm, self.signs)
         return value is not None and value == self.value
 
@@ -139,7 +134,7 @@ class Condition2Witness:
         fracs, parity = _TABLE[self.row - 1]
         if parity != self.parity_used or self.permutation not in _PERMUTATIONS:
             return False
-        v = _values_alpha_beta_gamma(e)
+        v = _inverse_angles(e.at0, e.at1, e.at_inf)
         return _shifts(fracs, parity, v, self.signs, self.permutation) == self.shifts
 
     def to_record(self) -> dict:
@@ -195,7 +190,7 @@ def _odd_sum(nums: list[int], lcm: int, signs: tuple[int, int, int]) -> Optional
 def check_condition1(e: ExponentTriple) -> Optional[Condition1Witness]:
     """First witness among the four signed sums (+++), (-++), (+-+), (++-)
     whose value is an odd integer; None when there is none."""
-    lcm, nums = _clear_denominators(_values_alpha_beta_gamma(e))
+    lcm, nums = _clear_denominators(_inverse_angles(e.at0, e.at1, e.at_inf))
     for signs in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1)):
         value = _odd_sum(nums, lcm, signs)
         if value is not None:
@@ -236,7 +231,7 @@ def check_condition2(e: ExponentTriple) -> Optional[Condition2Witness]:
     any signs and permutation, and skipping it leaves the first match as the
     full sweep finds it.
     """
-    v = _values_alpha_beta_gamma(e)
+    v = _inverse_angles(e.at0, e.at1, e.at_inf)
     residues = sorted(r if r in _TABLE_RESIDUES else _OTHER for r in map(_residue, v))
     for row in _ROWS_BY_RESIDUES.get(tuple(residues), ()):
         fracs, parity = _TABLE[row - 1]

@@ -22,11 +22,10 @@ the powers of every step and the identities that pad the steps to a power
 of two.  Then one batched solve: the numerators shifted to the step
 centers, the recurrence that ``series_solve_linear`` runs, row of terms
 and all (O(order * deg) operations a step, two numpy calls a coefficient,
-in a buffer with its views compiled once a shape and kept, whose
-coefficients are read by the next matmul before any other solve), on
-arrays over all step centers, one matmul with the plan's powers, which
-gives each value and derivative at the end of its step, and log2(steps)
-batched matmuls that multiply the step matrices in pairs.
+its result read by the next matmul as ``series._solve_recurrence``
+requires), on arrays over all step centers, one matmul with the plan's
+powers, which gives each value and derivative at the end of its step, and
+log2(steps) batched matmuls that multiply the step matrices in pairs.
 
 The batch also runs across equations.  Equations whose r has the same
 reduced denominator have the same poles, so they share one step plan a loop:

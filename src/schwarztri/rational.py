@@ -30,9 +30,8 @@ crosswise, and the Schwarzian of N/D is
 sqf(W)^2, so it is reduced by at most one exact division.
 References: von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6 and
 8; Char, Geddes & Gonnet, J. Symbolic Comput. 7 (1989), for the heuristic gcd.
-The coefficient-list kernels here serve ``series``, ``triangle`` and
-``monodromy`` too: ``_poly_at`` (Horner at a scalar or an array), ``_deriv``,
-``_signed_content``, ``_norm``, ``_int_quo`` and ``_ratfunc``.
+Other modules import some of the private coefficient-list kernels here;
+their imports name which.
 """
 
 from __future__ import annotations

@@ -25,12 +25,9 @@ of 2 D psi'' + N psi = 0 (``_solve_recurrence``; the standard method for
 D-finite series, van der Hoeven, TCS 210, 1999).  Only this module lays out
 the recurrence's row of terms, for ``monodromy`` too, whose step plans cache
 its ``_den_terms`` and which takes its shifts (``_shifted``) and tables
-(``_table``) from here.  The recurrence runs in a ``_workspace``, a buffer
-with its per-coefficient views and divisors compiled once a shape and kept,
-so a solve is two numpy calls a coefficient.  It returns a read-only view
-into that buffer, not a copy, valid until the next solve of the same shape:
-both callers, ``series_solve_linear`` and ``monodromy._taylor_step``, read
-it at once.  The kernel is not thread-safe; the package starts no threads.
+(``_table``) from here.  The recurrence runs in a kept ``_workspace``;
+``_solve_recurrence`` states how long its result is valid, and that it is
+not thread-safe.
 
 numpy loads on first use, not at import.  This module binds ``np`` through
 ``_numpy``, ``monodromy`` takes it from here, and nothing evaluated at import
@@ -237,11 +234,6 @@ def taylor_coefficients(f: RatFunc, base: BasePoint, order: int) -> list:
     return _divide(ns, ds)
 
 
-def ratfunc_series(f: RatFunc, base: BasePoint, order: int) -> PowerSeries:
-    base = _coerce_base(base)
-    return PowerSeries(base, taylor_coefficients(f, base, order))
-
-
 # reduced denominators whose roots are kept: the verify queries of a run
 # meet a few dozen, r for principal and riccati and r∘phi for pullback
 _ROOTS_CACHE_SIZE = 64
@@ -344,8 +336,10 @@ def _solve_recurrence(den_terms: np.ndarray, twice_d0, ns: list, order: int) -> 
     once a shape and kept, so a solve runs two numpy calls a coefficient
     and nothing else.  The result is a read-only view into that buffer, not
     a copy: the next solve of the same size, width, order and dtype
-    overwrites it, so a caller uses it before solving again.  Two threads
-    must not solve the same shape at once; the package starts no threads."""
+    overwrites it, so a caller uses it before solving again, as both
+    callers, ``series_solve_linear`` and ``monodromy._taylor_step``, do.  Two
+    threads must not solve the same shape at once; the package starts no
+    threads."""
     zero = Fraction(0) if den_terms.dtype == object else 0j
     shape = np.broadcast_shapes(den_terms.shape[:-1], *(np.shape(n) for n in ns))
     # at least 1: an empty product of object arrays is the int 0, not a Fraction
@@ -620,7 +614,7 @@ def verify_pullback(r: RatFunc, phi: RatFunc, base: BasePoint, order: int) -> Re
     b = complex(base)
     r_phi = schwarz_pullback(r, phi)
     j2 = series_invert(schwarz_map(r_phi, b, order))
-    j1 = series_compose(ratfunc_series(phi, b, order), j2)
+    j1 = series_compose(PowerSeries(b, taylor_coefficients(phi, b, order)), j2)
     value = j1.coefficients[0]
     if r.den(value) == 0:
         pole = min(poles(r), key=lambda p: abs(p - value))

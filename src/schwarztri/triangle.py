@@ -34,6 +34,13 @@ GENERIC = _Generic()
 AngleValue = Union[Fraction, _Generic]
 
 
+def _inverse_angles(at0, at1, at_inf) -> tuple:
+    """The inverse angle parameters (1/alpha, 1/beta, 1/gamma) whose exponent
+    differences at 0, 1 and infinity are ``at0``, ``at1`` and ``at_inf``: the
+    one placement, which :func:`exponent_differences` inverts."""
+    return (at_inf, at0, at1)
+
+
 @dataclass(frozen=True)
 class AngleParams:
     """Inverse angle parameters (1/alpha, 1/beta, 1/gamma) of a triangle equation."""
@@ -75,7 +82,7 @@ class AngleParams:
     def from_exponent_differences(at0, at1, at_inf) -> "AngleParams":
         """The parameters whose exponent differences at 0, 1 and infinity are
         the given values: the inverse of :func:`exponent_differences`."""
-        return AngleParams(e_alpha=at_inf, e_beta=at0, e_gamma=at1)
+        return AngleParams(*_inverse_angles(at0, at1, at_inf))
 
     @staticmethod
     def parse(text: str) -> "AngleParams":
@@ -179,8 +186,8 @@ def build_r(params: AngleParams) -> RatFunc:
 
 
 def exponent_differences(params: AngleParams) -> ExponentTriple:
-    """Exponent differences of the linearized equation: the inverse beta, gamma
-    and alpha parameters sit at 0, 1 and infinity respectively."""
+    """Exponent differences of the linearized equation: the inverse of
+    :func:`_inverse_angles`."""
     ea, eb, eg = _require_exact(params)
     return ExponentTriple(at0=eb, at1=eg, at_inf=ea)
 

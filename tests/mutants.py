@@ -13,7 +13,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 R, S, T, M, C = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy", "cli"))
-RAT, SER = "tests/test_rational.py::", "tests/test_series.py::"
+RAT, SER, MIN = "tests/test_rational.py::", "tests/test_series.py::", "tests/test_minimality.py::"
 EVAL = RAT + "TestEvaluationMatchesReference::test_every_scalar_type"
 CLOSED = RAT + "TestClosedFormsMatchReference::test_seeded_sums_derivatives_and_schwarzians"
 KERNELS = RAT + "TestCoefficientKernelsMatchReference::test_primitive_and_canonical"
@@ -49,8 +49,12 @@ MUTANTS = [
     (M, "< _MIN_STEP:", "< 1e-9:", [CONTINUATION]),
     (M, "steps[:, 1::2] @ steps[:, ::2]", "steps[:, ::2] @ steps[:, 1::2]", [CONTINUATION, *LOOPS]),
     (S, "return num / den", "return num * (1 / den)", [SER + "TestResidualChecksMatchReference::test_seeded_records"]),
-    (T, "e_beta=at0, e_gamma=at1", "e_beta=at1, e_gamma=at0",
-     ["tests/test_triangle.py::TestExponentDifferences::test_from_exponent_differences_is_the_inverse"]),
+    (T, "return (at_inf, at0, at1)", "return (at_inf, at1, at0)",
+     ["tests/test_triangle.py::TestExponentDifferences::test_from_exponent_differences_is_the_inverse",
+      *(MIN + f"test_condition_searches_match_reference_{grid}" for grid in (
+          "on_residue_grid", "on_seeded_triples", "on_shared_factor_denominators", "on_large_values",
+          "with_integers_in_every_slot")),
+      MIN + "test_classify_matches_reference_on_the_den8_sweep"]),
     (C, '("finite", "dihedral", "triangularizable")', '("finite", "dihedral")',
      ["tests/test_cli.py::TestSweepComparison::test_agreement_rule[triangularizable]"]),
     (S, "divisor = j * (j - 1)", "divisor = (j + 1) * j",
@@ -58,6 +62,11 @@ MUTANTS = [
       SER + "TestKernelsMatchReference::test_recurrence_at_exact_bases[0]",
       "tests/test_monodromy.py::TestMonodromy::test_trace_law_hurwitz"]),
     (S, "    coefficients.flags.writeable = False\n", "", [REUSE]),
+    (R, "    g = _primitive(_prs_gcd(a, b))", "    g = _prs_gcd(a, b)",
+     [RAT + "TestHeuristicGcd::test_prs_fallback_on_planted_factors"]),
+    (C, "for x in num + den) - 1", "for x in num + den)",
+     ["tests/test_cli.py::TestPhiParser::test_product_size_limit[(10^3000)*(10^3000)]",
+      "tests/test_cli.py::TestPhiParserMatchesReference::test_seeded_texts"]),
 ]
 
 

@@ -117,6 +117,36 @@ class TestHeuristicGcd:
         # PRS never has to answer on these pairs
         assert not fallbacks
 
+    def test_prs_fallback_on_planted_factors(self, monkeypatch):
+        # refuse the heuristic's six trial divisions of a call, so that the
+        # PRS answers; the divisions after it are delegated
+        exact_div, prs = rational._int_exact_div, rational._prs_gcd
+        refused, negative = [], []
+
+        def refuse_six(a, c):
+            if len(refused) < 6:
+                refused.append(c)
+                return None
+            return exact_div(a, c)
+
+        def signed_prs(a, b):
+            g = prs(a, b)
+            negative.append(g[-1] < 0)
+            return g
+
+        monkeypatch.setattr(rational, "_int_exact_div", refuse_six)
+        monkeypatch.setattr(rational, "_prs_gcd", signed_prs)
+        fallbacks = 0
+        for a, b in itertools.chain(_planted_pairs(100, seed=7), _planted_pairs(100, seed=8, bits=2, degree=6)):
+            refused.clear()
+            g = _checked_gcd(a, b)
+            assert g[-1] > 0 and rational._int_content(g) == 1
+            fallbacks += len(refused) == 6
+        # the other 13 pairs are coprime, and return before any division;
+        # on 57 the PRS's own gcd has a negative leading coefficient
+        assert fallbacks == len(negative) == 187
+        assert sum(negative) == 57
+
     @pytest.mark.parametrize(
         "a, b, gcd",
         [
@@ -343,12 +373,21 @@ class TestStructure:
             (lambda: RatFunc(object()), TypeError, "cannot interpret object as a polynomial"),
             (lambda: setattr(Poly([1]), "coeffs", (2,)), AttributeError, "Poly is immutable"),
             (lambda: setattr(Y, "_n", (2,)), AttributeError, "RatFunc is immutable"),
+            (lambda: Poly().leading, ValueError, "zero polynomial has no leading coefficient"),
         ],
-        ids=["zero-denominator", "bool", "fraction-text", "sum-with-object", "object", "poly-setattr", "setattr"],
+        ids=["zero-denominator", "bool", "fraction-text", "sum-with-object", "object", "poly-setattr", "setattr",
+             "zero-leading"],
     )
     def test_error_messages(self, make, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make()
+
+    def test_truth_value(self):
+        # zero is falsy, as a zero scalar is, and anything else truthy
+        for value in (Poly(), Poly([0, 0]), RatFunc.constant(0), Y - Y):
+            assert bool(value) is False
+        for value in (Poly([0, 1]), Poly([F(-1, 2)]), Y, RatFunc.constant(F(1, 3)), 1 / Y):
+            assert bool(value) is True
 
     def test_sum_with_a_poly(self):
         assert Y + Poly([1, 2]) == RatFunc(Poly([1, 3]))
