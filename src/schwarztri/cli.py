@@ -5,7 +5,8 @@ newline-delimited records):
 
     classify-equation --inv-angles 1/2,1/3,1/7 | generic
     classify-group    --sig 2,3,inf
-    verify {principal,riccati,pullback} --inv-angles ... [--phi EXPR] ...
+    verify {principal,riccati} --inv-angles ...
+    verify pullback --inv-angles ... --phi EXPR ...
     sweep  --max-den 6 [--out results.ndjson]
 
 Exit codes: 0 pass/success, 1 verification failure or sweep disagreement,
@@ -291,10 +292,9 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
         raise UsageError(f"--order must be at most {_MAX_ORDER}, not {args.order}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise UsageError(f"--tol must be a finite positive number, not {args.tol}")
-    params = AngleParams.parse(args.inv_angles)
-    if params.is_generic:
-        raise UsageError("verification needs exact parameter values, not 'generic'")
-    r = build_r(params)
+    if (args.phi is not None) != (args.kind == "pullback"):
+        raise UsageError(f"verify {args.kind}: --phi is required by pullback and accepted by no other kind")
+    r = build_r(AngleParams.parse(args.inv_angles))
     try:
         base = parse_fraction(args.base)
     except ValueError as exc:
@@ -305,8 +305,6 @@ def _cmd_verify(args) -> tuple[dict, dict, int]:
     elif args.kind == "riccati":
         report = residual_riccati(r, base, args.order)
     else:
-        if args.phi is None:
-            raise UsageError("verify pullback requires --phi")
         phi = parse_phi(args.phi)
         report = verify_pullback(r, phi, base, args.order)
     passed = report.max_abs_residual < args.tol
@@ -371,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phi",
         default=None,
-        help="rational expression in y for the pullback map, e.g. 'y^2' or '(y-1)/(y+1)' "
-        "(integers, + - * / ^ with integer exponents)",
+        help="the map of verify pullback, and of no other kind: a rational expression in y, "
+        "e.g. 'y^2' or '(y-1)/(y+1)' (integers, + - * / ^ with integer exponents)",
     )
     p.add_argument(
         "--order", type=int, default=40, help=f"series truncation order (default 40, at most {_MAX_ORDER})"

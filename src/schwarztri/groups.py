@@ -196,10 +196,10 @@ def is_maximal(sig: Signature) -> bool:
 
 def group_report(sig: Signature) -> GroupReport:
     """Assemble the full report for a hyperbolic signature."""
-    geo = geometry(sig)
-    if geo is not Geometry.HYPERBOLIC:
-        raise ValueError(f"group reports are defined for hyperbolic signatures only, got {sig.as_text()}")
-    arith = is_arithmetic(sig)
+    try:
+        arith = is_arithmetic(sig)
+    except ValueError:
+        raise ValueError(f"group reports are defined for hyperbolic signatures only, got {sig.as_text()}") from None
     maximal = is_maximal(sig)
     in_m = not maximal
     if arith:
@@ -209,7 +209,7 @@ def group_report(sig: Signature) -> GroupReport:
     else:
         special = SpecialPolynomials.FINITELY_CONSTRAINED
     return GroupReport(
-        geometry=geo,
+        geometry=Geometry.HYPERBOLIC,
         arithmetic=arith,
         maximal=maximal,
         in_m=in_m,

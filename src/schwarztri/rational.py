@@ -507,8 +507,8 @@ class RatFunc:
     @property
     def num(self) -> Poly:
         """Reduced numerator, scaled to go with the monic denominator."""
-        c = self._c / self._d[-1]
-        return _poly_of([c * x for x in self._n])
+        p, q = self._c.numerator, self._c.denominator * self._d[-1]
+        return _poly_of([Fraction(p * x, q) for x in self._n])
 
     @property
     def den(self) -> Poly:
@@ -687,7 +687,7 @@ class RatFunc:
         return RatFunc(num, den)
 
     def __repr__(self) -> str:
-        if self.den == Poly([1]):
+        if self._d == (1,):
             return f"RatFunc({_poly_str(self.num)})"
         return f"RatFunc(({_poly_str(self.num)}) / ({_poly_str(self.den)}))"
 

@@ -67,6 +67,8 @@ MUTANTS = [
     (C, "for x in num + den) - 1", "for x in num + den)",
      ["tests/test_cli.py::TestPhiParser::test_product_size_limit[(10^3000)*(10^3000)]",
       "tests/test_cli.py::TestPhiParserMatchesReference::test_seeded_texts"]),
+    (C, '!= (args.kind == "pullback")', '!= (args.kind != "riccati")',
+     ["tests/test_cli.py::TestVerify::test_phi_only_with_pullback[y^2-principal]"]),
 ]
 
 

@@ -477,9 +477,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "pullback", "--inv-angles", "0,0,0")
         assert code == 2 and "--phi" in err
 
+    @pytest.mark.parametrize("kind", ["principal", "riccati"])
+    @pytest.mark.parametrize("phi", ["y^2", "((("])
+    def test_phi_only_with_pullback(self, capsys, kind, phi):
+        # a --phi that would not act is rejected, parsed or not
+        code, out, err = run(capsys, "verify", kind, "--inv-angles", "1/2,1/3,1/7", "--phi", phi)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "--phi" in err
+
     def test_generic_rejected(self, capsys):
-        code, _, err = run(capsys, "verify", "principal", "--inv-angles", "generic")
-        assert code == 2
+        # by triangle's rule for exact parameters, stated once
+        for check in (["principal"], ["riccati"], ["pullback", "--phi", "y"]):
+            code, out, err = run(capsys, "verify", *check, "--inv-angles", "generic")
+            assert code == 2 and out == ""
+            assert err == "error: operation requires exact parameter values, not the generic tag\n"
 
     @pytest.mark.parametrize("kind", ["principal", "riccati", "pullback"])
     def test_order_limit(self, capsys, kind):

@@ -7,6 +7,7 @@ from math import cos, gcd, pi
 
 import pytest
 
+from schwarztri import groups
 from schwarztri.groups import (
     ARITHMETIC_SIGNATURES,
     INF,
@@ -223,8 +224,22 @@ class TestGroupReport:
         assert rep.special_polynomials is SpecialPolynomials.FINITELY_CONSTRAINED
 
     def test_non_hyperbolic_rejected(self):
-        with pytest.raises(ValueError):
-            group_report(Signature(2, 3, 6))
+        for sig in (Signature(2, 3, 6), Signature(2, 3, 5), Signature(2, 2, INF)):
+            message = f"^group reports are defined for hyperbolic signatures only, got {sig.as_text()}$"
+            with pytest.raises(ValueError, match=message):
+                group_report(sig)
+
+    @pytest.mark.parametrize("entries", [(2, 3, 7), (2, 3, 13), (2, 3, INF), (2, 3, 6), (3, 3, 2)])
+    def test_geometry_decided_once(self, monkeypatch, entries):
+        calls = []
+        monkeypatch.setattr(groups, "geometry", lambda sig: calls.append(sig) or geometry(sig))
+        sig = Signature(*entries)
+        if geometry(sig) is Geometry.HYPERBOLIC:
+            assert group_report(sig).geometry is Geometry.HYPERBOLIC
+        else:
+            with pytest.raises(ValueError):
+                group_report(sig)
+        assert calls == [sig]
 
     def test_record_matches_reference(self):
         # every hyperbolic signature with entries in 2..30 and inf, in every

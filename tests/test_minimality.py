@@ -26,10 +26,6 @@ def triple(a, b, c):
     return ExponentTriple(F(a), F(b), F(c))
 
 
-def angle_params(e: ExponentTriple) -> AngleParams:
-    return AngleParams.from_exponent_differences(*e.as_tuple())
-
-
 class TestCondition1:
     def test_equianharmonic(self):
         w = check_condition1(triple("1/3", "1/3", "1/3"))
