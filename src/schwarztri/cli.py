@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import dataclasses
 import functools
 import itertools
 import json
@@ -32,7 +31,7 @@ import time
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .groups import Geometry, GroupReport, Signature, geometry, group_report
+from .groups import Signature, group_report
 from .minimality import classify
 from .monodromy import InconclusiveError, classify_projective, monodromy
 from .rational import MAX_TEXT_BITS, RatFunc, parse_fraction
@@ -275,14 +274,7 @@ def _cmd_classify_equation(args) -> tuple[dict, dict, int]:
 
 def _cmd_classify_group(args) -> tuple[dict, dict, int]:
     sig = Signature.parse(args.sig)
-    geo = geometry(sig)
-    if geo is Geometry.HYPERBOLIC:
-        payload = group_report(sig).to_record()
-    else:
-        # arithmetic/maximality theory is stated for hyperbolic signatures only
-        payload = dict.fromkeys((field.name for field in dataclasses.fields(GroupReport)), None)
-        payload["geometry"] = geo.value
-        payload["note"] = "non-hyperbolic signature: group-theoretic fields not applicable"
+    payload = group_report(sig).to_record()
     payload["signature"] = sig.as_text()
     return {"sig": args.sig}, payload, 0
 

@@ -10,6 +10,9 @@ special-polynomial trichotomy:
     maximal, non-arithmetic -> none
     neither                 -> finitely constrained (finite commensurator index)
 
+These are stated for hyperbolic signatures; any other signature's report holds
+its geometry, None in the five group fields, and a note in its record.
+
 Infinity is a legal signature entry (``math.inf``) with the arithmetic rules
 2*inf = 3*inf = inf for pattern matching.
 """
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import permutations
-from typing import Union
+from typing import Optional, Union
 
 INF = math.inf
 
@@ -143,19 +146,24 @@ ARITHMETIC_SIGNATURES: frozenset[tuple[Entry, Entry, Entry]] = frozenset(
 
 @dataclass(frozen=True)
 class GroupReport:
-    """Combined classification of one hyperbolic signature."""
+    """Combined classification of one signature.  Off the hyperbolic case
+    only ``geometry`` is defined, and the other five fields are None."""
 
     geometry: Geometry
-    arithmetic: bool
-    maximal: bool
-    in_m: bool
-    in_w: bool
-    special_polynomials: SpecialPolynomials
+    arithmetic: Optional[bool] = None
+    maximal: Optional[bool] = None
+    in_m: Optional[bool] = None
+    in_w: Optional[bool] = None
+    special_polynomials: Optional[SpecialPolynomials] = None
 
     def to_record(self) -> dict:
-        """The fields by name, an enum by its value."""
+        """The fields by name, an enum by its value; off the hyperbolic case
+        a note follows."""
         values = {field.name: getattr(self, field.name) for field in fields(self)}
-        return {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
+        record = {k: v.value if isinstance(v, enum.Enum) else v for k, v in values.items()}
+        if self.geometry is not Geometry.HYPERBOLIC:
+            record["note"] = "non-hyperbolic signature: group-theoretic fields not applicable"
+        return record
 
 
 def geometry(sig: Signature) -> Geometry:
@@ -171,10 +179,12 @@ def geometry(sig: Signature) -> Geometry:
 
 
 def is_arithmetic(sig: Signature) -> bool:
-    """Membership in the embedded table of arithmetic signatures."""
-    if geometry(sig) is not Geometry.HYPERBOLIC:
+    """Membership in the embedded table of arithmetic signatures, as the
+    signature's report reads it."""
+    arith = group_report(sig).arithmetic
+    if arith is None:
         raise ValueError(f"arithmeticity is defined for hyperbolic signatures only, got {sig.as_text()}")
-    return sig.key in ARITHMETIC_SIGNATURES
+    return arith
 
 
 def _times(factor: int, entry: Entry) -> Entry:
@@ -195,11 +205,12 @@ def is_maximal(sig: Signature) -> bool:
 
 
 def group_report(sig: Signature) -> GroupReport:
-    """Assemble the full report for a hyperbolic signature."""
-    try:
-        arith = is_arithmetic(sig)
-    except ValueError:
-        raise ValueError(f"group reports are defined for hyperbolic signatures only, got {sig.as_text()}") from None
+    """The full report for a hyperbolic signature; for any other, its
+    geometry alone, with None in the five group fields."""
+    geo = geometry(sig)
+    if geo is not Geometry.HYPERBOLIC:
+        return GroupReport(geo)
+    arith = sig.key in ARITHMETIC_SIGNATURES
     maximal = is_maximal(sig)
     in_m = not maximal
     if arith:
@@ -208,11 +219,5 @@ def group_report(sig: Signature) -> GroupReport:
         special = SpecialPolynomials.NONE
     else:
         special = SpecialPolynomials.FINITELY_CONSTRAINED
-    return GroupReport(
-        geometry=Geometry.HYPERBOLIC,
-        arithmetic=arith,
-        maximal=maximal,
-        in_m=in_m,
-        in_w=in_m or arith,
-        special_polynomials=special,
-    )
+    return GroupReport(geometry=geo, arithmetic=arith, maximal=maximal, in_m=in_m, in_w=in_m or arith,
+                       special_polynomials=special)

@@ -12,8 +12,9 @@ import sys
 import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-R, S, T, M, C = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy", "cli"))
-RAT, SER, MIN = "tests/test_rational.py::", "tests/test_series.py::", "tests/test_minimality.py::"
+R, S, T, M, C, G = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy", "cli", "groups"))
+RAT, SER, MIN, GRP = ("tests/test_rational.py::", "tests/test_series.py::", "tests/test_minimality.py::",
+                      "tests/test_groups.py::")
 EVAL = RAT + "TestEvaluationMatchesReference::test_every_scalar_type"
 CLOSED = RAT + "TestClosedFormsMatchReference::test_seeded_sums_derivatives_and_schwarzians"
 KERNELS = RAT + "TestCoefficientKernelsMatchReference::test_primitive_and_canonical"
@@ -69,6 +70,13 @@ MUTANTS = [
       "tests/test_cli.py::TestPhiParserMatchesReference::test_seeded_texts"]),
     (C, '!= (args.kind == "pullback")', '!= (args.kind != "riccati")',
      ["tests/test_cli.py::TestVerify::test_phi_only_with_pullback[y^2-principal]"]),
+    (G, "if geo is not Geometry.HYPERBOLIC:", "if geo is Geometry.SPHERICAL:",
+     [GRP + "TestGroupReport::test_non_hyperbolic_report[entries0-Geometry.EUCLIDEAN]",
+      "tests/test_cli.py::TestClassifyGroup::test_non_hyperbolic_flagged"]),
+    (G, "if total < product:", "if total <= product:",
+     [GRP + "TestGeometry::test_examples", GRP + "TestGeometry::test_integer_sign_matches_fraction_sum"]),
+    (G, "_times(3, b)", "_times(2, b)",
+     [GRP + "TestMaximality::test_examples", "tests/test_acceptance.py::test_criterion_4_maximality_patterns"]),
 ]
 
 

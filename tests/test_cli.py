@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from schwarztri import cli
+from schwarztri import cli, groups
 from schwarztri.cli import _MAX_DEN, _MAX_NESTING, _MAX_PHI_DEGREE, UsageError, _check_max_den, main, parse_phi
+from schwarztri.groups import Signature, geometry
 from schwarztri.monodromy import InconclusiveError, ProjectiveClass
 from schwarztri.rational import MAX_TEXT_BITS, Poly, RatFunc
 from schwarztri.triangle import AngleParams
@@ -423,9 +424,27 @@ class TestClassifyGroup:
     def test_non_hyperbolic_keys_are_the_reports_and_a_note(self, capsys):
         _, out, _ = run(capsys, "classify-group", "--sig", "2,3,inf")
         hyperbolic = set(last_json(out)["result"])
-        for sig in ("2,3,5", "2,4,4", "3,3,3", "2,2,7"):
-            _, out, _ = run(capsys, "classify-group", "--sig", sig)
-            assert set(last_json(out)["result"]) == hyperbolic | {"note"}
+        for sig, geo in [("2,3,5", "spherical"), ("2,4,4", "euclidean"), ("3,3,3", "euclidean"),
+                         ("2,2,7", "spherical")]:
+            code, out, _ = run(capsys, "classify-group", "--sig", sig)
+            result = last_json(out)["result"]
+            assert code == 0 and set(result) == hyperbolic | {"note"}
+            assert result == {
+                **dict.fromkeys(hyperbolic),
+                "geometry": geo,
+                "signature": sig,
+                "note": "non-hyperbolic signature: group-theoretic fields not applicable",
+            }
+
+    @pytest.mark.parametrize("sig", ["2,3,7", "2,3,inf", "2,3,6", "2,3,5", "2,2,inf"])
+    def test_geometry_decided_once(self, capsys, monkeypatch, sig):
+        # counted under both names, so that a copy imported into cli counts too
+        calls = []
+        monkeypatch.setattr(groups, "geometry", lambda s: calls.append(s) or geometry(s))
+        monkeypatch.setattr(cli, "geometry", groups.geometry, raising=False)
+        code, out, _ = run(capsys, "classify-group", "--sig", sig)
+        assert code == 0 and last_json(out)["result"]["geometry"] == geometry(Signature.parse(sig)).value
+        assert calls == [Signature.parse(sig)]
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from schwarztri.groups import (
     ARITHMETIC_SIGNATURES,
     INF,
     Geometry,
+    GroupReport,
     Signature,
     SpecialPolynomials,
     geometry,
@@ -113,7 +114,8 @@ class TestArithmeticity:
         assert is_arithmetic(Signature(7, 3, 2))
 
     def test_non_hyperbolic_rejected(self):
-        with pytest.raises(ValueError):
+        message = "^arithmeticity is defined for hyperbolic signatures only, got 2,3,5$"
+        with pytest.raises(ValueError, match=message):
             is_arithmetic(Signature(2, 3, 5))
 
     def test_table_keys_sorted(self):
@@ -186,10 +188,19 @@ class TestMaximality:
 
 
 # -- reference: the report's record as a hand-written dict, before it was
-# read from the dataclass fields, kept word for word but for the name
+# read from the dataclass fields, kept word for word but for the name; off the
+# hyperbolic case, the record that the command line built before reports
+# covered every geometry
+
+NOTE = "non-hyperbolic signature: group-theoretic fields not applicable"
 
 
 def reference_to_record(self) -> dict:
+    if self.geometry is not Geometry.HYPERBOLIC:
+        record = dict.fromkeys(("geometry", "arithmetic", "maximal", "in_m", "in_w", "special_polynomials"))
+        record["geometry"] = self.geometry.value
+        record["note"] = NOTE
+        return record
     return {
         "geometry": self.geometry.value,
         "arithmetic": self.arithmetic,
@@ -223,36 +234,45 @@ class TestGroupReport:
         assert rep.in_m and not rep.arithmetic
         assert rep.special_polynomials is SpecialPolynomials.FINITELY_CONSTRAINED
 
-    def test_non_hyperbolic_rejected(self):
-        for sig in (Signature(2, 3, 6), Signature(2, 3, 5), Signature(2, 2, INF)):
-            message = f"^group reports are defined for hyperbolic signatures only, got {sig.as_text()}$"
-            with pytest.raises(ValueError, match=message):
-                group_report(sig)
+    @pytest.mark.parametrize("entries, geo", [
+        ((2, 3, 6), Geometry.EUCLIDEAN), ((2, 3, 5), Geometry.SPHERICAL), ((2, 2, INF), Geometry.EUCLIDEAN)])
+    def test_non_hyperbolic_report(self, entries, geo):
+        rep = group_report(Signature(*entries))
+        assert rep == GroupReport(geo, None, None, None, None, None)
+        assert rep.to_record() == {
+            "geometry": geo.value,
+            "arithmetic": None,
+            "maximal": None,
+            "in_m": None,
+            "in_w": None,
+            "special_polynomials": None,
+            "note": NOTE,
+        }
 
     @pytest.mark.parametrize("entries", [(2, 3, 7), (2, 3, 13), (2, 3, INF), (2, 3, 6), (3, 3, 2)])
     def test_geometry_decided_once(self, monkeypatch, entries):
         calls = []
         monkeypatch.setattr(groups, "geometry", lambda sig: calls.append(sig) or geometry(sig))
         sig = Signature(*entries)
-        if geometry(sig) is Geometry.HYPERBOLIC:
-            assert group_report(sig).geometry is Geometry.HYPERBOLIC
-        else:
+        rep = group_report(sig)
+        assert rep.geometry is geometry(sig) and calls == [sig]
+        if rep.arithmetic is None:
             with pytest.raises(ValueError):
-                group_report(sig)
-        assert calls == [sig]
+                is_arithmetic(sig)
+        else:
+            assert is_arithmetic(sig) is rep.arithmetic
+        assert calls == [sig, sig]
 
     def test_record_matches_reference(self):
-        # every hyperbolic signature with entries in 2..30 and inf, in every
-        # entry order: the same keys in the same order, with the same values
+        # every signature with entries in 2..30 and inf, in every entry
+        # order: the same keys in the same order, with the same values
         entries = list(range(2, 31)) + [INF]
-        compared = 0
+        kinds = set()
         for tri in itertools.product(entries, repeat=3):
-            sig = Signature(*tri)
-            if geometry(sig) is Geometry.HYPERBOLIC:
-                rep = group_report(sig)
-                assert list(rep.to_record().items()) == list(reference_to_record(rep).items()), tri
-                compared += 1
-        assert compared > 25_000
+            rep = group_report(Signature(*tri))
+            assert list(rep.to_record().items()) == list(reference_to_record(rep).items()), tri
+            kinds.add(rep.geometry)
+        assert kinds == set(Geometry)
 
     def test_invariants_sweep(self):
         entries = list(range(2, 31)) + [INF]
