@@ -29,7 +29,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .groups import Signature, group_report
 from .minimality import classify
@@ -202,12 +202,21 @@ def _check_max_den(max_den: int) -> None:
         raise UsageError(f"--max-den must lie in 2..{_MAX_DEN}, not {max_den}")
 
 
+def _sweep_params(max_den: int) -> Iterator[AngleParams]:
+    """The sweep's corpus: the unordered triples of ``exponent_values(max_den)``,
+    in ``combinations_with_replacement`` order, as differences at 0, 1, infinity."""
+    # both sides are permutation invariant: unordered triples cover all
+    for t in itertools.combinations_with_replacement(exponent_values(max_den), 3):
+        yield AngleParams.from_exponent_differences(*t)
+
+
 def sweep_records(params: Iterable[AngleParams]) -> tuple[list[dict], dict]:
-    """Compare the exact classifier with the monodromy oracle on each of
-    ``params``, in one batched ``monodromy`` call: a record each, in input
+    """Join the exact classifier's verdict and the monodromy oracle's on each
+    of ``params``, in one batched ``monodromy`` call: a record each, in input
     order, whose triple is the exponent differences at 0, 1 and infinity,
-    and a summary of the counts.  Where the oracle cannot separate the loci
-    the record is inconclusive, and its ``agree`` None.
+    and a summary of the counts.  They agree when the oracle's class is
+    integrable exactly where the verdict is not strongly minimal; an
+    inconclusive oracle record has ``agree`` None.
     """
     params = list(params)
     records = []
@@ -215,12 +224,9 @@ def sweep_records(params: Iterable[AngleParams]) -> tuple[list[dict], dict]:
         verdict = classify(p)
         try:
             oracle = classify_projective(rep)
-            oracle_record = oracle.to_record()
-            oracle_integrable = oracle.kind in ("finite", "dihedral", "triangularizable")
-            agree: Optional[bool] = oracle_integrable == (not verdict.strongly_minimal)
+            oracle_record, agree = oracle.to_record(), oracle.integrable != verdict.strongly_minimal
         except InconclusiveError as exc:
-            oracle_record = {"kind": "inconclusive", "detail": str(exc)}
-            agree = None
+            oracle_record, agree = exc.to_record(), None
         records.append(
             {
                 "triple": [str(t) for t in exponent_differences(p).as_tuple()],
@@ -319,9 +325,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, int]:
     except OSError as exc:
         raise UsageError(f"cannot write --out path: {exc}") from exc
     with sink as out:
-        # both sides are permutation invariant: unordered triples cover all
-        triples = itertools.combinations_with_replacement(exponent_values(args.max_den), 3)
-        records, summary = sweep_records(AngleParams.from_exponent_differences(*t) for t in triples)
+        records, summary = sweep_records(_sweep_params(args.max_den))
         _write(out, records, "--out path" if args.out else "output")
     summary["out_path"] = args.out or None
     code = 0 if summary["disagreements"] == 0 else 1

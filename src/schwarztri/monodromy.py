@@ -4,8 +4,8 @@ Analytic continuation of the fundamental pair of psi'' + (1/2) R psi = 0
 around loops encircling the singularities 0 and 1, and classification of the
 projective group generated by the two loop matrices:
 
-    finite / dihedral / triangularizable  <->  Liouville-integrable side
-    Zariski dense                         <->  non-integrable side
+    finite / dihedral / triangularizable  <->  ``integrable``: Liouville-integrable side
+    Zariski dense                         <->  not ``integrable``: non-integrable side
 
 which cross-checks the exact classifier (the Zariski closure of the monodromy
 group of a Fuchsian equation is its differential Galois group).
@@ -331,6 +331,10 @@ class InconclusiveError(RuntimeError):
     """Raised when the estimated error of the loop matrices is too large for
     the tolerance to separate the loci of the classification."""
 
+    def to_record(self) -> dict:
+        """The oracle's record of the inconclusive result, in place of a class's."""
+        return {"kind": "inconclusive", "detail": str(self)}
+
 
 @dataclass(frozen=True)
 class ProjectiveClass:
@@ -340,10 +344,15 @@ class ProjectiveClass:
     its locus, so how far the traces sit from another verdict; None when no
     test missed."""
 
-    kind: str  # finite | dihedral | triangularizable | dense
+    kind: str  # finite | dihedral | triangularizable (the integrable kinds) | dense
     order: Optional[int]
     tolerance_used: float
     margin: Optional[float]
+
+    @property
+    def integrable(self) -> bool:
+        """Whether the Zariski closure is a proper subgroup of PSL2(C): not dense."""
+        return self.kind in ("finite", "dihedral", "triangularizable")
 
     def to_record(self) -> dict:
         return {

@@ -84,6 +84,8 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _coerce_base(base: BasePoint):
+    if isinstance(base, bool):
+        raise TypeError("booleans are not base points")  # as rational.as_fraction rejects them
     if _is_exact(base):
         return Fraction(base)
     return complex(base)
@@ -255,7 +257,7 @@ def poles(f: RatFunc) -> list[complex]:
 def default_disk_radius(f: RatFunc, base: BasePoint) -> float:
     """A quarter of the distance from the base point to the nearest pole
     (0.25 without poles)."""
-    b = complex(base)
+    b = complex(_coerce_base(base))
     return min((abs(b - p) for p in poles(f)), default=1.0) / 4.0
 
 
@@ -505,10 +507,10 @@ def _ring_report(
 
 
 def _check_exact_base(f: RatFunc, base: BasePoint, of: str = "") -> None:
-    """Raise ZeroDivisionError when ``base`` is exact and a pole of ``f``.
-    The residual checks run on the base rounded to complex, where an exact
-    pole reads as a floating-point accident, so they call this first."""
-    if _is_exact(base) and f.den(base) == 0:
+    """Raise TypeError for a bool, and ZeroDivisionError when ``base`` is exact
+    and a pole of ``f``.  The residual checks run on the base rounded to complex,
+    where an exact pole reads as a floating-point accident, so they call this first."""
+    if isinstance(_coerce_base(base), Fraction) and f.den(base) == 0:
         raise ZeroDivisionError(f"base point {base} is a pole{of}")
 
 

@@ -16,12 +16,11 @@ It also builds the seeded corpora that several test modules share: the
 den <= 8 sweep (``den8_params``) and acceptance criterion 9's shifted
 exponents (``shifted_params``)."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
 
-from schwarztri.cli import exponent_values
+from schwarztri.cli import _sweep_params
 from schwarztri.rational import _int_gcd_poly
 from schwarztri.series import PowerSeries, taylor_coefficients
 from schwarztri.triangle import AngleParams
@@ -113,10 +112,10 @@ def convolution_solve_linear(r, base, order):
 
 
 def den8_params() -> list[AngleParams]:
-    """Every unordered reduced triple of exponent differences in (0, 1) with
+    """The corpus of ``sweep --max-den 8``, from the sweep's own generator:
+    every unordered reduced triple of exponent differences in (0, 1) with
     denominators <= 8, in the sweep's order (1771 triples)."""
-    triples = itertools.combinations_with_replacement(exponent_values(8), 3)
-    return [AngleParams.from_exponent_differences(*t) for t in triples]
+    return list(_sweep_params(8))
 
 
 def shifted_params() -> list[AngleParams]:

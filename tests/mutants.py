@@ -13,8 +13,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 R, S, T, M, C, G = (f"src/schwarztri/{m}.py" for m in ("rational", "series", "triangle", "monodromy", "cli", "groups"))
-RAT, SER, MIN, GRP = ("tests/test_rational.py::", "tests/test_series.py::", "tests/test_minimality.py::",
-                      "tests/test_groups.py::")
+RAT, SER, MIN, GRP, CLI = ("tests/test_rational.py::", "tests/test_series.py::", "tests/test_minimality.py::",
+                           "tests/test_groups.py::", "tests/test_cli.py::")
 EVAL = RAT + "TestEvaluationMatchesReference::test_every_scalar_type"
 CLOSED = RAT + "TestClosedFormsMatchReference::test_seeded_sums_derivatives_and_schwarzians"
 KERNELS = RAT + "TestCoefficientKernelsMatchReference::test_primitive_and_canonical"
@@ -56,8 +56,16 @@ MUTANTS = [
           "on_residue_grid", "on_seeded_triples", "on_shared_factor_denominators", "on_large_values",
           "with_integers_in_every_slot")),
       MIN + "test_classify_matches_reference_on_the_den8_sweep"]),
-    (C, '("finite", "dihedral", "triangularizable")', '("finite", "dihedral")',
-     ["tests/test_cli.py::TestSweepComparison::test_agreement_rule[triangularizable]"]),
+    (M, '("finite", "dihedral", "triangularizable")', '("finite", "dihedral")',
+     [CLI + "TestSweepComparison::test_agreement_rule[triangularizable]",
+      "tests/test_monodromy.py::TestClassifyProjective::test_integrable_kinds[triangularizable]"]),
+    (M, '{"kind": "inconclusive"', '{"kind": "unknown"',
+     [CLI + "TestSweepComparison::test_inconclusive_records",
+      "tests/test_monodromy.py::TestClassifyProjective::test_inconclusive_record"]),
+    (C, "itertools.combinations_with_replacement(", "itertools.combinations(",
+     [CLI + "TestSweep::test_min_denominator", CLI + "TestSweep::test_corpus_in_sweep_order"]),
+    (S, "    if isinstance(base, bool):\n", "    if False:\n",
+     [SER + f"TestBoolBasePoint::test_rejected[{call}-regular-True]" for call in ("series_solve_linear", "residual_principal")]),
     (S, "divisor = j * (j - 1)", "divisor = (j + 1) * j",
      [REUSE, SER + "TestKernelsMatchReference::test_recurrence_at_complex_bases",
       SER + "TestKernelsMatchReference::test_recurrence_at_exact_bases[0]",

@@ -11,13 +11,14 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from definitions import den8_params
 
 from schwarztri import cli, groups
 from schwarztri.cli import _MAX_DEN, _MAX_NESTING, _MAX_PHI_DEGREE, UsageError, _check_max_den, main, parse_phi
 from schwarztri.groups import Signature, geometry
 from schwarztri.monodromy import InconclusiveError, ProjectiveClass
 from schwarztri.rational import MAX_TEXT_BITS, Poly, RatFunc
-from schwarztri.triangle import AngleParams
+from schwarztri.triangle import AngleParams, exponent_differences
 
 
 def run(capsys, *argv):
@@ -629,6 +630,15 @@ class TestSweep:
         assert len(lines) == summary["cases"]
         first = json.loads(lines[0])
         assert set(first) == {"triple", "verdict", "witness", "oracle", "agree"}
+
+    def test_corpus_in_sweep_order(self):
+        # the multisets of test_min_denominator, in combinations_with_replacement
+        # order, each as its exponent differences at 0, 1 and infinity
+        a, b, c = F(1, 3), F(1, 2), F(2, 3)
+        expected = [(a, a, a), (a, a, b), (a, a, c), (a, b, b), (a, b, c), (a, c, c),
+                    (b, b, b), (b, b, c), (b, c, c), (c, c, c)]
+        assert [exponent_differences(p).as_tuple() for p in cli._sweep_params(3)] == expected
+        assert len(den8_params()) == 1771
 
     def test_records_to_stdout_without_out(self, capsys):
         code, out, _ = run(capsys, "sweep", "--max-den", "2")

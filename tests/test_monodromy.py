@@ -775,6 +775,15 @@ class TestClassifyProjective:
         assert list(rec) == ["kind", "order", "tolerance_used", "margin"]
         assert rec["margin"] > 1000 * rec["tolerance_used"]
 
+    @pytest.mark.parametrize("kind", ["finite", "dihedral", "triangularizable", "dense"])
+    def test_integrable_kinds(self, kind):
+        # proper subgroups of PSL2(C) are integrable, the Zariski dense group not
+        assert ProjectiveClass(kind, None, 1e-9, None).integrable is (kind != "dense")
+
+    def test_inconclusive_record(self):
+        record = InconclusiveError("loci not separated").to_record()
+        assert record == {"kind": "inconclusive", "detail": "loci not separated"}
+
 
 class TestCompiledPlanMatchesReference:
     def test_step_matrices_bit_for_bit(self):

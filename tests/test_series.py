@@ -99,6 +99,29 @@ class TestTaylor:
         assert abs(s(z) - f(z)) < 1e-12
 
 
+class TestBoolBasePoint:
+    """A bool is no base point, as it is no exact scalar (``as_fraction``):
+    every function that takes a base rejects it, rather than expanding at 1
+    or 0, or reporting a pole there in floating point."""
+
+    CALLS = {
+        "taylor_coefficients": lambda r, b: taylor_coefficients(r, b, 3),
+        "series_solve_linear": lambda r, b: series_solve_linear(r, b, 12),
+        "schwarz_map": lambda r, b: schwarz_map(r, b, 12),
+        "default_disk_radius": lambda r, b: default_disk_radius(r, b),
+        "residual_principal": lambda r, b: residual_principal(r, b, 10),
+        "residual_riccati": lambda r, b: residual_riccati(r, b, 10),
+        "verify_pullback": lambda r, b: verify_pullback(r, Y * Y + Y, b, 10),
+    }
+
+    @pytest.mark.parametrize("base", [True, False])
+    @pytest.mark.parametrize("r", [1 / (Y + 3), R_HURWITZ], ids=["regular", "poles"])
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_rejected(self, call, r, base):
+        with pytest.raises(TypeError, match="^booleans are not base points$"):
+            self.CALLS[call](r, base)
+
+
 class TestPolesCache:
     @pytest.mark.parametrize(
         "f",
